@@ -5,9 +5,11 @@ criterion.  Every check here is exact arithmetic; the only tolerances are
 the stated runtime budgets and minimum sample counts.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +47,7 @@ from conftest import rand_poly
 from field_axioms import check_ordered_field_triple
 
 SEED = 20260810
+FIXTURES = Path(__file__).resolve().parents[1] / "src" / "ordfield" / "fixtures"
 
 
 def _report(num: int, ok: bool, msg: str) -> None:
@@ -390,3 +393,34 @@ def test_criterion_10_transcript_determinism(
         True,
         "two identical runs of each demo produce byte-identical transcripts",
     )
+
+
+# SHA-256 of each default transcript; a refactor must leave every byte as is.
+GOLDEN_DIGESTS = {
+    "dlim q": "89b84716fa113200eaa6e77c08ca6d46a9f2e33a78157e42617693bf65ab9ffa",
+    "dlim qx": "406fdab56feeb2977b24a34e93909adf9c6a8fd39d29bf352b3b56ecf65df76b",
+    "mvt": "b1e0e986981ca138b250e32d448bc6d4fea1845487b10faddf1a451ecfcd6d6e",
+    "lhopital": "4a113568b513b663ac06d4caa87276d8793be402a15f9ee50c0613471357c6c5",
+    "taylor": "155e738fea1e9083e6dbc74387c57656b290dda774216e1b1ad22a87e4dc3e4f",
+    "dlim_q_falsifier.claim": "cdf3fb3a3926600f4fd6d5f7de44168430401b0c4d0d8c576602da0b388d871a",
+    "dlim_qx_falsifier.claim": "5b9dedc484a378f66b5dfe6b91949bf237f3f4d4628a48b9ef396976f7cca6b6",
+}
+
+
+def test_golden_transcript_digests(
+    dlim_q_run, dlim_qx_run, mvt_run, lhopital_run, taylor2_run, capsys
+):
+    texts = {
+        "dlim q": dlim_q_run[1],
+        "dlim qx": dlim_qx_run[1],
+        "mvt": mvt_run[1],
+        "lhopital": lhopital_run[1],
+        "taylor": taylor2_run[1],
+    }
+    capsys.readouterr()
+    for name in ("dlim_q_falsifier.claim", "dlim_qx_falsifier.claim"):
+        assert cli_main(["claim", str(FIXTURES / name)]) == 0
+        texts[name] = capsys.readouterr().out
+    for name, text in texts.items():
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == GOLDEN_DIGESTS[name], name
