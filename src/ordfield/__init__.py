@@ -47,8 +47,6 @@ from .functions import (
     DiffQuotient,
     Identity,
     IndicatorCut,
-    MonomialStep,
-    MonomialStepDeriv,
     OuterSquareStep,
     Power,
     Quotient,
@@ -66,11 +64,9 @@ from .laurent import (
     RatFunc,
     dominates,
     poly,
-    poly_arith,
     poly_gcd,
     render_poly,
     render_rf,
-    rf_arith,
     rf_normalize,
     rf_sign,
     same_class,
@@ -78,7 +74,7 @@ from .laurent import (
     x_pow,
 )
 from .literals import parse_elem
-from .rationals import Rat, pow2, rat_arith, rat_cmp, rat_normalize, render_rat
+from .rationals import pow2, render_rat
 from .transcript import VERSION as __version__
 from .transcript import Transcript, parse_claim_file
 

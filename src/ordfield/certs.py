@@ -130,7 +130,7 @@ WitnessRule = QStepProbe | QXStepProbe | TwoSided
 def parse_rule(s: str, parse_value) -> DeltaRule:
     """Parse a rendered delta-rule; parse_value maps literal text to a field
     element."""
-    name, args = _split_call(s)
+    name, args = split_call(s)
     if name == "const" and len(args) == 1:
         return ConstRule(parse_value(args[0]))
     if name == "linear_cap" and len(args) == 2:
@@ -140,7 +140,7 @@ def parse_rule(s: str, parse_value) -> DeltaRule:
 
 def parse_witness(s: str, parse_value) -> WitnessRule:
     """Parse a rendered witness rule (recursively for two_sided)."""
-    name, args = _split_call(s)
+    name, args = split_call(s)
     if name == "qstep" and len(args) == 1:
         return QStepProbe(parse_value(args[0]))
     if name == "qxstep" and len(args) == 2:
@@ -157,7 +157,9 @@ def parse_witness(s: str, parse_value) -> WitnessRule:
     raise ParseError(f"unknown witness rule {s!r}")
 
 
-def _split_call(s: str) -> tuple[str, list[str]]:
+def split_call(s: str) -> tuple[str, list[str]]:
+    """Split `name(a,b,...)` into its name and its top-level arguments;
+    commas inside nested parentheses stay with their argument."""
     s = s.strip()
     if not s.endswith(")") or "(" not in s:
         raise ParseError(f"expected name(args) form, got {s!r}")

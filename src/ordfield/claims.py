@@ -133,6 +133,8 @@ def check_verifier(
     probe in the punctured delta(eps)-ball must satisfy |f(w) - L| < eps."""
     claim = cert.claim
     fld = claim.field
+    if not eps_schedule:
+        raise DomainError("epsilon schedule is empty")
     records = []
     for eps in eps_schedule:
         if not eps > field_zero(fld):
@@ -155,6 +157,8 @@ def check_falsifier(cert: FalsifierCert, delta_schedule) -> RefereeReport:
     rule = cert.witness
     if isinstance(rule, TwoSided):
         rule = rule.pick(claim.candidate)
+    if not delta_schedule:
+        raise DomainError("delta schedule is empty")
     records = []
     for delta in delta_schedule:
         if not delta > field_zero(fld):

@@ -15,19 +15,13 @@ import argparse
 import os
 import sys
 
-from .claims import (
-    check_falsifier,
-    check_verifier,
-    default_delta_schedule,
-    default_eps_schedule,
-    FalsifierCert,
-)
-from .demos import demo_dlim, demo_lhopital, demo_mvt, demo_taylor
+from .claims import FalsifierCert, default_delta_schedule, default_eps_schedule
+from .demos import Check, demo_dlim, demo_lhopital, demo_mvt, demo_taylor, run
 from .errors import OrdFieldError
 from .fields import Field, render_elem, sign_of
 from .laurent import RatFunc, valuation
 from .literals import parse_elem
-from .transcript import Transcript, VERSION, parse_claim_file
+from .transcript import ClaimFile, Transcript, VERSION, parse_claim_file
 
 USAGE_ERROR = 2
 
@@ -78,29 +72,18 @@ def _run_demo(args) -> int:
     kwargs = {}
     if args.eps_depth is not None:
         kwargs["eps_depth"] = args.eps_depth
+    if args.delta_depth is not None and args.name != "mvt":
+        kwargs["delta_depth"] = args.delta_depth
     candidate = None
     if args.candidate is not None:
         candidate = parse_elem(Field.Q, args.candidate)
     if args.name == "dlim":
-        if args.delta_depth is not None:
-            kwargs["delta_depth"] = args.delta_depth
         code, tr = demo_dlim(field=args.field, **kwargs)
     elif args.name == "mvt":
         code, tr = demo_mvt(points=args.points, seed=args.seed, **kwargs)
     elif args.name == "lhopital":
-        if args.delta_depth is not None:
-            kwargs["delta_depth"] = args.delta_depth
         code, tr = demo_lhopital(candidate=candidate, **kwargs)
     else:
-        if args.n < 2:
-            print(
-                "ordfield demo taylor: --n must be at least 2 "
-                "(the n = 1 case is a theorem of every ordered field)",
-                file=sys.stderr,
-            )
-            return USAGE_ERROR
-        if args.delta_depth is not None:
-            kwargs["delta_depth"] = args.delta_depth
         code, tr = demo_taylor(args.n, candidate=candidate, **kwargs)
     _emit(tr, args.transcript)
     return code
@@ -115,29 +98,20 @@ def _run_eval(args) -> int:
     return 0
 
 
+def _claim_schedule(contents: ClaimFile, cert) -> list:
+    fld = cert.claim.field
+    if isinstance(cert, FalsifierCert):
+        return contents.delta_values or default_delta_schedule(fld, contents.delta_depth)
+    return contents.eps_values or default_eps_schedule(fld, contents.eps_depth)
+
+
 def _run_claim(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
         contents = parse_claim_file(fh.read())
     tr = Transcript()
-    tr.header([("version", VERSION), ("demo", "claim-file")])
-    all_ok = True
-    for cert in contents.certs:
-        fld = cert.claim.field
-        if isinstance(cert, FalsifierCert):
-            schedule = contents.delta_values or default_delta_schedule(
-                fld, contents.delta_depth
-            )
-            report = check_falsifier(cert, schedule)
-        else:
-            schedule = contents.eps_values
-            if schedule is None:
-                depth = contents.eps_depth if contents.eps_depth is not None else 128
-                schedule = default_eps_schedule(fld, depth)
-            report = check_verifier(cert, schedule)
-        tr.add_report(report)
-        all_ok = all_ok and report.passed
-    code = 0 if all_ok else 1
-    tr.summary("claim-file", code, all_ok)
+    tr.header([("demo", "claim-file")])
+    steps = [Check(cert, _claim_schedule(contents, cert)) for cert in contents.certs]
+    code = run(tr, "claim-file", steps)
     _emit(tr, args.transcript)
     return code
 

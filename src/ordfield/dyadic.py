@@ -17,7 +17,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError, IrrationalityError
-from .rationals import GREATER, LESS, pow2
+from .rationals import pow2
+
+# Results of the cut comparisons; "equal" never happens for rationals.
+LESS = -1
+GREATER = 1
 
 _HALF = Fraction(1, 2)
 

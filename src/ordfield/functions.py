@@ -3,11 +3,16 @@ descriptors.
 
 Functions form a closed enumeration rather than opaque callables so that
 certificates and probe generators can introspect their structure and
-transcripts can serialize them.  The step functions return the canonical
-representative of the band/class of their argument (2**-n for the dyadic
-band I_n in Q, x**v for valuation v in Q(x)); both are locally constant
-off 0 and squeezed between linear envelopes, which is exactly what makes
-their difference quotients vanish while f(t)/t stays bounded away from 0.
+transcripts can serialize them.  Each descriptor class is one row of the
+function table: it owns its field, its evaluator, its constancy radius,
+its derivative certificate and its canonical name, and one tag registry
+maps names back to classes for `parse_fn`.
+
+The step functions return the canonical representative of the band/class
+of their argument (2**-n for the dyadic band I_n in Q, x**v for valuation
+v in Q(x)); both are locally constant off 0 and squeezed between linear
+envelopes, which is exactly what makes their difference quotients vanish
+while f(t)/t stays bounded away from 0.
 
 OuterSquareStep is the Peano counterexample: it jumps at the irrational
 in-band cut 3/2 * c_m and takes the value 4**-m (the square of the band
@@ -23,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certs import ConstRule, DeltaRule, LinearCapRule
+from .certs import ConstRule, DeltaRule, LinearCapRule, split_call
 from .dyadic import (
     class_index,
     constancy_radius_q,
@@ -32,176 +37,300 @@ from .dyadic import (
     sqrt2_gap_radius,
 )
 from .errors import DomainError, IrrationalityError, ParseError, UnsupportedDerivativeError
-from .fields import Field, field_zero, from_rat, render_elem
+from .fields import Field, field_one, field_zero, render_elem
 from .laurent import RF_ZERO, valuation, x_pow
+from .literals import parse_elem, parse_int
 from .rationals import pow2
 
 
 @dataclass(frozen=True)
-class Identity:
-    field: Field = Field.Q
+class DerivativeCert:
+    """Closed-form derivative value plus the delta-rule certifying the
+    difference-quotient limit claim."""
+
+    value: object
+    rule: DeltaRule
+    note: str
+
+
+class FieldFn:
+    """Base of the function descriptors.
+
+    A subclass sets TAG (its name in transcripts), `field` and `eval_at`.
+    One whose name carries ARITY arguments renders them in `name_args` and
+    parses them in `from_args`.  One that is locally constant off 0 gives
+    its ball radius in `radius_at`; one with a closed-form derivative gives
+    its certificate in `derivative_at`.  `envelope` holds the strict bounds
+    (lower, upper) on |f(t)/t| of the step functions.
+    """
+
+    TAG = ""
+    ARITY = 0
+    envelope = None
+
+    def name_args(self) -> tuple[str, ...]:
+        return ()
+
+    @classmethod
+    def from_args(cls, field: Field, args: list[str]) -> FieldFn:
+        return cls()
+
+    def radius_at(self, t):
+        raise DomainError(f"no constancy rule for {fn_name(self)}")
+
+    def derivative_at(self, t) -> DerivativeCert:
+        raise UnsupportedDerivativeError(
+            f"no closed-form derivative for {fn_name(self)} at {render_elem(t)}"
+        )
 
 
 @dataclass(frozen=True)
-class Constant:
+class Identity(FieldFn):
+    field: Field = Field.Q
+
+    TAG = "identity"
+
+    @classmethod
+    def from_args(cls, field: Field, args: list[str]) -> FieldFn:
+        return cls(field)
+
+    def eval_at(self, t):
+        return t
+
+    def derivative_at(self, t) -> DerivativeCert:
+        one = field_one(self.field)
+        return DerivativeCert(one, ConstRule(one), "difference quotient is identically 1")
+
+
+@dataclass(frozen=True)
+class Constant(FieldFn):
     field: Field
     value: object
 
+    TAG = "constant"
+    ARITY = 1
+
+    def name_args(self) -> tuple[str, ...]:
+        return (render_elem(self.value),)
+
+    @classmethod
+    def from_args(cls, field: Field, args: list[str]) -> FieldFn:
+        return cls(field, parse_elem(field, args[0]))
+
+    def eval_at(self, t):
+        return self.value
+
+    def derivative_at(self, t) -> DerivativeCert:
+        return DerivativeCert(
+            field_zero(self.field),
+            ConstRule(field_one(self.field)),
+            "difference quotient is identically 0",
+        )
+
 
 @dataclass(frozen=True)
-class Power:
+class Power(FieldFn):
     """t**n for n >= 1."""
 
     field: Field
     n: int
 
+    TAG = "pow"
+    ARITY = 1
+
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("power exponent must be at least 1")
 
+    def name_args(self) -> tuple[str, ...]:
+        return (str(self.n),)
+
+    @classmethod
+    def from_args(cls, field: Field, args: list[str]) -> FieldFn:
+        return cls(field, parse_int(args[0]))
+
+    def eval_at(self, t):
+        return t**self.n
+
+    def derivative_at(self, a) -> DerivativeCert:
+        n = self.n
+        one = field_one(self.field)
+        if n == 1:
+            return DerivativeCert(one, ConstRule(one), "difference quotient is identically 1")
+        bound = sum(
+            (math.comb(n, k) * abs(a) ** (n - k) for k in range(2, n + 1)),
+            field_zero(self.field),
+        )
+        return DerivativeCert(
+            n * a ** (n - 1),
+            LinearCapRule(one, one / bound),
+            "binomial tail bound for |h| <= 1",
+        )
+
 
 @dataclass(frozen=True)
-class StepQ:
+class StepQ(FieldFn):
     """Band representative 2**-n on I_n; 0 at 0."""
 
+    field = Field.Q
+    TAG = "step_q"
+    envelope = (Fraction(1, 2), Fraction(2))
 
-@dataclass(frozen=True)
-class StepQX:
-    """Class representative x**v(t); 0 at 0."""
-
-
-@dataclass(frozen=True)
-class IndicatorCut:
-    """Indicator of the cut set {q : q < 0 or q**2 < 2} = (-inf, sqrt 2)."""
-
-
-@dataclass(frozen=True)
-class MonomialStep:
-    """t**n * StepQ(t) for n >= 2."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise DomainError("monomial step order must be at least 2")
-
-
-@dataclass(frozen=True)
-class MonomialStepDeriv:
-    """k-th symbolic derivative of MonomialStep(n) away from 0:
-    (n!/(n-k)!) * t**(n-k) * StepQ(t); defined as 0 at 0 (for k <= n this is
-    the true k-th derivative there)."""
-
-    n: int
-    k: int = 1
-
-    def __post_init__(self):
-        if self.n < 2 or not 1 <= self.k <= self.n:
-            raise DomainError("derivative order must satisfy 1 <= k <= n, n >= 2")
-
-
-@dataclass(frozen=True)
-class OuterSquareStep:
-    """4**-m on the outer part (3/2 c_m, c_{m-1}) of each band, else 0."""
-
-
-@dataclass(frozen=True)
-class Quotient:
-    f: "FieldFn"
-    g: "FieldFn"
-
-
-@dataclass(frozen=True)
-class DiffQuotient:
-    """h |-> (f(a+h) - f(a)) / h."""
-
-    f: "FieldFn"
-    a: object
-
-
-FieldFn = (
-    Identity
-    | Constant
-    | Power
-    | StepQ
-    | StepQX
-    | IndicatorCut
-    | MonomialStep
-    | MonomialStepDeriv
-    | OuterSquareStep
-    | Quotient
-    | DiffQuotient
-)
-
-
-def fn_field(fn: FieldFn) -> Field:
-    if isinstance(fn, (Identity, Constant, Power)):
-        return fn.field
-    if isinstance(fn, StepQX):
-        return Field.QX
-    if isinstance(fn, (StepQ, IndicatorCut, MonomialStep, MonomialStepDeriv, OuterSquareStep)):
-        return Field.Q
-    if isinstance(fn, Quotient):
-        return fn_field(fn.f)
-    if isinstance(fn, DiffQuotient):
-        return fn_field(fn.f)
-    raise DomainError(f"not a FieldFn: {fn!r}")
-
-
-def _step_q(t: Fraction) -> Fraction:
-    return pow2(-class_index(t))
-
-
-def _deriv_coeff(n: int, k: int) -> int:
-    return math.factorial(n) // math.factorial(n - k)
-
-
-def evaluate(fn: FieldFn, t):
-    """Exact value of fn at t; raises DomainError off the domain."""
-    if isinstance(fn, Identity):
-        return t
-    if isinstance(fn, Constant):
-        return fn.value
-    if isinstance(fn, Power):
-        return t ** fn.n
-    if isinstance(fn, StepQ):
+    def eval_at(self, t):
         if t == 0:
             return Fraction(0)
-        return _step_q(t)
-    if isinstance(fn, StepQX):
+        return pow2(-class_index(t))
+
+    def radius_at(self, t):
+        return constancy_radius_q(t)
+
+    def derivative_at(self, t) -> DerivativeCert:
+        if t == 0:
+            raise UnsupportedDerivativeError("StepQ(h)/h has no limit at 0")
+        return DerivativeCert(
+            Fraction(0), ConstRule(self.radius_at(t)), "constant on the band of t"
+        )
+
+
+@dataclass(frozen=True)
+class StepQX(FieldFn):
+    """Class representative x**v(t); 0 at 0."""
+
+    field = Field.QX
+    TAG = "step_qx"
+    envelope = (x_pow(1), x_pow(-1))
+
+    def eval_at(self, t):
         if not t:
             return RF_ZERO
         return x_pow(valuation(t))
-    if isinstance(fn, IndicatorCut):
+
+    def radius_at(self, t):
+        return abs(t) / 2
+
+    def derivative_at(self, t) -> DerivativeCert:
+        if not t:
+            raise UnsupportedDerivativeError("StepQX(h)/h has no limit at 0")
+        return DerivativeCert(RF_ZERO, ConstRule(self.radius_at(t)), "constant on the class of t")
+
+
+@dataclass(frozen=True)
+class IndicatorCut(FieldFn):
+    """Indicator of the cut set {q : q < 0 or q**2 < 2} = (-inf, sqrt 2)."""
+
+    field = Field.Q
+    TAG = "indicator_cut"
+
+    def eval_at(self, t):
         if t < 0:
             return Fraction(1)
         sq = t * t
         if sq == 2:
             raise IrrationalityError("rational square equal to 2")
         return Fraction(1) if sq < 2 else Fraction(0)
-    if isinstance(fn, MonomialStep):
-        if t == 0:
-            return Fraction(0)
-        return t ** fn.n * _step_q(t)
-    if isinstance(fn, MonomialStepDeriv):
-        if t == 0:
-            return Fraction(0)
-        return _deriv_coeff(fn.n, fn.k) * t ** (fn.n - fn.k) * _step_q(t)
-    if isinstance(fn, OuterSquareStep):
+
+    def radius_at(self, t):
+        return sqrt2_gap_radius(t)
+
+    def derivative_at(self, t) -> DerivativeCert:
+        return DerivativeCert(
+            Fraction(0), ConstRule(self.radius_at(t)), "constant on t's side of sqrt(2)"
+        )
+
+
+@dataclass(frozen=True)
+class OuterSquareStep(FieldFn):
+    """4**-m on the outer part (3/2 c_m, c_{m-1}) of each band, else 0."""
+
+    field = Field.Q
+    TAG = "outer_square_step"
+
+    def eval_at(self, t):
         if t == 0:
             return Fraction(0)
         m = class_index(t)
         return pow2(-2 * m) if is_outer(t, m) else Fraction(0)
-    if isinstance(fn, Quotient):
-        g = evaluate(fn.g, t)
+
+    def radius_at(self, t):
+        return outer_constancy_radius_q(t)
+
+    def derivative_at(self, t) -> DerivativeCert:
+        if t == 0:
+            return DerivativeCert(
+                Fraction(0),
+                LinearCapRule(Fraction(1), Fraction(1)),
+                "|f(h)/h| <= (8/9)|h| for every h",
+            )
+        return DerivativeCert(
+            Fraction(0), ConstRule(self.radius_at(t)), "constant on t's piece of its band"
+        )
+
+
+@dataclass(frozen=True)
+class Quotient(FieldFn):
+    f: FieldFn
+    g: FieldFn
+
+    TAG = "quotient"
+    ARITY = 2
+
+    @property
+    def field(self) -> Field:
+        return self.f.field
+
+    def name_args(self) -> tuple[str, ...]:
+        return (fn_name(self.f), fn_name(self.g))
+
+    @classmethod
+    def from_args(cls, field: Field, args: list[str]) -> FieldFn:
+        return cls(parse_fn(field, args[0]), parse_fn(field, args[1]))
+
+    def eval_at(self, t):
+        g = evaluate(self.g, t)
         if not g:
             raise DomainError(f"quotient denominator vanishes at {render_elem(t)}")
-        return evaluate(fn.f, t) / g
-    if isinstance(fn, DiffQuotient):
-        if not t:
+        return evaluate(self.f, t) / g
+
+
+@dataclass(frozen=True)
+class DiffQuotient(FieldFn):
+    """h |-> (f(a+h) - f(a)) / h."""
+
+    f: FieldFn
+    a: object
+
+    TAG = "diffq"
+    ARITY = 2
+
+    @property
+    def field(self) -> Field:
+        return self.f.field
+
+    def name_args(self) -> tuple[str, ...]:
+        return (fn_name(self.f), render_elem(self.a))
+
+    @classmethod
+    def from_args(cls, field: Field, args: list[str]) -> FieldFn:
+        return cls(parse_fn(field, args[0]), parse_elem(field, args[1]))
+
+    def eval_at(self, h):
+        if not h:
             raise DomainError("difference quotient needs h != 0")
-        return (evaluate(fn.f, fn.a + t) - evaluate(fn.f, fn.a)) / t
-    raise DomainError(f"not a FieldFn: {fn!r}")
+        return (evaluate(self.f, self.a + h) - evaluate(self.f, self.a)) / h
+
+
+_BY_TAG = {cls.TAG: cls for cls in FieldFn.__subclasses__()}
+
+
+def fn_field(fn: FieldFn) -> Field:
+    if not isinstance(fn, FieldFn):
+        raise DomainError(f"not a FieldFn: {fn!r}")
+    return fn.field
+
+
+def evaluate(fn: FieldFn, t):
+    """Exact value of fn at t; raises DomainError off the domain."""
+    return fn.eval_at(t)
 
 
 @dataclass(frozen=True)
@@ -219,12 +348,9 @@ def ratio_bounds_check(fn: FieldFn, t) -> RatioCheck:
     Q and x, 1/x in Q(x)."""
     if not t:
         raise DomainError("envelope ratio needs t != 0")
-    if isinstance(fn, StepQ):
-        lower, upper = Fraction(1, 2), Fraction(2)
-    elif isinstance(fn, StepQX):
-        lower, upper = x_pow(1), x_pow(-1)
-    else:
+    if fn.envelope is None:
         raise DomainError("envelope bounds are defined for the step functions")
+    lower, upper = fn.envelope
     ratio = abs(evaluate(fn, t) / t)
     return RatioCheck(ratio, lower, upper, lower < ratio and ratio < upper)
 
@@ -234,26 +360,7 @@ def local_constancy(fn: FieldFn, t):
     that radius around t != 0."""
     if not t:
         raise DomainError("no constancy ball around 0")
-    value = evaluate(fn, t)
-    if isinstance(fn, StepQ):
-        return value, constancy_radius_q(t)
-    if isinstance(fn, StepQX):
-        return value, abs(t) / 2
-    if isinstance(fn, OuterSquareStep):
-        return value, outer_constancy_radius_q(t)
-    if isinstance(fn, IndicatorCut):
-        return value, sqrt2_gap_radius(t)
-    raise DomainError(f"no constancy rule for {fn_name(fn)}")
-
-
-@dataclass(frozen=True)
-class DerivativeCert:
-    """Closed-form derivative value plus the delta-rule certifying the
-    difference-quotient limit claim."""
-
-    value: object
-    rule: DeltaRule
-    note: str
+    return evaluate(fn, t), fn.radius_at(t)
 
 
 def derivative_certificate(fn: FieldFn, t) -> DerivativeCert:
@@ -261,190 +368,32 @@ def derivative_certificate(fn: FieldFn, t) -> DerivativeCert:
     lim_{h->0} (f(t+h)-f(t))/h = value.  Raises UnsupportedDerivativeError
     outside the closed-form table (in particular for the step functions at
     0, where the limit does not exist)."""
-    field = fn_field(fn)
-    one = from_rat(field, Fraction(1))
-    if isinstance(fn, Identity):
-        return DerivativeCert(one, ConstRule(one), "difference quotient is identically 1")
-    if isinstance(fn, Constant):
-        return DerivativeCert(
-            field_zero(field), ConstRule(one), "difference quotient is identically 0"
-        )
-    if isinstance(fn, Power):
-        return _power_cert(field, one, fn.n, t)
-    if isinstance(fn, StepQ):
-        if t == 0:
-            raise UnsupportedDerivativeError("StepQ(h)/h has no limit at 0")
-        _, radius = local_constancy(fn, t)
-        return DerivativeCert(
-            Fraction(0), ConstRule(radius), "constant on the band of t"
-        )
-    if isinstance(fn, StepQX):
-        if not t:
-            raise UnsupportedDerivativeError("StepQX(h)/h has no limit at 0")
-        _, radius = local_constancy(fn, t)
-        return DerivativeCert(RF_ZERO, ConstRule(radius), "constant on the class of t")
-    if isinstance(fn, IndicatorCut):
-        return DerivativeCert(
-            Fraction(0),
-            ConstRule(sqrt2_gap_radius(t)),
-            "constant on t's side of sqrt(2)",
-        )
-    if isinstance(fn, OuterSquareStep):
-        if t == 0:
-            return DerivativeCert(
-                Fraction(0),
-                LinearCapRule(Fraction(1), Fraction(1)),
-                "|f(h)/h| <= (8/9)|h| for every h",
-            )
-        _, radius = local_constancy(fn, t)
-        return DerivativeCert(
-            Fraction(0), ConstRule(radius), "constant on t's piece of its band"
-        )
-    if isinstance(fn, MonomialStep):
-        return _monomial_step_cert(1, fn.n, t)
-    if isinstance(fn, MonomialStepDeriv):
-        if fn.k == fn.n:
-            if t == 0:
-                raise UnsupportedDerivativeError(
-                    "the (n+1)-th derivative of t^n*StepQ(t) does not exist at 0"
-                )
-            _, radius = local_constancy(StepQ(), t)
-            return DerivativeCert(
-                Fraction(0), ConstRule(radius), "constant multiple of StepQ off 0"
-            )
-        return _monomial_step_cert(_deriv_coeff(fn.n, fn.k), fn.n - fn.k, t)
-    raise UnsupportedDerivativeError(
-        f"no closed-form derivative for {fn_name(fn)} at {render_elem(t)}"
-    )
-
-
-def _power_cert(field: Field, one, n: int, a) -> DerivativeCert:
-    value = n * a ** (n - 1) if n > 1 else one
-    if n == 1:
-        return DerivativeCert(value, ConstRule(one), "difference quotient is identically 1")
-    bound = sum(
-        (math.comb(n, k) * abs(a) ** (n - k) for k in range(2, n + 1)),
-        field_zero(field),
-    )
-    return DerivativeCert(
-        value,
-        LinearCapRule(one, one / bound),
-        "binomial tail bound for |h| <= 1",
-    )
-
-
-def _monomial_step_cert(coeff: int, m: int, t) -> DerivativeCert:
-    """Certificate for c * t^m * StepQ(t) (m >= 1)."""
-    if t == 0:
-        # quotient is c*h^(m-1)*StepQ(h); |StepQ(h)| < 2|h| and |h| <= 1
-        return DerivativeCert(
-            Fraction(0),
-            LinearCapRule(Fraction(1), Fraction(1, 2 * coeff)),
-            "step envelope |StepQ(h)| < 2|h| for |h| <= 1",
-        )
-    s = _step_q(t)
-    radius = constancy_radius_q(t)
-    value = coeff * m * t ** (m - 1) * s
-    if m == 1:
-        return DerivativeCert(
-            value, ConstRule(radius), "quotient is exactly c*s inside the band"
-        )
-    bound = coeff * s * sum(math.comb(m, k) * abs(t) ** (m - k) for k in range(2, m + 1))
-    cap = min(radius, Fraction(1))
-    return DerivativeCert(
-        value,
-        LinearCapRule(cap, 1 / bound),
-        "binomial tail bound inside the band, |h| <= 1",
-    )
+    return fn.derivative_at(t)
 
 
 def fn_name(fn: FieldFn) -> str:
-    """Canonical compact name used by the CLI and transcripts."""
-    if isinstance(fn, Identity):
-        return "identity"
-    if isinstance(fn, Constant):
-        return f"constant:{render_elem(fn.value)}"
-    if isinstance(fn, Power):
-        return f"pow:{fn.n}"
-    if isinstance(fn, StepQ):
-        return "step_q"
-    if isinstance(fn, StepQX):
-        return "step_qx"
-    if isinstance(fn, IndicatorCut):
-        return "indicator_cut"
-    if isinstance(fn, MonomialStep):
-        return f"monomial_step:{fn.n}"
-    if isinstance(fn, MonomialStepDeriv):
-        return f"monomial_step_deriv:{fn.n}:{fn.k}"
-    if isinstance(fn, OuterSquareStep):
-        return "outer_square_step"
-    if isinstance(fn, Quotient):
-        return f"quotient({fn_name(fn.f)},{fn_name(fn.g)})"
-    if isinstance(fn, DiffQuotient):
-        return f"diffq({fn_name(fn.f)},{render_elem(fn.a)})"
-    raise DomainError(f"not a FieldFn: {fn!r}")
+    """Canonical compact name used by the CLI and transcripts: the tag,
+    `tag:arg` for one argument, `tag(a,b)` for two."""
+    args = fn.name_args()
+    if not args:
+        return fn.TAG
+    if len(args) == 1:
+        return f"{fn.TAG}:{args[0]}"
+    return f"{fn.TAG}({','.join(args)})"
 
 
 def parse_fn(field: Field, s: str) -> FieldFn:
     """Inverse of fn_name for the given field."""
-    from .literals import parse_elem
-
     s = s.strip()
-    if s == "identity":
-        return Identity(field)
-    if s == "step_q":
-        _expect_field(field, Field.Q, s)
-        return StepQ()
-    if s == "step_qx":
-        _expect_field(field, Field.QX, s)
-        return StepQX()
-    if s == "indicator_cut":
-        _expect_field(field, Field.Q, s)
-        return IndicatorCut()
-    if s == "outer_square_step":
-        _expect_field(field, Field.Q, s)
-        return OuterSquareStep()
-    if s.startswith("constant:"):
-        return Constant(field, parse_elem(field, s.partition(":")[2]))
-    if s.startswith("pow:"):
-        return Power(field, _parse_int(s.partition(":")[2]))
-    if s.startswith("monomial_step_deriv:"):
-        _expect_field(field, Field.Q, s)
-        parts = s.split(":")
-        if len(parts) != 3:
-            raise ParseError(f"expected monomial_step_deriv:n:k, got {s!r}")
-        return MonomialStepDeriv(_parse_int(parts[1]), _parse_int(parts[2]))
-    if s.startswith("monomial_step:"):
-        _expect_field(field, Field.Q, s)
-        return MonomialStep(_parse_int(s.partition(":")[2]))
-    if s.startswith("quotient(") and s.endswith(")"):
-        left, right = _split_two(s[len("quotient(") : -1])
-        return Quotient(parse_fn(field, left), parse_fn(field, right))
-    if s.startswith("diffq(") and s.endswith(")"):
-        left, right = _split_two(s[len("diffq(") : -1])
-        return DiffQuotient(parse_fn(field, left), parse_elem(field, right))
-    raise ParseError(f"unknown function name {s!r}")
-
-
-def _expect_field(field: Field, wanted: Field, name: str) -> None:
-    if field is not wanted:
-        raise ParseError(f"function {name!r} lives in field {wanted.value}")
-
-
-def _parse_int(s: str) -> int:
-    try:
-        return int(s)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {s!r}") from None
-
-
-def _split_two(body: str) -> tuple[str, str]:
-    depth = 0
-    for i, ch in enumerate(body):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return body[:i], body[i + 1 :]
-    raise ParseError(f"expected two comma-separated arguments in {body!r}")
+    tag, colon, arg = s.partition(":")
+    if "(" in tag:
+        tag, args = split_call(s)
+    else:
+        args = [arg] if colon else []
+    cls = _BY_TAG.get(tag)
+    if cls is None or len(args) != cls.ARITY:
+        raise ParseError(f"unknown function name {s!r}")
+    fn = cls.from_args(field, args)
+    if fn.field is not field:
+        raise ParseError(f"function {s!r} lives in field {fn.field.value}")
+    return fn

@@ -16,6 +16,7 @@ of den), and x**n represents the class of valuation n.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -37,11 +38,6 @@ def poly(coeffs) -> Poly:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
-
-
-def p_deg(p: Poly) -> int:
-    """Degree; -1 for the zero polynomial."""
-    return len(p) - 1
 
 
 def p_ord(p: Poly) -> int:
@@ -132,13 +128,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a
 
 
-_POLY_OPS = {"add": p_add, "sub": p_sub, "mul": p_mul}
-
-
-def poly_arith(op: str, a: Poly, b: Poly) -> Poly:
-    return _POLY_OPS[op](a, b)
-
-
 # Internal fraction-free arithmetic: RatFunc operations clear coefficient
 # denominators once, run on plain-int coefficient lists, and convert back
 # to canonical Fraction tuples at the very end.  Cancellation is decided
@@ -155,16 +144,10 @@ def _iview(p: Poly) -> tuple[list, int]:
     for c in p:
         cd = c.denominator
         if cd != 1:
-            d = d * cd // _igcd(d, cd)
+            d = math.lcm(d, cd)
     if d == 1:
         return [c.numerator for c in p], 1
     return [c.numerator * (d // c.denominator) for c in p], d
-
-
-def _igcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _iscale(a: list, k: int) -> list:
@@ -197,27 +180,11 @@ def _imul(a: list, b: list) -> list:
     return out
 
 
-def _iord(a: list) -> int:
-    for i, c in enumerate(a):
-        if c:
-            return i
-    raise DomainError("ord of the zero polynomial")
-
-
-def _icontent(a: list) -> int:
-    g = 0
-    for c in a:
-        g = _igcd(g, abs(c))
-        if g == 1:
-            break
-    return g
-
-
 def _iprim(a: list) -> list:
     """Primitive part with positive leading coefficient."""
     if not a:
         return a
-    g = _icontent(a)
+    g = math.gcd(*a)
     if a[-1] < 0:
         g = -g
     if g != 1:
@@ -306,13 +273,13 @@ def _rf_from_int_ratio(nums: list, dens: list) -> "RatFunc":
         raise ZeroDenominatorError("zero denominator polynomial")
     if not nums:
         return RF_ZERO
-    on, od = _iord(nums), _iord(dens)
+    on, od = p_ord(nums), p_ord(dens)
     k = on if on < od else od
     if k:
         nums = nums[k:]
         dens = dens[k:]
-    cn = _icontent(nums)
-    cd = _icontent(dens)
+    cn = math.gcd(*nums)
+    cd = math.gcd(*dens)
     if cn != 1:
         nums = [c // cn for c in nums]
     if cd != 1:
@@ -327,7 +294,7 @@ def _rf_from_int_ratio(nums: list, dens: list) -> "RatFunc":
             if len(g) > 1:
                 nums = _iexact_div(nums, g)
                 dens = _iexact_div(dens, g)
-    t = dens[_iord(dens)]
+    t = dens[p_ord(dens)]
     sd = cd * t
     if sd == 1:
         num = tuple(Fraction(c * cn) for c in nums)
@@ -355,8 +322,7 @@ class RatFunc(NamedTuple):
             return NotImplemented
         return rf_add(self, o)
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __sub__(self, other):
         o = _coerce(other)
@@ -376,8 +342,7 @@ class RatFunc(NamedTuple):
             return NotImplemented
         return rf_mul(self, o)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = _coerce(other)
@@ -541,13 +506,6 @@ def rf_inv(a: RatFunc) -> RatFunc:
         raise ZeroDenominatorError("inverse of the zero rational function")
     n, d = _int_ratio(a)
     return _rf_from_int_ratio(d, n)
-
-
-_RF_OPS = {"add": rf_add, "sub": rf_sub, "mul": rf_mul, "div": rf_div}
-
-
-def rf_arith(op: str, a: RatFunc, b: RatFunc) -> RatFunc:
-    return _RF_OPS[op](a, b)
 
 
 def rf_sign(f: RatFunc) -> int:

@@ -20,7 +20,6 @@ from fractions import Fraction
 from .errors import ParseError, ZeroDenominatorError
 from .fields import Field
 from .laurent import RF_X, rf_const
-from .rationals import rat_div
 
 _ATOM_STARTS = "digit, 'x', '-' or '('"
 
@@ -69,6 +68,15 @@ def parse_elem(field: Field, text: str):
     return value
 
 
+def parse_int(text: str) -> int:
+    """A decimal integer written on its own, such as the exponent in a
+    function name or a schedule depth in a claim file."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"expected an integer, got {text!r}") from None
+
+
 def _expr(field: Field, sc: _Scanner):
     value = _term(field, sc)
     while sc.peek() in ("+", "-"):
@@ -85,11 +93,9 @@ def _term(field: Field, sc: _Scanner):
         rhs = _factor(field, sc)
         if op == "*":
             value = value * rhs
-        elif field is Field.Q:
-            value = rat_div(value, rhs)
+        elif not rhs:
+            raise ZeroDenominatorError("division by zero")
         else:
-            if not rhs:
-                raise ZeroDenominatorError("division by the zero polynomial")
             value = value / rhs
     return value
 

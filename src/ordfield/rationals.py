@@ -1,81 +1,24 @@
-"""Arbitrary-precision rational arithmetic: the field Q.
+"""The field Q: exact powers of two and the textual form of rationals.
 
-`Int` is Python's native unbounded int and `Rat` is `fractions.Fraction`,
-which already enforces the canonical form this library relies on everywhere
-(positive denominator, reduced to lowest terms, normalization at
-construction, structural equality).  The functions below are the library's
-field surface over that carrier: explicit zero-denominator errors, the
-three-way order predicate, exact powers of two, and the decimal-free
-textual form used by transcripts.
+Elements of Q are `fractions.Fraction` values, which already enforce the
+canonical form this library relies on everywhere (positive denominator,
+reduced to lowest terms, normalization at construction, structural
+equality), so Q needs no wrapper of its own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ZeroDenominatorError
 
-Int = int
-Rat = Fraction
-
-RAT_ZERO = Fraction(0)
-RAT_ONE = Fraction(1)
-
-LESS = -1
-EQUAL = 0
-GREATER = 1
-
-
-def rat_normalize(num: int, den: int) -> Rat:
-    """Canonical representative of num/den; den must be nonzero."""
-    if den == 0:
-        raise ZeroDenominatorError(f"rational {num}/0")
-    return Fraction(num, den)
-
-
-def rat_add(a: Rat, b: Rat) -> Rat:
-    return a + b
-
-
-def rat_sub(a: Rat, b: Rat) -> Rat:
-    return a - b
-
-
-def rat_mul(a: Rat, b: Rat) -> Rat:
-    return a * b
-
-
-def rat_div(a: Rat, b: Rat) -> Rat:
-    if b == 0:
-        raise ZeroDenominatorError("division by zero")
-    return a / b
-
-
-_RAT_OPS = {"add": rat_add, "sub": rat_sub, "mul": rat_mul, "div": rat_div}
-
-
-def rat_arith(op: str, a: Rat, b: Rat) -> Rat:
-    """Dispatch form of the four field operations (op in add/sub/mul/div)."""
-    return _RAT_OPS[op](a, b)
-
-
-def rat_cmp(a: Rat, b: Rat) -> int:
-    """Trichotomy: LESS (-1), EQUAL (0) or GREATER (+1)."""
-    if a < b:
-        return LESS
-    if a == b:
-        return EQUAL
-    return GREATER
-
-
-def pow2(n: int) -> Rat:
+def pow2(n: int) -> Fraction:
     """2**n exactly, for any integer n."""
     if n >= 0:
         return Fraction(1 << n)
     return Fraction(1, 1 << (-n))
 
 
-def render_rat(a: Rat) -> str:
+def render_rat(a: Fraction) -> str:
     """Textual form "p/q", or "p" when the denominator is 1."""
     if a.denominator == 1:
         return str(a.numerator)

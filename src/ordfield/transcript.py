@@ -21,10 +21,12 @@ Record kinds:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 from .certs import parse_rule, parse_witness
 from .claims import (
+    DEFAULT_EPS_DEPTH,
     CheckRecord,
     FalsifierCert,
     LimitClaim,
@@ -34,7 +36,7 @@ from .claims import (
 from .errors import ParseError
 from .fields import Field, render_elem
 from .functions import fn_name, parse_fn
-from .literals import parse_elem
+from .literals import parse_elem, parse_int
 
 TOOL = "ordfield"
 VERSION = "0.1.0"
@@ -95,7 +97,7 @@ class Transcript:
         self.lines.append(kv_line(kind, pairs))
 
     def header(self, pairs: list[tuple[str, object]]) -> None:
-        self.add("header", [("tool", TOOL)] + pairs)
+        self.add("header", [("tool", TOOL), ("version", VERSION)] + pairs)
 
     def claim_id(self, claim: LimitClaim) -> int:
         cid = self._claim_ids.get(claim)
@@ -179,7 +181,7 @@ class ClaimFile:
     """Parsed contents of an `ordfield claim` input file."""
 
     certs: list[VerifierCert | FalsifierCert] = dc_field(default_factory=list)
-    eps_depth: int | None = None
+    eps_depth: int = DEFAULT_EPS_DEPTH
     delta_depth: int | None = None
     eps_values: list | None = None
     delta_values: list | None = None
@@ -205,7 +207,7 @@ def parse_claim_file(text: str) -> ClaimFile:
         elif kind == "cert":
             if current is None or fld is None:
                 raise ParseError("cert record before any claim record")
-            parse_value = _value_parser(fld)
+            parse_value = functools.partial(parse_elem, fld)
             ckind = _need(kv, "kind", line)
             if ckind == "verifier":
                 rule = parse_rule(_need(kv, "rule", line), parse_value)
@@ -227,7 +229,7 @@ def parse_claim_file(text: str) -> ClaimFile:
             if skind not in ("eps", "delta"):
                 raise ParseError(f"unknown schedule kind {skind!r}")
             if "depth" in kv:
-                depth = int(kv["depth"])
+                depth = parse_int(kv["depth"])
                 if skind == "eps":
                     out.eps_depth = depth
                 else:
@@ -259,7 +261,3 @@ def _need(kv: dict[str, str], key: str, line: str) -> str:
     if key not in kv:
         raise ParseError(f"missing {key}= in record {line!r}")
     return kv[key]
-
-
-def _value_parser(fld: Field):
-    return lambda s: parse_elem(fld, s)

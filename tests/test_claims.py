@@ -26,8 +26,7 @@ from ordfield.fields import Field
 from ordfield.functions import (
     DiffQuotient,
     Identity,
-    MonomialStep,
-    MonomialStepDeriv,
+    Power,
     StepQ,
     StepQX,
     derivative_certificate,
@@ -45,10 +44,10 @@ def test_derivative_claim_examples():
     assert c.point == 0 and c.candidate == 0
     c = derivative_claim(Identity(Field.Q), F(5), F(1))
     assert evaluate(c.fn, F(1, 3)) == 1
-    c = derivative_claim(MonomialStep(2), F(0), F(0))
-    # the quotient reduces to t * StepQ(t) exactly
+    c = derivative_claim(Power(Field.Q, 2), F(0), F(0))
+    # the quotient (t^2 - 0)/t reduces to t exactly
     t = F(5, 7) * pow2(-4)
-    assert evaluate(c.fn, t) == t * evaluate(StepQ(), t)
+    assert evaluate(c.fn, t) == t
 
 
 def test_min_dyadic_depth():
@@ -216,39 +215,6 @@ def test_referee_determinism():
     )
     sched = default_delta_schedule(Field.Q, 32)
     assert check_falsifier(cert, sched) == check_falsifier(cert, sched)
-
-
-def test_monomial_step_derivative_chain_referee():
-    # k-th derivative certificates of t^n StepQ(t) at 0 all verify
-    eps = default_eps_schedule(Field.Q, 40)
-    for n in (2, 3, 4):
-        chain = [MonomialStep(n)] + [MonomialStepDeriv(n, k) for k in range(1, n)]
-        for fn in chain:
-            cert = derivative_certificate(fn, F(0))
-            assert cert.value == 0
-            rep = check_verifier(
-                VerifierCert(derivative_claim(fn, F(0), cert.value), cert.rule, cert.note),
-                eps,
-                2,
-            )
-            assert rep.passed, (n, fn)
-
-
-def test_monomial_step_symbolic_matches_probes(rng):
-    # off 0 the certificate rule verifies against difference quotients
-    eps = default_eps_schedule(Field.Q, 24)
-    for n in (2, 3):
-        fn = MonomialStep(n)
-        for _ in range(10):
-            t = rand_nonzero_rat(rng, bits=10)
-            cert = derivative_certificate(fn, t)
-            assert cert.value == evaluate(MonomialStepDeriv(n, 1), t)
-            rep = check_verifier(
-                VerifierCert(derivative_claim(fn, t, cert.value), cert.rule, cert.note),
-                eps,
-                1,
-            )
-            assert rep.passed
 
 
 def test_identity_derivative_everywhere(rng):

@@ -1,9 +1,13 @@
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from ordfield.cli import main
-from ordfield.demos import demo_dlim, demo_lhopital, demo_mvt, demo_taylor
+from ordfield.demos import MAX_MVT_POINTS, demo_dlim, demo_lhopital, demo_mvt, demo_taylor
+from ordfield.errors import OrdFieldError
 from ordfield.fields import Field
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "ordfield" / "fixtures"
@@ -79,6 +83,32 @@ def test_demo_functions_exit_zero():
 
 def test_demo_taylor_rejects_n_below_2(capsys):
     assert main(["demo", "taylor", "--n", "1"]) == 2
+    with pytest.raises(OrdFieldError):
+        demo_taylor(1)
+
+
+def test_claim_bad_schedule_depth_exits_2(tmp_path, capsys):
+    for depth in ("abc", "-3"):
+        path = tmp_path / "depth.claim"
+        path.write_text(
+            "claim field=q fn=diffq(step_q,0) point=0 candidate=0\n"
+            "cert kind=falsifier eps=1/2 witness=qstep(5/7)\n"
+            f"schedule kind=delta depth={depth}\n"
+        )
+        assert main(["claim", str(path)]) == 2, depth
+
+
+def test_demo_negative_depth_exits_2(capsys):
+    assert main(["demo", "dlim", "--eps-depth", "-1"]) == 2
+    assert main(["demo", "dlim", "--eps-depth", "2", "--delta-depth", "-1"]) == 2
+    assert main(["demo", "mvt", "--points", "8", "--eps-depth", "-1"]) == 2
+
+
+def test_demo_mvt_points_beyond_the_pool_exit_2(capsys):
+    # every interior point beyond the fixed landmarks comes from this pool
+    pool = {Fraction(num, den) for den in range(3, 400) for num in range(den + 1, 2 * den)}
+    assert MAX_MVT_POINTS == len(pool)
+    assert main(["demo", "mvt", "--points", "50000"]) == 2
 
 
 def test_demo_single_delta_schedule(capsys):

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from ordfield.dyadic import (
+    GREATER,
+    LESS,
     class_index,
     cmp_to_cn,
     cn_bounds,
@@ -12,7 +14,7 @@ from ordfield.dyadic import (
     sqrt2_gap_radius,
 )
 from ordfield.errors import DomainError
-from ordfield.rationals import GREATER, LESS, pow2
+from ordfield.rationals import pow2
 
 from conftest import rand_nonzero_rat
 

@@ -11,8 +11,6 @@ from ordfield.functions import (
     DiffQuotient,
     Identity,
     IndicatorCut,
-    MonomialStep,
-    MonomialStepDeriv,
     OuterSquareStep,
     Power,
     Quotient,
@@ -42,7 +40,7 @@ def test_eval_examples():
     assert evaluate(StepQ(), F(3, 4)) == 1
     assert evaluate(StepQX(), qx("x^2*(1+x)/(2-x)")) == x_pow(2)
     assert evaluate(IndicatorCut(), F(3, 2)) == 0
-    assert evaluate(MonomialStep(2), F(3, 4)) == F(9, 16)
+    assert evaluate(Power(Field.Q, 2), F(3, 4)) == F(9, 16)
 
 
 def test_eval_more():
@@ -54,8 +52,7 @@ def test_eval_more():
     assert evaluate(Identity(Field.Q), F(5, 3)) == F(5, 3)
     assert evaluate(Power(Field.Q, 3), F(-2)) == -8
     assert evaluate(Constant(Field.QX, RF_X), RF_ONE) == RF_X
-    assert evaluate(MonomialStepDeriv(2), F(3, 4)) == 2 * F(3, 4) * 1
-    assert evaluate(MonomialStepDeriv(3, 2), F(3, 4)) == 6 * F(3, 4) * 1
+    assert evaluate(DiffQuotient(Power(Field.Q, 2), F(3, 4)), F(1, 4)) == F(7, 4)
     assert evaluate(Quotient(StepQ(), Identity(Field.Q)), F(3, 4)) == F(4, 3)
     dq = DiffQuotient(StepQ(), F(0))
     assert evaluate(dq, F(5, 7) * pow2(-9)) == F(7, 5)
@@ -136,10 +133,10 @@ def test_derivative_certificate_examples():
     assert isinstance(cert.rule, ConstRule) and cert.rule.d0 == F(1, 32)
     cert = derivative_certificate(Identity(Field.Q), F(123))
     assert cert.value == 1
-    cert = derivative_certificate(MonomialStep(2), F(0))
+    cert = derivative_certificate(OuterSquareStep(), F(0))
     assert cert.value == 0
     assert isinstance(cert.rule, LinearCapRule)
-    assert cert.rule.cap == 1 and cert.rule.slope == F(1, 2)
+    assert cert.rule.cap == 1 and cert.rule.slope == 1
 
 
 def test_derivative_certificate_unsupported():
@@ -148,24 +145,9 @@ def test_derivative_certificate_unsupported():
     with pytest.raises(UnsupportedDerivativeError):
         derivative_certificate(StepQX(), RF_ZERO)
     with pytest.raises(UnsupportedDerivativeError):
-        derivative_certificate(MonomialStepDeriv(2, 2), F(0))
+        derivative_certificate(DiffQuotient(StepQ(), F(0)), F(1))
     with pytest.raises(UnsupportedDerivativeError):
         derivative_certificate(Quotient(StepQ(), Identity(Field.Q)), F(1))
-
-
-def test_monomial_step_quotient_identity(rng):
-    # inside the constancy ball the difference quotient equals the exact
-    # binomial identity s * ((t+h)^n - t^n) / h
-    for n in (2, 3, 4):
-        fn = MonomialStep(n)
-        for _ in range(40):
-            t = rand_nonzero_rat(rng, bits=12)
-            s = evaluate(StepQ(), t)
-            _, r = local_constancy(StepQ(), t)
-            for k in (1, 4, 7):
-                h = r * F(k, 8) * (1 if k % 2 else -1)
-                got = evaluate(DiffQuotient(fn, t), h)
-                assert got == s * ((t + h) ** n - t**n) / h
 
 
 def test_outer_square_step_values():
@@ -200,11 +182,12 @@ def test_fn_name_roundtrip():
         StepQ(),
         StepQX(),
         IndicatorCut(),
-        MonomialStep(3),
-        MonomialStepDeriv(4, 2),
+        Power(Field.QX, 3),
+        Identity(Field.QX),
         OuterSquareStep(),
         Quotient(StepQ(), Identity(Field.Q)),
-        DiffQuotient(MonomialStep(2), F(1, 2)),
+        DiffQuotient(OuterSquareStep(), F(1, 2)),
+        DiffQuotient(Constant(Field.QX, qx("1/(1+x)")), qx("x/(1-x)")),
         Quotient(OuterSquareStep(), Power(Field.Q, 2)),
         DiffQuotient(StepQX(), x_pow(2)),
     ]
@@ -215,14 +198,10 @@ def test_fn_name_roundtrip():
 def test_fn_name_examples():
     assert fn_name(StepQ()) == "step_q"
     assert fn_name(Quotient(StepQ(), Identity(Field.Q))) == "quotient(step_q,identity)"
-    assert fn_name(MonomialStep(2)) == "monomial_step:2"
+    assert fn_name(Power(Field.Q, 2)) == "pow:2"
     assert fn_name(DiffQuotient(StepQ(), F(0))) == "diffq(step_q,0)"
 
 
 def test_variant_validation():
-    with pytest.raises(Exception):
-        MonomialStep(1)
-    with pytest.raises(Exception):
-        MonomialStepDeriv(3, 4)
     with pytest.raises(Exception):
         Power(Field.Q, 0)

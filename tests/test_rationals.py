@@ -1,60 +1,11 @@
 from fractions import Fraction as F
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ordfield.errors import ZeroDenominatorError
-from ordfield.rationals import (
-    EQUAL,
-    GREATER,
-    LESS,
-    pow2,
-    rat_arith,
-    rat_cmp,
-    rat_normalize,
-    render_rat,
-)
+from ordfield.rationals import pow2, render_rat
 
 from field_axioms import check_ordered_field_triple
-
-
-def test_normalize_sign_and_gcd():
-    assert rat_normalize(2, -4) == F(-1, 2)
-
-
-def test_normalize_zero():
-    z = rat_normalize(0, 7)
-    assert z == 0 and z.denominator == 1
-
-
-def test_normalize_euclid():
-    # gcd(49, 35) = 7 by Euclid: 49 = 1*35 + 14, 35 = 2*14 + 7, 14 = 2*7
-    assert rat_normalize(49, 35) == F(7, 5)
-
-
-def test_normalize_zero_denominator():
-    with pytest.raises(ZeroDenominatorError):
-        rat_normalize(1, 0)
-
-
-def test_arith_examples():
-    assert rat_arith("add", F(5, 7), F(2, 7)) == F(1)
-    assert rat_arith("mul", F(7, 5), F(5, 7)) == F(1)
-    # common denominator 35: 49/35 - 25/35
-    assert rat_arith("sub", F(7, 5), F(5, 7)) == F(24, 35)
-
-
-def test_div_by_zero():
-    with pytest.raises(ZeroDenominatorError):
-        rat_arith("div", F(1), F(0))
-
-
-def test_cmp_examples():
-    assert rat_cmp(F(5, 7), F(3, 4)) == LESS  # 20 < 21 cross-multiplied
-    assert rat_cmp(F(9, 13), F(9, 13)) == EQUAL
-    assert rat_cmp(F(-1, 2), F(1, 3)) == LESS
-    assert rat_cmp(F(3, 4), F(5, 7)) == GREATER
 
 
 def test_pow2():
@@ -73,14 +24,3 @@ def test_render():
 @given(st.fractions(), st.fractions(), st.fractions())
 def test_ordered_field_axioms(a, b, c):
     check_ordered_field_triple(a, b, c, F(0), F(1))
-
-
-@given(st.integers(), st.integers(min_value=1))
-def test_normalize_idempotent_and_canonical(num, den):
-    r = rat_normalize(num, den)
-    again = rat_normalize(r.numerator, r.denominator)
-    assert again == r
-    assert r.denominator > 0
-    from math import gcd
-
-    assert gcd(abs(r.numerator), r.denominator) == 1
