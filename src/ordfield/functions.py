@@ -64,7 +64,6 @@ class FieldFn:
     (lower, upper) on |f(t)/t| of the step functions.
     """
 
-    TAG = ""
     ARITY = 0
     envelope = None
 
