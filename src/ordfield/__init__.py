@@ -64,7 +64,6 @@ from .laurent import (
     RatFunc,
     dominates,
     poly,
-    poly_gcd,
     render_poly,
     render_rf,
     rf_normalize,

@@ -1,17 +1,24 @@
 """The non-Archimedean ordered field Q(x), ordered by behavior as x -> 0+.
 
-Elements are canonical ratios of polynomials over Q.  A polynomial is a
-tuple of Fractions in ascending degree with no high-order zero padding
-(the zero polynomial is the empty tuple).  A RatFunc is canonical when
+Elements are canonical ratios of integer polynomials.  A polynomial is a
+tuple of coefficients in ascending degree with no high-order zero padding
+(the zero polynomial is the empty tuple).  A RatFunc holds two such tuples
+of ints and is canonical when
 
-  * den is nonzero and gcd(num, den) = 1,
-  * the lowest-order nonzero coefficient of den is exactly 1,
+  * gcd(num, den) over Q[x] is a constant,
+  * the gcd of all the coefficients of num and den together is 1,
+  * the lowest-order nonzero coefficient of den is positive,
 
-so structural equality is value equality and the sign of an element can be
-read off the trailing coefficient of its numerator.  Under this order x is
-a positive infinitesimal: the Archimedean class of a nonzero element is
-determined by its valuation (trailing degree of num minus trailing degree
-of den), and x**n represents the class of valuation n.
+and zero is ((), (1,)).  The form is unique, so structural equality is
+value equality and the sign of an element can be read off the trailing
+coefficient of its numerator.  Under this order x is a positive
+infinitesimal: the Archimedean class of a nonzero element is determined
+by its valuation (trailing degree of num minus trailing degree of den),
+and x**n represents the class of valuation n.
+
+Rational coefficients appear only at the edges: poly and rf_normalize
+accept Fraction coefficients, rf_const a Fraction, and render_rf prints
+num and den divided by den's trailing coefficient.
 """
 
 from __future__ import annotations
@@ -22,18 +29,16 @@ from typing import NamedTuple
 
 from .errors import DomainError, ZeroDenominatorError
 
-Poly = tuple  # tuple[Fraction, ...], ascending degree, no trailing zeros
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+Poly = tuple  # ascending degree, no trailing zeros; int coefficients in a RatFunc
 
 P_ZERO: Poly = ()
-P_ONE: Poly = (_F1,)
-P_X: Poly = (_F0, _F1)
+P_ONE: Poly = (1,)
+P_X: Poly = (0, 1)
 
 
 def poly(coeffs) -> Poly:
-    """Canonical polynomial from an iterable of coefficients (ascending)."""
+    """Canonical polynomial from an iterable of rational coefficients
+    (ascending); an input to rf_normalize."""
     out = [Fraction(c) for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
@@ -56,7 +61,7 @@ def p_add(a: Poly, b: Poly) -> Poly:
     out = list(a)
     for i, c in enumerate(b):
         out[i] += c
-    while out and out[-1] == 0:
+    while out and not out[-1]:
         out.pop()
     return tuple(out)
 
@@ -70,114 +75,46 @@ def p_sub(a: Poly, b: Poly) -> Poly:
 
 
 def p_mul(a: Poly, b: Poly) -> Poly:
+    """Product of two canonical polynomials; the product of their leading
+    coefficients is nonzero, so no high-order zero needs trimming."""
     if not a or not b:
         return P_ZERO
-    out = [_F0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return tuple(out)
-
-
-def p_scale(a: Poly, c: Fraction) -> Poly:
-    if not c:
-        return P_ZERO
-    return tuple(ai * c for ai in a)
-
-
-def p_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder of a by b over Q (b nonzero)."""
-    if not b:
-        raise ZeroDenominatorError("polynomial division by zero")
-    if len(a) < len(b):
-        return P_ZERO, a
-    rem = list(a)
-    q = [_F0] * (len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = rem[k + len(b) - 1] * inv
-        if c:
-            q[k] = c
-            for j in range(len(b)):
-                rem[k + j] -= c * b[j]
-    del rem[len(b) - 1:]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return tuple(q), tuple(rem)
-
-
-def p_monic(a: Poly) -> Poly:
-    if not a:
-        return a
-    lead = a[-1]
-    if lead == 1:
-        return a
-    return p_scale(a, 1 / lead)
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over Q[x] by Euclid with monic normalization per step."""
-    if not a and not b:
-        raise DomainError("gcd(0, 0)")
-    a, b = p_monic(a), p_monic(b)
-    while b:
-        _, r = p_divmod(a, b)
-        a, b = b, p_monic(r)
-    return a
-
-
-# Internal fraction-free arithmetic: RatFunc operations clear coefficient
-# denominators once, run on plain-int coefficient lists, and convert back
-# to canonical Fraction tuples at the very end.  Cancellation is decided
-# by a mod-P coprimality filter (a gcd of degree 0 mod P certifies
-# coprimality over Q as long as the leading coefficient survives mod P,
-# since the leading coefficient of any true common factor divides it);
-# inconclusive cases fall back to an exact primitive-PRS gcd over Z[x].
-_FILTER_P = (1 << 31) - 1
-
-
-def _iview(p: Poly) -> tuple[list, int]:
-    """Integer view (ints, d) with p = ints / d."""
-    d = 1
-    for c in p:
-        cd = c.denominator
-        if cd != 1:
-            d = math.lcm(d, cd)
-    if d == 1:
-        return [c.numerator for c in p], 1
-    return [c.numerator * (d // c.denominator) for c in p], d
-
-
-def _iscale(a: list, k: int) -> list:
-    if k == 1:
-        return a
-    return [c * k for c in a]
-
-
-def _iadd(a: list, b: list) -> list:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _imul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return tuple(out)
+
+
+def p_scale(a: Poly, k) -> Poly:
+    if not k:
+        return P_ZERO
+    if k == 1:
+        return a
+    return tuple(c * k for c in a)
+
+
+# Cancellation in RatFunc arithmetic is decided by a mod-P coprimality
+# filter (a gcd of degree 0 mod P certifies coprimality over Q as long as
+# the leading coefficient survives mod P, since the leading coefficient of
+# any true common factor divides it); inconclusive cases fall back to an
+# exact primitive-PRS gcd over Z[x].
+_FILTER_P = (1 << 31) - 1
+
+
+def _iview(p: Poly) -> tuple[list, int]:
+    """Integer coefficients ints and d with p = ints / d, high-order zeros
+    dropped; the one place rational input coefficients are cleared."""
+    d = 1
+    for c in p:
+        cd = c.denominator
+        if cd != 1:
+            d = math.lcm(d, cd)
+    ints = [c.numerator * (d // c.denominator) for c in p]
+    while ints and not ints[-1]:
+        ints.pop()
+    return ints, d
 
 
 def _iprim(a: list) -> list:
@@ -267,8 +204,9 @@ def _isurely_coprime(a: list, b: list) -> bool:
     return len(fa) == 1
 
 
-def _rf_from_int_ratio(nums: list, dens: list) -> "RatFunc":
-    """Canonical RatFunc equal to nums/dens (integer coefficient lists)."""
+def _rf_from_int_ratio(nums, dens) -> "RatFunc":
+    """Canonical RatFunc equal to nums/dens (integer coefficient
+    sequences without high-order zeros)."""
     if not dens:
         raise ZeroDenominatorError("zero denominator polynomial")
     if not nums:
@@ -278,33 +216,22 @@ def _rf_from_int_ratio(nums: list, dens: list) -> "RatFunc":
     if k:
         nums = nums[k:]
         dens = dens[k:]
-    cn = math.gcd(*nums)
-    cd = math.gcd(*dens)
-    if cn != 1:
-        nums = [c // cn for c in nums]
-    if cd != 1:
-        dens = [c // cd for c in dens]
     if len(nums) > 1 and len(dens) > 1:
         if len(nums) == 2 and len(dens) == 2:
             if nums[0] * dens[1] == nums[1] * dens[0]:
                 # proportional linear parts: the value is a constant
-                return RatFunc((Fraction(cn * nums[1], cd * dens[1]),), P_ONE)
+                nums, dens = nums[1:], dens[1:]
         elif not _isurely_coprime(nums, dens):
             g = _int_poly_gcd(nums, dens)
             if len(g) > 1:
                 nums = _iexact_div(nums, g)
                 dens = _iexact_div(dens, g)
-    t = dens[p_ord(dens)]
-    sd = cd * t
-    if sd == 1:
-        num = tuple(Fraction(c * cn) for c in nums)
-    else:
-        num = tuple(Fraction(c * cn, sd) for c in nums)
-    if t == 1:
-        den = tuple(Fraction(c) for c in dens)
-    else:
-        den = tuple(Fraction(c, t) for c in dens)
-    return RatFunc(num, den)
+    c = math.gcd(*nums, *dens)
+    if dens[p_ord(dens)] < 0:
+        c = -c
+    if c == 1:
+        return RatFunc(tuple(nums), tuple(dens))
+    return RatFunc(tuple(x // c for x in nums), tuple(x // c for x in dens))
 
 
 class RatFunc(NamedTuple):
@@ -419,34 +346,48 @@ def _coerce(v) -> RatFunc | None:
 
 
 def rf_const(c: Fraction) -> RatFunc:
+    c = Fraction(c)
     if not c:
         return RF_ZERO
-    return RatFunc((Fraction(c),), P_ONE)
+    return RatFunc((c.numerator,), (c.denominator,))
 
 
 def x_pow(n: int) -> RatFunc:
     """The monomial x**n for any integer n; represents valuation class n."""
     if n >= 0:
-        return RatFunc((_F0,) * n + (_F1,), P_ONE)
-    return RatFunc(P_ONE, (_F0,) * (-n) + (_F1,))
+        return RatFunc((0,) * n + (1,), P_ONE)
+    return RatFunc(P_ONE, (0,) * (-n) + (1,))
 
 
 def rf_normalize(num: Poly, den: Poly) -> RatFunc:
-    """Canonical form of num/den; den must be nonzero."""
-    if not den:
-        raise ZeroDenominatorError("zero denominator polynomial")
-    if not num:
-        return RF_ZERO
+    """Canonical form of num/den (int or Fraction coefficients); den must
+    be nonzero."""
     n, wn = _iview(num)
     d, wd = _iview(den)
-    return _rf_from_int_ratio(_iscale(n, wd), _iscale(d, wn))
+    if not d:
+        raise ZeroDenominatorError("zero denominator polynomial")
+    return _rf_from_int_ratio(p_scale(n, wd), p_scale(d, wn))
 
 
-def _int_ratio(a: RatFunc) -> tuple[list, list]:
-    """a as a ratio of integer coefficient lists."""
-    n, wn = _iview(a.num)
-    d, wd = _iview(a.den)
-    return _iscale(n, wd), _iscale(d, wn)
+def _rf_sum(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> RatFunc:
+    """n1/d1 + n2/d2 for canonical operands with nonzero numerators."""
+    if len(d1) == 1 and len(d2) == 1:
+        # constant denominators: num and den stay coprime over Q[x], so
+        # only the integer content can cancel
+        s, t = d1[0], d2[0]
+        if s == t:
+            num = p_add(n1, n2)
+        else:
+            g = math.gcd(s, t)
+            num = p_add(p_scale(n1, t // g), p_scale(n2, s // g))
+            s = s // g * t
+        if not num:
+            return RF_ZERO
+        c = math.gcd(*num, s)
+        if c == 1:
+            return RatFunc(num, (s,))
+        return RatFunc(tuple(x // c for x in num), (s // c,))
+    return _rf_from_int_ratio(p_add(p_mul(n1, d2), p_mul(n2, d1)), p_mul(d1, d2))
 
 
 def rf_add(a: RatFunc, b: RatFunc) -> RatFunc:
@@ -454,13 +395,7 @@ def rf_add(a: RatFunc, b: RatFunc) -> RatFunc:
         return a
     if not a.num:
         return b
-    if a.den == P_ONE and b.den == P_ONE:
-        return RatFunc(p_add(a.num, b.num), P_ONE)
-    n1, d1 = _int_ratio(a)
-    n2, d2 = _int_ratio(b)
-    return _rf_from_int_ratio(
-        _iadd(_imul(n1, d2), _imul(n2, d1)), _imul(d1, d2)
-    )
+    return _rf_sum(a.num, a.den, b.num, b.den)
 
 
 def rf_sub(a: RatFunc, b: RatFunc) -> RatFunc:
@@ -468,13 +403,7 @@ def rf_sub(a: RatFunc, b: RatFunc) -> RatFunc:
         return a
     if not a.num:
         return -b
-    if a.den == P_ONE and b.den == P_ONE:
-        return RatFunc(p_sub(a.num, b.num), P_ONE)
-    n1, d1 = _int_ratio(a)
-    n2, d2 = _int_ratio(b)
-    return _rf_from_int_ratio(
-        _iadd(_imul(n1, d2), _iscale(_imul(n2, d1), -1)), _imul(d1, d2)
-    )
+    return _rf_sum(a.num, a.den, p_neg(b.num), b.den)
 
 
 def rf_mul(a: RatFunc, b: RatFunc) -> RatFunc:
@@ -484,9 +413,7 @@ def rf_mul(a: RatFunc, b: RatFunc) -> RatFunc:
         return a
     if a == RF_ONE:
         return b
-    n1, d1 = _int_ratio(a)
-    n2, d2 = _int_ratio(b)
-    return _rf_from_int_ratio(_imul(n1, n2), _imul(d1, d2))
+    return _rf_from_int_ratio(p_mul(a.num, b.num), p_mul(a.den, b.den))
 
 
 def rf_div(a: RatFunc, b: RatFunc) -> RatFunc:
@@ -496,21 +423,22 @@ def rf_div(a: RatFunc, b: RatFunc) -> RatFunc:
         return RF_ZERO
     if b == RF_ONE:
         return a
-    n1, d1 = _int_ratio(a)
-    n2, d2 = _int_ratio(b)
-    return _rf_from_int_ratio(_imul(n1, d2), _imul(d1, n2))
+    return _rf_from_int_ratio(p_mul(a.num, b.den), p_mul(a.den, b.num))
 
 
 def rf_inv(a: RatFunc) -> RatFunc:
+    """1/a: swapping num and den keeps them coprime and primitive, so only
+    the sign of the new den's trailing coefficient needs fixing."""
     if not a.num:
         raise ZeroDenominatorError("inverse of the zero rational function")
-    n, d = _int_ratio(a)
-    return _rf_from_int_ratio(d, n)
+    if a.num[p_ord(a.num)] < 0:
+        return RatFunc(p_neg(a.den), p_neg(a.num))
+    return RatFunc(a.den, a.num)
 
 
 def rf_sign(f: RatFunc) -> int:
     """Sign as x -> 0+: 0 for zero, else the sign of num's trailing
-    coefficient (den's is +1 by canonical form)."""
+    coefficient (den's is positive by canonical form)."""
     if not f.num:
         return 0
     c = f.num[p_ord(f.num)]
@@ -563,13 +491,19 @@ def render_poly(p: Poly, compact: bool = False) -> str:
 
 
 def render_rf(f: RatFunc, compact: bool = False) -> str:
-    """Textual form "(num)/(den)", trimmed for single terms and den = 1."""
-    num_s = render_poly(f.num, compact)
-    if f.den == P_ONE:
+    """Textual form "(num)/(den)" with num and den divided by den's
+    trailing coefficient, trimmed for single terms and a constant den."""
+    num, den = f.num, f.den
+    t = den[p_ord(den)]
+    if t != 1:
+        num = tuple(Fraction(c, t) for c in num)
+        den = tuple(Fraction(c, t) for c in den)
+    num_s = render_poly(num, compact)
+    if len(den) == 1:
         return num_s
-    if sum(1 for c in f.num if c) > 1:
+    if sum(1 for c in num if c) > 1:
         num_s = f"({num_s})"
-    den_s = render_poly(f.den, compact)
-    if sum(1 for c in f.den if c) > 1:
+    den_s = render_poly(den, compact)
+    if sum(1 for c in den if c) > 1:
         den_s = f"({den_s})"
     return f"{num_s}/{den_s}"

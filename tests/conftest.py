@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ordfield.laurent import RatFunc, rf_normalize, poly
+from ordfield.laurent import RatFunc, poly, rf_normalize, valuation
 
 
 @pytest.fixture
@@ -41,3 +41,37 @@ def rand_nonzero_ratfunc(rng: random.Random, max_deg: int = 2, coeff: int = 9) -
         f = rand_ratfunc(rng, max_deg, coeff)
         if f:
             return f
+
+
+def accept_rf(rng: random.Random) -> RatFunc:
+    """The criterion-1 operand: 5 % degree-3 operands with 2^16-sized
+    coefficients, the rest degree <= 2 with coefficients in [-9, 9]."""
+    degs = (0, 1, 1, 2)
+    if rng.random() < 0.05:
+        num = rand_poly(rng, 3, 1 << 16)
+        den = rand_poly(rng, 3, 1 << 16, nonzero=True)
+    else:
+        num = rand_poly(rng, rng.choice(degs), 9)
+        den = rand_poly(rng, rng.choice(degs), 9, nonzero=True)
+    return rf_normalize(num, den)
+
+
+def wide_ratfuncs(rng: random.Random, count: int) -> list[RatFunc]:
+    """Nonzero elements of Q(x) with valuations -20..20 and coefficient
+    magnitudes <= 2^64."""
+    big = 1 << 64
+    out = []
+    while len(out) < count:
+        v = rng.randint(-20, 20)
+        unit_num = [rng.randint(1, big) * rng.choice((1, -1))] + [
+            rng.randint(-big, big) for _ in range(rng.randint(0, 2))
+        ]
+        unit_den = [rng.randint(1, big) * rng.choice((1, -1))] + [
+            rng.randint(-big, big) for _ in range(rng.randint(0, 2))
+        ]
+        num = [Fraction(0)] * max(v, 0) + [Fraction(c) for c in unit_num]
+        den = [Fraction(0)] * max(-v, 0) + [Fraction(c) for c in unit_den]
+        f = rf_normalize(tuple(num), tuple(den))
+        assert valuation(f) == v
+        out.append(f)
+    return out

@@ -36,7 +36,7 @@ def expand(f: RatFunc, terms: int = TERMS) -> Series:
     v = on - od
     num = list(f.num[on:])
     den = list(f.den[od:])
-    inv0 = 1 / den[0]
+    inv0 = Fraction(1, den[0])
     out: dict[int, Fraction] = {}
     cs: list[Fraction] = []
     for k in range(terms):

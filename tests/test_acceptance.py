@@ -35,7 +35,6 @@ from ordfield.laurent import (
     RF_X,
     RF_ZERO,
     rf_const,
-    rf_normalize,
     valuation,
     x_pow,
 )
@@ -43,7 +42,7 @@ from ordfield.literals import parse_elem
 from ordfield.rationals import pow2
 from ordfield.transcript import parse_kv_line
 
-from conftest import rand_poly
+from conftest import accept_rf, wide_ratfuncs
 from field_axioms import check_ordered_field_triple
 
 SEED = 20260810
@@ -56,17 +55,6 @@ def _report(num: int, ok: bool, msg: str) -> None:
 
 
 # --- randomized sample pools (module scope, deterministic) ----------------
-
-
-def _accept_rf(rng) -> object:
-    degs = (0, 1, 1, 2)
-    if rng.random() < 0.05:
-        num = rand_poly(rng, 3, 1 << 16)
-        den = rand_poly(rng, 3, 1 << 16, nonzero=True)
-    else:
-        num = rand_poly(rng, rng.choice(degs), 9)
-        den = rand_poly(rng, rng.choice(degs), 9, nonzero=True)
-    return rf_normalize(num, den)
 
 
 @pytest.fixture(scope="module")
@@ -87,23 +75,7 @@ def q_samples():
 def qx_samples():
     """>= 10^3 nonzero elements of Q(x): valuations -20..20, coefficient
     magnitudes <= 2^64."""
-    rng = random.Random(SEED + 3)
-    big = 1 << 64
-    out = []
-    while len(out) < 1000:
-        v = rng.randint(-20, 20)
-        unit_num = [rng.randint(1, big) * rng.choice((1, -1))] + [
-            rng.randint(-big, big) for _ in range(rng.randint(0, 2))
-        ]
-        unit_den = [rng.randint(1, big) * rng.choice((1, -1))] + [
-            rng.randint(-big, big) for _ in range(rng.randint(0, 2))
-        ]
-        num = [F(0)] * max(v, 0) + [F(c) for c in unit_num]
-        den = [F(0)] * max(-v, 0) + [F(c) for c in unit_den]
-        f = rf_normalize(tuple(num), tuple(den))
-        assert valuation(f) == v
-        out.append(f)
-    return out
+    return wide_ratfuncs(random.Random(SEED + 3), 1000)
 
 
 # --- demo fixtures (defaults, timed, reused by criteria 5-8 and 10) -------
@@ -155,7 +127,7 @@ def test_criterion_1_ordered_field_axioms():
     rng = random.Random(SEED + 1)
     for _ in range(10_000):
         check_ordered_field_triple(
-            _accept_rf(rng), _accept_rf(rng), _accept_rf(rng), RF_ZERO, RF_ONE
+            accept_rf(rng), accept_rf(rng), accept_rf(rng), RF_ZERO, RF_ONE
         )
     elapsed = time.perf_counter() - t0
     _report(
@@ -354,8 +326,8 @@ def test_criterion_9_series_oracle(rng):
     checked = 0
     t0 = time.perf_counter()
     for _ in range(1000):
-        a = _accept_rf(rng)
-        b = _accept_rf(rng)
+        a = accept_rf(rng)
+        b = accept_rf(rng)
         sa, sb = expand(a), expand(b)
         assert series_equal(expand(a + b), s_add(sa, sb))
         assert series_equal(expand(a - b), s_sub(sa, sb))

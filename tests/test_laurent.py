@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -14,24 +16,26 @@ from ordfield.laurent import (
     p_add,
     p_mul,
     p_sub,
-    poly_gcd,
     render_poly,
     render_rf,
     rf_add,
     rf_div,
+    rf_inv,
     rf_mul,
     rf_const,
     rf_normalize,
     rf_sign,
+    rf_sub,
     same_class,
     valuation,
     x_pow,
 )
 from ordfield.literals import parse_elem
 
-from conftest import rand_nonzero_ratfunc, rand_poly, rand_ratfunc
+from conftest import accept_rf, rand_nonzero_ratfunc, rand_poly, rand_ratfunc, wide_ratfuncs
 from field_axioms import check_ordered_field_triple
 from oracle_series import expand, s_add, s_div, s_mul, s_sub, series_equal
+import oracle_qx
 
 
 def qx(text):
@@ -46,16 +50,16 @@ def test_poly_arith_examples():
 
 def test_poly_gcd_examples():
     # x^2 - x and x share the factor x; the gcd comes back monic
-    assert poly_gcd(poly([0, -1, 1]), poly([0, 1])) == poly([0, 1])
-    assert poly_gcd(poly([2]), poly([0, 4])) == P_ONE
+    assert oracle_qx.poly_gcd(poly([0, -1, 1]), poly([0, 1])) == poly([0, 1])
+    assert oracle_qx.poly_gcd(poly([2]), poly([0, 4])) == P_ONE
     with pytest.raises(DomainError):
-        poly_gcd((), ())
+        oracle_qx.poly_gcd((), ())
 
 
 def test_poly_gcd_nontrivial():
     a = poly([1, 2, 1])  # (1+x)^2
     b = poly([1, 0, -1])  # (1+x)(1-x)
-    assert poly_gcd(a, b) == poly([1, 1])
+    assert oracle_qx.poly_gcd(a, b) == poly([1, 1])
 
 
 def test_rf_normalize_cancels_common_factor():
@@ -65,9 +69,10 @@ def test_rf_normalize_cancels_common_factor():
 
 
 def test_rf_normalize_scales_den_trailing_coefficient():
+    # x/2 is stored as the primitive integer pair (x, 2)
     f = rf_normalize(poly([0, 2]), poly([4]))
-    assert f.num == (F(0), F(1, 2))
-    assert f.den == P_ONE
+    assert f.num == (0, 1)
+    assert f.den == (2,)
 
 
 def test_rf_normalize_zero():
@@ -205,8 +210,8 @@ def test_render_roundtrip(rng):
 
 def test_int_gcd_route_matches_monic_euclid(rng):
     # the fraction-free gcd that backs rf normalization agrees with the
-    # public monic Euclid over Q[x]
-    from ordfield.laurent import _int_poly_gcd, p_mul
+    # oracle's monic Euclid over Q[x]
+    from ordfield.laurent import _int_poly_gcd
 
     for _ in range(200):
         g = rand_poly(rng, 2, 5, nonzero=True)
@@ -215,7 +220,7 @@ def test_int_gcd_route_matches_monic_euclid(rng):
         ints_a = [int(c) for c in a]
         ints_b = [int(c) for c in b]
         got = _int_poly_gcd(ints_a, ints_b)
-        want = poly_gcd(a, b)
+        want = oracle_qx.poly_gcd(a, b)
         lead = got[-1]
         assert tuple(F(c, lead) for c in got) == want
 
@@ -246,19 +251,20 @@ def test_rf_normalize_fractional_coefficient_inputs():
 
 
 def assert_canonical(f):
-    from ordfield.laurent import _int_poly_gcd, _iview, p_ord
+    from ordfield.laurent import _int_poly_gcd, p_ord
 
+    assert all(type(c) is int for c in f.num + f.den)
     if not f.num:
-        assert f.den == P_ONE
+        assert f.den == (1,)
         return
-    # den's trailing nonzero coefficient is exactly 1
-    assert f.den[p_ord(f.den)] == 1
-    # no common power of x
-    assert p_ord(f.num) == 0 or p_ord(f.den) == 0
-    # num and den are coprime
-    n, _ = _iview(f.num)
-    d, _ = _iview(f.den)
-    assert len(_int_poly_gcd(n, d)) == 1
+    # no high-order zeros
+    assert f.num[-1] and f.den[-1]
+    # den's trailing nonzero coefficient is positive
+    assert f.den[p_ord(f.den)] > 0
+    # the integer content of num and den together is 1
+    assert math.gcd(*f.num, *f.den) == 1
+    # num and den are coprime over Q[x]
+    assert len(_int_poly_gcd(list(f.num), list(f.den))) == 1
 
 
 def test_canonical_invariants_after_random_ops(rng):
@@ -272,3 +278,40 @@ def test_canonical_invariants_after_random_ops(rng):
         assert_canonical(-a)
         assert_canonical(abs(a))
         assert_canonical(a ** 3)
+
+
+RF_OPS = (
+    (rf_add, oracle_qx.ratio_add),
+    (rf_sub, oracle_qx.ratio_sub),
+    (rf_mul, oracle_qx.ratio_mul),
+    (rf_div, oracle_qx.ratio_div),
+)
+
+
+def _assert_matches_fraction_oracle(a, b):
+    for op, ratio in RF_OPS:
+        if op is rf_div and not b:
+            continue
+        got = op(a, b)
+        assert_canonical(got)
+        for compact in (False, True):
+            assert render_rf(got, compact) == oracle_qx.render(*ratio(a, b), compact)
+    if a:
+        inv = rf_inv(a)
+        assert_canonical(inv)
+        assert render_rf(inv) == oracle_qx.render(*oracle_qx.ratio_inv(a))
+    assert render_rf(a) == oracle_qx.render(a.num, a.den)
+
+
+def test_int_carrier_matches_fraction_oracle_criterion_1_operands():
+    # the first operands of acceptance criterion 1
+    rng = random.Random(20260810 + 1)
+    for _ in range(500):
+        _assert_matches_fraction_oracle(accept_rf(rng), accept_rf(rng))
+
+
+def test_int_carrier_matches_fraction_oracle_wide_samples():
+    # the first elements of the acceptance suite's 2^64-coefficient pool
+    pool = wide_ratfuncs(random.Random(20260810 + 3), 60)
+    for a, b in zip(pool, pool[1:] + pool[:1]):
+        _assert_matches_fraction_oracle(a, b)
