@@ -17,13 +17,22 @@ import sys
 
 from .claims import FalsifierCert, default_delta_schedule, default_eps_schedule
 from .demos import Check, demo_dlim, demo_lhopital, demo_mvt, demo_taylor, run
-from .errors import OrdFieldError
+from .errors import DomainError, OrdFieldError
 from .fields import Field, render_elem, sign_of
 from .laurent import RatFunc, valuation
 from .literals import parse_elem
 from .transcript import ClaimFile, Transcript, VERSION, parse_claim_file
 
 USAGE_ERROR = 2
+
+# the demo flags (argparse dests) each demo takes, as keyword arguments
+DEMO_FLAGS = {
+    "dlim": ("field", "eps_depth", "delta_depth"),
+    "mvt": ("points", "seed", "eps_depth"),
+    "lhopital": ("candidate", "eps_depth", "delta_depth"),
+    "taylor": ("n", "candidate", "eps_depth", "delta_depth"),
+}
+_ALL_DEMO_FLAGS = tuple(dict.fromkeys(k for flags in DEMO_FLAGS.values() for k in flags))
 
 
 def _field_arg(s: str) -> Field:
@@ -39,14 +48,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     demo = sub.add_parser("demo", help="run a counterexample demonstration")
-    demo.add_argument("name", choices=["dlim", "mvt", "lhopital", "taylor"])
-    demo.add_argument("--field", type=_field_arg, default=Field.Q, help="q or qx (dlim only)")
-    demo.add_argument("--eps-depth", type=int, default=None, help="verifier schedule depth")
-    demo.add_argument("--delta-depth", type=int, default=None, help="falsifier schedule depth")
-    demo.add_argument("--points", type=int, default=100, help="interior sample count (mvt)")
-    demo.add_argument("--seed", type=int, default=0, help="seed for randomized interior sampling")
-    demo.add_argument("--candidate", default=None, help="claimed limit value to refute")
-    demo.add_argument("--n", type=int, default=2, help="Taylor order (>= 2)")
+    demo.add_argument("name", choices=list(DEMO_FLAGS))
+    # a flag left out takes the demo's own default
+    demo.add_argument("--field", type=_field_arg, help="q or qx (dlim only)")
+    demo.add_argument("--eps-depth", type=int, help="verifier schedule depth")
+    demo.add_argument("--delta-depth", type=int, help="falsifier schedule depth (not mvt)")
+    demo.add_argument("--points", type=int, help="interior sample count (mvt)")
+    demo.add_argument("--seed", type=int, help="seed for randomized interior sampling (mvt)")
+    demo.add_argument("--candidate", help="claimed limit value to refute (lhopital, taylor)")
+    demo.add_argument("--n", type=int, help="Taylor order (>= 2)")
     demo.add_argument("--transcript", default=None, help="write the transcript to PATH")
 
     ev = sub.add_parser("eval", help="evaluate a field-element literal")
@@ -69,22 +79,15 @@ def _emit(transcript: Transcript, path: str | None) -> None:
 
 
 def _run_demo(args) -> int:
-    kwargs = {}
-    if args.eps_depth is not None:
-        kwargs["eps_depth"] = args.eps_depth
-    if args.delta_depth is not None and args.name != "mvt":
-        kwargs["delta_depth"] = args.delta_depth
-    candidate = None
-    if args.candidate is not None:
-        candidate = parse_elem(Field.Q, args.candidate)
-    if args.name == "dlim":
-        code, tr = demo_dlim(field=args.field, **kwargs)
-    elif args.name == "mvt":
-        code, tr = demo_mvt(points=args.points, seed=args.seed, **kwargs)
-    elif args.name == "lhopital":
-        code, tr = demo_lhopital(candidate=candidate, **kwargs)
-    else:
-        code, tr = demo_taylor(args.n, candidate=candidate, **kwargs)
+    given = {k: v for k in _ALL_DEMO_FLAGS if (v := getattr(args, k)) is not None}
+    refused = [k for k in given if k not in DEMO_FLAGS[args.name]]
+    if refused:
+        flags = ", ".join("--" + k.replace("_", "-") for k in refused)
+        raise DomainError(f"demo {args.name} does not take {flags}")
+    if "candidate" in given:
+        given["candidate"] = parse_elem(Field.Q, given["candidate"])
+    demo = {"dlim": demo_dlim, "mvt": demo_mvt, "lhopital": demo_lhopital, "taylor": demo_taylor}
+    code, tr = demo[args.name](**given)
     _emit(tr, args.transcript)
     return code
 
@@ -99,10 +102,18 @@ def _run_eval(args) -> int:
 
 
 def _claim_schedule(contents: ClaimFile, cert) -> list:
+    """The file's schedule for cert, with values= parsed in the field of
+    cert's own claim."""
     fld = cert.claim.field
     if isinstance(cert, FalsifierCert):
-        return contents.delta_values or default_delta_schedule(fld, contents.delta_depth)
-    return contents.eps_values or default_eps_schedule(fld, contents.eps_depth)
+        values = contents.delta_values
+        if values is None:
+            return default_delta_schedule(fld, contents.delta_depth)
+    else:
+        values = contents.eps_values
+        if values is None:
+            return default_eps_schedule(fld, contents.eps_depth)
+    return [parse_elem(fld, v) for v in values.split(",")]
 
 
 def _run_claim(args) -> int:

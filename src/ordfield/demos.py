@@ -241,6 +241,8 @@ def demo_mvt(
     """Mean Value Theorem fails on [1, 2] for the indicator of the cut set
     {q : q < 0 or q^2 < 2}: f(2) - f(1) = -1 although every interior point
     carries a continuity certificate and an exactly-zero derivative."""
+    if points < 1:
+        raise DomainError(f"demo mvt needs at least 1 interior point, asked for {points}")
     if points > MAX_MVT_POINTS:
         raise DomainError(
             f"at most {MAX_MVT_POINTS} distinct interior points exist, asked for {points}"
@@ -400,7 +402,7 @@ def demo_lhopital(
 
 @_demo
 def demo_taylor(
-    n: int,
+    n: int = 2,
     candidate: Fraction | None = None,
     eps_depth: int = 128,
     delta_depth: int = 512,

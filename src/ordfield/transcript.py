@@ -183,8 +183,10 @@ class ClaimFile:
     certs: list[VerifierCert | FalsifierCert] = dc_field(default_factory=list)
     eps_depth: int = DEFAULT_EPS_DEPTH
     delta_depth: int | None = None
-    eps_values: list | None = None
-    delta_values: list | None = None
+    # schedules are file-global; values= is kept as text and parsed in
+    # the field of each claim that uses it
+    eps_values: str | None = None
+    delta_values: str | None = None
 
 
 def parse_claim_file(text: str) -> ClaimFile:
@@ -235,11 +237,10 @@ def parse_claim_file(text: str) -> ClaimFile:
                 else:
                     out.delta_depth = depth
             elif "values" in kv:
-                vals = [parse_elem(fld, v) for v in kv["values"].split(",")]
                 if skind == "eps":
-                    out.eps_values = vals
+                    out.eps_values = kv["values"]
                 else:
-                    out.delta_values = vals
+                    out.delta_values = kv["values"]
             else:
                 raise ParseError("schedule record needs depth= or values=")
         else:

@@ -111,6 +111,75 @@ def test_demo_mvt_points_beyond_the_pool_exit_2(capsys):
     assert main(["demo", "mvt", "--points", "50000"]) == 2
 
 
+def test_demo_mvt_points_below_one_exit_2(capsys):
+    for points in ("0", "-3"):
+        assert main(["demo", "mvt", "--points", points]) == 2
+        assert "at least 1 interior point" in capsys.readouterr().err
+    with pytest.raises(OrdFieldError):
+        demo_mvt(points=0)
+
+
+def test_demo_refuses_flags_it_does_not_take(capsys):
+    refused = [
+        (["mvt", "--delta-depth", "5", "--candidate", "3", "--field", "qx"],
+         ("--delta-depth", "--candidate", "--field")),
+        (["dlim", "--candidate", "1"], ("--candidate",)),
+        (["mvt", "--field", "q"], ("--field",)),
+        (["lhopital", "--field", "q", "--n", "3"], ("--field", "--n")),
+        (["taylor", "--points", "4", "--seed", "1"], ("--points", "--seed")),
+    ]
+    for argv, flags in refused:
+        assert main(["demo", *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        for flag in flags:
+            assert flag in captured.err, (argv, flag)
+
+
+def test_demo_flags_each_demo_takes(capsys):
+    # the argv forms the benchmark runs, plus every flag a demo takes
+    for argv in (
+        ["dlim", "--field", "q", "--eps-depth", "2", "--delta-depth", "2"],
+        ["dlim", "--field", "qx", "--eps-depth", "2", "--delta-depth", "2"],
+        ["mvt", "--points", "3", "--seed", "5", "--eps-depth", "2"],
+        ["lhopital", "--candidate", "1", "--eps-depth", "2", "--delta-depth", "2"],
+        ["taylor", "--n", "2", "--candidate", "1", "--eps-depth", "2", "--delta-depth", "2"],
+    ):
+        assert main(["demo", *argv]) == 0, argv
+    capsys.readouterr()
+
+
+def test_claim_schedule_values_parsed_in_each_claims_field(tmp_path, capsys):
+    q_verifier = (
+        "claim field=q fn=step_q point=0 candidate=0\n"
+        "cert kind=verifier rule=linear_cap(1,1/2)\n"
+    )
+    qx_falsifier = (
+        "claim field=qx fn=diffq(step_qx,0) point=0 candidate=0\n"
+        "cert kind=falsifier eps=x witness=qxstep(1,+)\n"
+        "schedule kind=delta depth=2\n"
+    )
+    # x is no element of Q, so the q claim's schedule does not parse
+    bad = tmp_path / "mixed_bad.claim"
+    bad.write_text(q_verifier + qx_falsifier + "schedule kind=eps values=1,x\n")
+    assert main(["claim", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed in field q" in captured.err
+    # values valid in both fields: each claim is refereed in its own field
+    qx_verifier = (
+        "claim field=qx fn=step_qx point=0 candidate=0\n"
+        "cert kind=verifier rule=linear_cap(1,1/2)\n"
+    )
+    good = tmp_path / "mixed_good.claim"
+    good.write_text(q_verifier + qx_verifier + "schedule kind=eps values=1,1/2\n")
+    assert main(["claim", str(good)]) == 0
+    out = capsys.readouterr().out
+    assert "check claim=1 kind=verifier eps=1/2 delta=1/4 w=5/112 " in out
+    assert "check claim=2 kind=verifier eps=1/2 delta=1/4 w=1/2*x " in out
+    assert out.count("kind=verifier tag=evidence") == 2
+
+
 def test_demo_single_delta_schedule(capsys):
     assert main(["demo", "dlim", "--field", "q", "--eps-depth", "4", "--delta-depth", "0"]) == 0
     out = capsys.readouterr().out

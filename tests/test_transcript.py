@@ -118,7 +118,7 @@ schedule kind=eps values=1,1/2,1/4
     assert fals.claim.fn == Quotient(StepQ(), Identity(Field.Q))
     assert fals.epsilon == F(1, 2)
     assert cf.delta_depth == 8
-    assert cf.eps_values == [F(1), F(1, 2), F(1, 4)]
+    assert cf.eps_values == "1,1/2,1/4"
     assert isinstance(ver, VerifierCert) and ver.note == "wrong on purpose"
 
 
