@@ -70,10 +70,6 @@ def p_neg(a: Poly) -> Poly:
     return tuple(-c for c in a)
 
 
-def p_sub(a: Poly, b: Poly) -> Poly:
-    return p_add(a, p_neg(b))
-
-
 def p_mul(a: Poly, b: Poly) -> Poly:
     """Product of two canonical polynomials; the product of their leading
     coefficients is nonzero, so no high-order zero needs trimming."""
@@ -341,7 +337,7 @@ def _coerce(v) -> RatFunc | None:
     if isinstance(v, RatFunc):
         return v
     if isinstance(v, (int, Fraction)):
-        return rf_const(Fraction(v))
+        return rf_const(v)
     return None
 
 
