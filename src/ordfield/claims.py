@@ -130,18 +130,36 @@ def check_verifier(
     probe_budget: int = DEFAULT_PROBE_BUDGET,
 ) -> RefereeReport:
     """Challenge the delta-rule on every epsilon in the schedule: every
-    probe in the punctured delta(eps)-ball must satisfy |f(w) - L| < eps."""
+    probe in the punctured delta(eps)-ball must satisfy |f(w) - L| < eps.
+
+    Each distinct delta's probes are generated, and each distinct probe
+    evaluated, once per report: a ConstRule, or a LinearCapRule once its
+    cap binds, gives the same delta for many epsilons, and deltas with
+    the same dyadic depth share their probes."""
     claim = cert.claim
     fld = claim.field
+    zero = field_zero(fld)
     if not eps_schedule:
         raise DomainError("epsilon schedule is empty")
+    rows: dict = {}  # delta -> [(w, fw, dist, sep)] of its probes
+    probed: dict = {}  # w -> (w, fw, dist, sep)
     records = []
     for eps in eps_schedule:
-        if not eps > field_zero(fld):
+        if not eps > zero:
             raise DomainError("epsilon schedule must be strictly positive")
         delta = cert.rule.delta_for(eps)
-        for w in probe_gen(fld, claim.point, delta, probe_budget):
-            records.append(_check_one("verifier", claim, eps, delta, w))
+        row = rows.get(delta)
+        if row is None:
+            row = []
+            for w in probe_gen(fld, claim.point, delta, probe_budget):
+                p = probed.get(w)
+                if p is None:
+                    p = probed[w] = _probe(claim, w)
+                row.append(p)
+            rows[delta] = row
+        for w, fw, dist, sep in row:
+            ok = fw is not None and zero < sep < delta and dist < eps
+            records.append(CheckRecord("verifier", eps, delta, w, fw, dist, sep, ok))
     return RefereeReport(cert, "evidence", tuple(records))
 
 
@@ -151,8 +169,9 @@ def check_falsifier(cert: FalsifierCert, delta_schedule) -> RefereeReport:
     candidate by at least epsilon."""
     claim = cert.claim
     fld = claim.field
+    zero = field_zero(fld)
     eps = cert.epsilon
-    if not eps > field_zero(fld):
+    if not eps > zero:
         raise DomainError("falsifier epsilon must be strictly positive")
     rule = cert.witness
     if isinstance(rule, TwoSided):
@@ -161,27 +180,23 @@ def check_falsifier(cert: FalsifierCert, delta_schedule) -> RefereeReport:
         raise DomainError("delta schedule is empty")
     records = []
     for delta in delta_schedule:
-        if not delta > field_zero(fld):
+        if not delta > zero:
             raise DomainError("delta schedule must be strictly positive")
-        w = claim.point + rule.witness_for(delta)
-        records.append(_check_one("falsifier", claim, eps, delta, w))
+        w, fw, dist, sep = _probe(claim, claim.point + rule.witness_for(delta))
+        ok = fw is not None and zero < sep < delta and dist >= eps
+        records.append(CheckRecord("falsifier", eps, delta, w, fw, dist, sep, ok))
     return RefereeReport(cert, "refutation-instances", tuple(records))
 
 
-def _check_one(kind: str, claim: LimitClaim, eps, delta, w) -> CheckRecord:
-    zero = field_zero(claim.field)
+def _probe(claim: LimitClaim, w) -> tuple:
+    """(w, fn(w), |fn(w) - candidate|, |w - point|); fn(w) and the
+    distance are None when w is off fn's domain, which fails every check."""
     sep = abs(w - claim.point)
-    contained = zero < sep and sep < delta
     try:
         fw = evaluate(claim.fn, w)
     except DomainError:
-        return CheckRecord(kind, eps, delta, w, None, None, sep, False)
-    dist = abs(fw - claim.candidate)
-    if kind == "verifier":
-        ok = contained and dist < eps
-    else:
-        ok = contained and dist >= eps
-    return CheckRecord(kind, eps, delta, w, fw, dist, sep, ok)
+        return w, None, None, sep
+    return w, fw, abs(fw - claim.candidate), sep
 
 
 def default_eps_schedule(field: Field, depth: int = DEFAULT_EPS_DEPTH) -> list:

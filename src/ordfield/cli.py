@@ -17,7 +17,7 @@ import sys
 
 from .claims import FalsifierCert, default_delta_schedule, default_eps_schedule
 from .demos import Check, demo_dlim, demo_lhopital, demo_mvt, demo_taylor, run
-from .errors import DomainError, OrdFieldError
+from .errors import DomainError, OrdFieldError, ParseError
 from .fields import Field, render_elem, sign_of
 from .laurent import RatFunc, valuation
 from .literals import parse_elem
@@ -117,8 +117,14 @@ def _claim_schedule(contents: ClaimFile, cert) -> list:
 
 
 def _run_claim(args) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        contents = parse_claim_file(fh.read())
+    try:
+        with open(args.file, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"claim file {args.file} is not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
+    contents = parse_claim_file(text)
     tr = Transcript()
     tr.header([("demo", "claim-file")])
     steps = [Check(cert, _claim_schedule(contents, cert)) for cert in contents.certs]

@@ -30,17 +30,29 @@ _HALF = Fraction(1, 2)
 OUTER_SCALE = Fraction(3, 2)
 
 
-def cmp_to_scaled_cn(t: Fraction, n: int, scale: Fraction = Fraction(1)) -> int:
-    """Compare t > 0 against scale * c_n; returns LESS or GREATER."""
-    if t <= 0:
-        raise DomainError("comparison against c_n requires t > 0")
-    lhs = t * t
-    rhs = scale * scale * pow2(-2 * n - 1)
+def _cmp_scaled_square(p2: int, q2: int, e: int) -> int:
+    """Compare p2 * 2**e against q2, integers only; equality raises.
+
+    With p2 = (t.num * scale.den)**2 and q2 = (t.den * scale.num)**2 this
+    is t**2 against scale**2 * 2**-e, both sides multiplied out."""
+    if e >= 0:
+        lhs, rhs = p2 << e, q2
+    else:
+        lhs, rhs = p2, q2 << -e
     if lhs == rhs:
         raise IrrationalityError(
-            f"t^2 = {rhs} would make {scale}*c_{n} rational"
+            f"{p2} * 2^{e} = {q2} would make a scaled c_n rational"
         )
     return GREATER if lhs > rhs else LESS
+
+
+def cmp_to_scaled_cn(t: Fraction, n: int, scale: Fraction = Fraction(1)) -> int:
+    """Compare t > 0 against scale * c_n; returns LESS or GREATER."""
+    if t.numerator <= 0:
+        raise DomainError("comparison against c_n requires t > 0")
+    p = t.numerator * scale.denominator
+    q = t.denominator * scale.numerator
+    return _cmp_scaled_square(p * p, q * q, 2 * n + 1)
 
 
 def cmp_to_cn(t: Fraction, n: int) -> int:
@@ -55,18 +67,23 @@ def class_index(t: Fraction) -> int:
     Q makes the magnitude finite), then the guess is corrected by exact
     comparisons and finally re-verified against both band endpoints.
     """
-    if t == 0:
+    p = abs(t.numerator)
+    if p == 0:
         raise DomainError("0 belongs to no band I_n")
-    s = t * t
-    # 2^(e) <= s < 2^(e+1) up to one off; band condition: 2^(-2n-1) < s < 2^(-2n+1)
-    e = s.numerator.bit_length() - s.denominator.bit_length()
+    q = t.denominator
+    p2, q2 = p * p, q * q
+    # 2^(e) <= t^2 < 2^(e+1) up to one off; band condition:
+    # 2^(-2n-1) < t^2 < 2^(-2n+1), i.e. p2 * 2^(2n+1) > q2 > p2 * 2^(2n-1)
+    e = p2.bit_length() - q2.bit_length()
     n = (-e) // 2
-    while s <= pow2(-2 * n - 1):
+    while _cmp_scaled_square(p2, q2, 2 * n + 1) == LESS:
         n += 1
-    while s >= pow2(-2 * n + 1):
+    while _cmp_scaled_square(p2, q2, 2 * n - 1) == GREATER:
         n -= 1
-    a = abs(t)
-    if cmp_to_cn(a, n) != GREATER or cmp_to_cn(a, n - 1) != LESS:
+    if (
+        _cmp_scaled_square(p2, q2, 2 * n + 1) != GREATER
+        or _cmp_scaled_square(p2, q2, 2 * n - 1) != LESS
+    ):
         raise IrrationalityError(f"band search failed for t = {t}")
     return n
 

@@ -23,6 +23,11 @@ from .laurent import RF_X, rf_const
 
 _ATOM_STARTS = "digit, 'x', '-' or '('"
 
+# The largest power a literal may ask for, in estimated bits of the result
+# (see _power_bits): far above any point, candidate or schedule value a
+# claim needs, and far below what would exhaust memory.
+MAX_POWER_BITS = 1 << 20
+
 
 class _Scanner:
     def __init__(self, text: str):
@@ -104,11 +109,29 @@ def _factor(field: Field, sc: _Scanner):
     value = _atom(field, sc)
     while sc.peek() == "^":
         sc.take()
+        pos = sc.pos
         k = sc.take_int()
         if k < 0 and not value:
             raise ZeroDenominatorError("zero raised to a negative power")
+        if _power_bits(value, k) > MAX_POWER_BITS:
+            raise ParseError(
+                f"power ^{k} would exceed the {MAX_POWER_BITS}-bit size limit", pos
+            )
         value = value**k
     return value
+
+
+def _power_bits(value, k: int) -> int:
+    """An estimate of the size of value**k in bits, from the |k|-fold
+    growth of the base's size: for Q, of its numerator's and denominator's
+    bits; for Q(x), of its largest coefficient's bits and of its degree,
+    multiplied, since each coefficient of the result can be that large."""
+    k = abs(k)
+    if isinstance(value, Fraction):
+        return k * max(value.numerator.bit_length(), value.denominator.bit_length())
+    bits = max(c.bit_length() for c in value.num + value.den)
+    degree = max(len(value.num), len(value.den)) - 1
+    return (k * degree + 1) * k * bits
 
 
 def _atom(field: Field, sc: _Scanner):

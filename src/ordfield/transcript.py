@@ -132,8 +132,7 @@ class Transcript:
                 ("witness", cert.witness.render()),
             ]
         self.add("cert", pairs)
-        for rec in report.records:
-            self.add("check", _check_pairs(cid, rec))
+        self.lines.extend(_check_line(cid, rec) for rec in report.records)
         self.add(
             "report",
             [
@@ -162,18 +161,22 @@ class Transcript:
         return "\n".join(self.lines) + "\n"
 
 
-def _check_pairs(cid: int, rec: CheckRecord) -> list[tuple[str, object]]:
-    return [
-        ("claim", cid),
-        ("kind", rec.kind),
-        ("eps", rec.eps),
-        ("delta", rec.delta),
-        ("w", rec.w),
-        ("fw", rec.fw),
-        ("dist", rec.dist),
-        ("sep", rec.sep),
-        ("verdict", rec.ok),
-    ]
+def _check_line(cid: int, rec: CheckRecord) -> str:
+    """The `check` record of rec: the bytes kv_line("check", ...) gives
+    for the fields claim, kind, eps, delta, w, fw, dist, sep, verdict."""
+    fw = "undef" if rec.fw is None else render_elem(rec.fw)
+    dist = "undef" if rec.dist is None else render_elem(rec.dist)
+    line = (
+        f"check claim={cid} kind={rec.kind} eps={render_elem(rec.eps)}"
+        f" delta={render_elem(rec.delta)} w={render_elem(rec.w)} fw={fw}"
+        f" dist={dist} sep={render_elem(rec.sep)}"
+        f" verdict={'pass' if rec.ok else 'fail'}"
+    )
+    # one space before each of the nine fields: a value with a space in
+    # it would split into two fields when the line is parsed back
+    if line.count(" ") != 9:
+        raise ValueError(f"check record value contains a space: {line!r}")
+    return line
 
 
 @dataclass

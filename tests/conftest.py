@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ordfield.laurent import RatFunc, poly, rf_normalize, valuation
+from ordfield.rationals import pow2
 
 
 @pytest.fixture
@@ -54,6 +55,18 @@ def accept_rf(rng: random.Random) -> RatFunc:
         num = rand_poly(rng, rng.choice(degs), 9)
         den = rand_poly(rng, rng.choice(degs), 9, nonzero=True)
     return rf_normalize(num, den)
+
+
+def wide_rationals(rng: random.Random, count: int) -> list[Fraction]:
+    """Nonzero rationals with magnitudes spanning 2^-200..2^200."""
+    out = []
+    for _ in range(count):
+        e = rng.randint(-200, 200)
+        p = rng.randint(1, 1 << 20)
+        q = rng.randint(1, 1 << 20)
+        sign = rng.choice((1, -1))
+        out.append(sign * Fraction(p, q) * pow2(e))
+    return out
 
 
 def wide_ratfuncs(rng: random.Random, count: int) -> list[RatFunc]:

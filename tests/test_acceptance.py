@@ -42,7 +42,7 @@ from ordfield.literals import parse_elem
 from ordfield.rationals import pow2
 from ordfield.transcript import parse_kv_line
 
-from conftest import accept_rf, wide_ratfuncs
+from conftest import accept_rf, wide_ratfuncs, wide_rationals
 from field_axioms import check_ordered_field_triple
 
 SEED = 20260810
@@ -60,15 +60,7 @@ def _report(num: int, ok: bool, msg: str) -> None:
 @pytest.fixture(scope="module")
 def q_samples():
     """>= 10^3 nonzero rationals with magnitudes spanning 2^-200..2^200."""
-    rng = random.Random(SEED + 2)
-    out = []
-    for _ in range(1000):
-        e = rng.randint(-200, 200)
-        p = rng.randint(1, 1 << 20)
-        q = rng.randint(1, 1 << 20)
-        sign = rng.choice((1, -1))
-        out.append(sign * F(p, q) * pow2(e))
-    return out
+    return wide_rationals(random.Random(SEED + 2), 1000)
 
 
 @pytest.fixture(scope="module")

@@ -23,10 +23,13 @@ from ordfield.claims import (
 )
 from ordfield.errors import DomainError
 from ordfield.fields import Field
+from ordfield.demos import Check, demo_dlim, demo_lhopital, demo_mvt, demo_taylor
 from ordfield.functions import (
+    Constant,
     DiffQuotient,
     Identity,
     Power,
+    Quotient,
     StepQ,
     StepQX,
     derivative_certificate,
@@ -35,6 +38,7 @@ from ordfield.functions import (
 from ordfield.laurent import RF_ONE, RF_X, RF_ZERO, rf_const, valuation, x_pow
 from ordfield.rationals import pow2
 
+import oracle_referee
 from conftest import rand_nonzero_rat, rand_ratfunc
 
 
@@ -265,3 +269,83 @@ def test_concurrent_referee_runs_identical():
     with ThreadPoolExecutor(max_workers=4) as ex:
         reports = list(ex.map(lambda _: check_falsifier(cert, sched), range(8)))
     assert all(rep == reports[0] for rep in reports)
+
+
+def _assert_matches_oracle(cert, schedule, budget=None):
+    if isinstance(cert, FalsifierCert):
+        got = check_falsifier(cert, schedule)
+        want = oracle_referee.check_falsifier(cert, schedule)
+    else:
+        got = check_verifier(cert, schedule, budget)
+        want = oracle_referee.check_verifier(cert, schedule, budget)
+    assert got.tag == want.tag and got.passed == want.passed
+    assert len(got.records) == len(want.records)
+    for i, (a, b) in enumerate(zip(got.records, want.records)):
+        for name in ("kind", "eps", "delta", "w", "fw", "dist", "sep", "ok"):
+            assert getattr(a, name) == getattr(b, name), (i, name, a, b)
+
+
+def _demo_checks(demo, *args, **kwargs):
+    """The Check steps of a demo, without running them: the generator
+    under the demo's driver yields the header pairs, then its steps."""
+    steps = demo.__wrapped__(*args, **kwargs)
+    next(steps)
+    return [s for s in steps if isinstance(s, Check)]
+
+
+def test_referee_matches_per_probe_oracle_on_demo_checks():
+    checks = (
+        _demo_checks(demo_dlim, Field.Q, eps_depth=12, delta_depth=12)
+        + _demo_checks(demo_dlim, Field.QX, eps_depth=6, delta_depth=6)
+        + _demo_checks(demo_mvt, points=6, eps_depth=4)
+        + _demo_checks(demo_lhopital, F(1), eps_depth=12, delta_depth=12)
+        + _demo_checks(demo_taylor, 3, F(1), eps_depth=12, delta_depth=12)
+    )
+    kinds = {type(c.cert.rule) for c in checks if isinstance(c.cert, VerifierCert)}
+    assert kinds == {ConstRule, LinearCapRule}
+    assert any(isinstance(c.cert, FalsifierCert) for c in checks)
+    for c in checks:
+        _assert_matches_oracle(c.cert, c.schedule, c.budget)
+
+
+def test_referee_matches_oracle_when_the_cap_binds_partway():
+    # delta = min(cap, eps): the cap binds for the first epsilons only,
+    # so rows repeat and then change
+    q_rule = LinearCapRule(F(1, 8), F(1))
+    q_eps = default_eps_schedule(Field.Q, 10)
+    # an infinitesimal schedule tail falls under a real cap in Q(x)
+    qx_rule = LinearCapRule(rf_const(F(1, 4)), RF_ONE)
+    qx_eps = [RF_ONE, rf_const(F(1, 2)), rf_const(F(1, 8)), RF_X, x_pow(2), RF_X]
+    for fn, zero, rule, eps, budget in (
+        (StepQ(), F(0), q_rule, q_eps, 2),
+        (StepQX(), RF_ZERO, qx_rule, qx_eps, 1),
+    ):
+        deltas = [rule.delta_for(e) for e in eps]
+        assert deltas[0] == deltas[1] == rule.cap and deltas[-1] != rule.cap
+        _assert_matches_oracle(VerifierCert(LimitClaim(fn, zero, zero), rule, ""), eps, budget)
+
+
+def test_referee_matches_oracle_off_the_domain():
+    # every probe of quotient(identity,constant:0) raises DomainError, so
+    # every record is a fail with fw and dist undefined
+    claim = LimitClaim(Quotient(Identity(Field.Q), Constant(Field.Q, F(0))), F(0), F(0))
+    _assert_matches_oracle(
+        VerifierCert(claim, ConstRule(F(1, 2)), ""), default_eps_schedule(Field.Q, 4), 1
+    )
+    _assert_matches_oracle(
+        FalsifierCert(claim, F(1, 2), QStepProbe(F(5, 7))), default_delta_schedule(Field.Q, 4)
+    )
+    rep = check_verifier(VerifierCert(claim, ConstRule(F(1, 2)), ""), [F(1)], 0)
+    assert rep.records and not rep.passed
+    assert all(r.fw is None and r.dist is None and not r.ok for r in rep.records)
+
+
+def test_referee_matches_oracle_when_the_distance_equals_epsilon():
+    # |f(w) - L| = eps exactly: a verifier check fails, a falsifier passes
+    claim = LimitClaim(Constant(Field.Q, F(1, 2)), F(0), F(0))
+    verifier = VerifierCert(claim, ConstRule(F(1)), "")
+    _assert_matches_oracle(verifier, [F(1), F(1, 2), F(1, 4)], 1)
+    assert not check_verifier(verifier, [F(1, 2)], 0).passed
+    falsifier = FalsifierCert(claim, F(1, 2), QStepProbe(F(5, 7)))
+    _assert_matches_oracle(falsifier, [F(1), F(1, 8)])
+    assert check_falsifier(falsifier, [F(1)]).passed

@@ -54,6 +54,15 @@ def test_claim_missing_file(capsys):
     assert main(["claim", "/nonexistent/path.claim"]) == 2
 
 
+def test_claim_file_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "f.claim"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    assert main(["claim", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not UTF-8" in captured.err
+
+
 def test_claim_failing_certificate(tmp_path, capsys):
     bad = tmp_path / "bad.claim"
     bad.write_text(

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -5,8 +6,10 @@ import pytest
 from ordfield.dyadic import (
     GREATER,
     LESS,
+    OUTER_SCALE,
     class_index,
     cmp_to_cn,
+    cmp_to_scaled_cn,
     cn_bounds,
     constancy_radius_q,
     is_outer,
@@ -16,7 +19,8 @@ from ordfield.dyadic import (
 from ordfield.errors import DomainError
 from ordfield.rationals import pow2
 
-from conftest import rand_nonzero_rat
+import oracle_dyadic
+from conftest import rand_nonzero_rat, wide_rationals
 
 
 def band_holds(t, n):
@@ -141,3 +145,39 @@ def test_sqrt2_gap_radius():
     assert (F(7, 5) + d) ** 2 < 2
     d = sqrt2_gap_radius(F(-10))
     assert d > 0
+
+
+def _agrees_with_fraction_oracle(t):
+    n = class_index(t)
+    assert n == oracle_dyadic.class_index(t), t
+    assert is_outer(t) == oracle_dyadic.is_outer(t), t
+    a = abs(t)
+    for m in (n - 1, n, n + 1):
+        for scale in (F(1), OUTER_SCALE):
+            assert cmp_to_scaled_cn(a, m, scale) == oracle_dyadic.cmp_to_scaled_cn(a, m, scale), (t, m)
+
+
+def test_integer_cut_comparisons_match_fraction_oracle_wide_sample():
+    # the criterion-2 sample: magnitudes 2^-200..2^200
+    for t in wide_rationals(random.Random(20260810 + 2), 1000):
+        _agrees_with_fraction_oracle(t)
+
+
+def test_integer_cut_comparisons_match_fraction_oracle_near_powers_of_two():
+    # just above and below each power of two, where the first guess from
+    # bit lengths is off by one
+    for k in range(-130, 131, 7):
+        for j in (1, 2, 5, 40, 200):
+            for sign in (1, -1):
+                _agrees_with_fraction_oracle(pow2(-k) * (1 + sign * pow2(-j)))
+                _agrees_with_fraction_oracle(-pow2(-k) * (1 + sign * pow2(-j)))
+
+
+def test_integer_cut_comparisons_match_fraction_oracle_every_depth():
+    probes = (F(1), F(5, 7), F(3, 4), F(7, 5), F(13, 10), F(2), F(1, 3))
+    for n in range(-300, 301):
+        for scale in (F(1), OUTER_SCALE):
+            for r in probes:
+                t = r * pow2(-n)
+                assert cmp_to_scaled_cn(t, n, scale) == oracle_dyadic.cmp_to_scaled_cn(t, n, scale)
+        _agrees_with_fraction_oracle(F(5, 7) * pow2(-n))

@@ -1,13 +1,16 @@
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ordfield.cli import main
 from ordfield.errors import ParseError, ZeroDenominatorError
 from ordfield.fields import Field, render_elem
 from ordfield.laurent import RF_X, rf_normalize, poly, valuation, x_pow
-from ordfield.literals import parse_elem
+from ordfield.literals import MAX_POWER_BITS, parse_elem
+from ordfield.rationals import pow2
 
 from conftest import rand_ratfunc
 
@@ -78,3 +81,28 @@ def test_qx_roundtrip(rng):
         f = rand_ratfunc(rng, max_deg=3)
         assert parse_elem(Field.QX, render_elem(f)) == f
         assert parse_elem(Field.QX, render_elem(f, compact=False)) == f
+
+
+def test_oversized_powers_refused(capsys):
+    for field, text in (
+        ("q", "2^99999999999"),
+        ("qx", "x^99999999999"),
+        ("q", "2^65536^65536"),
+        ("qx", "(1+x)^-99999999999"),
+    ):
+        t0 = time.perf_counter()
+        assert main(["eval", "--field", field, text]) == 2, text
+        assert time.perf_counter() - t0 < 1, text
+        assert "size limit" in capsys.readouterr().err
+
+
+def test_power_size_limit_boundary():
+    # 2 has 2 bits; x has degree 1 and 1-bit coefficients
+    assert MAX_POWER_BITS == 1 << 20
+    assert parse_elem(Field.Q, "2^524288") == pow2(524288)
+    assert parse_elem(Field.Q, "2^-524288") == pow2(-524288)
+    with pytest.raises(ParseError):
+        parse_elem(Field.Q, "2^524289")
+    assert parse_elem(Field.QX, "x^1023") == x_pow(1023)
+    with pytest.raises(ParseError):
+        parse_elem(Field.QX, "x^1024")

@@ -12,8 +12,10 @@ from ordfield.certs import (
     parse_witness,
 )
 from ordfield.claims import (
+    CheckRecord,
     FalsifierCert,
     LimitClaim,
+    RefereeReport,
     VerifierCert,
     check_falsifier,
     check_verifier,
@@ -22,7 +24,7 @@ from ordfield.claims import (
 from ordfield.errors import ParseError
 from ordfield.fields import Field
 from ordfield.functions import Quotient, Identity, StepQ
-from ordfield.laurent import RF_ONE, RF_X
+from ordfield.laurent import RF_ONE, RF_X, RF_ZERO, rf_const, x_pow
 from ordfield.literals import parse_elem
 from ordfield.transcript import (
     Transcript,
@@ -145,3 +147,62 @@ def test_falsifier_transcript_has_witness_line():
     text = tr.render()
     assert "witness=qstep(5/7)" in text
     assert "tag=refutation-instances" in text
+
+
+def _check_lines(report: RefereeReport) -> list[str]:
+    tr = Transcript()
+    tr.add_report(report)
+    return [ln for ln in tr.lines if ln.startswith("check ")]
+
+
+def test_check_lines_match_kv_line():
+    # a pass, a fail and an undef record in each field, rendered by
+    # add_report and by the general record renderer
+    q_claim = LimitClaim(StepQ(), F(0), F(0))
+    qx_claim = LimitClaim(Quotient(Identity(Field.QX), Identity(Field.QX)), RF_ZERO, RF_ONE)
+    half, w = rf_const(F(1, 2)), x_pow(2) * rf_const(F(-3, 7)) / (RF_ONE + RF_X)
+    cases = [
+        (
+            VerifierCert(q_claim, LinearCapRule(F(1), F(1, 2)), ""),
+            [
+                CheckRecord("verifier", F(1, 4), F(1, 8), F(5, 112), F(1, 32), F(1, 32), F(5, 112), True),
+                CheckRecord("verifier", F(1, 64), F(1, 8), F(-7, 5), F(1), F(1), F(7, 5), False),
+                CheckRecord("verifier", F(1), F(1, 2), F(0), None, None, F(0), False),
+            ],
+        ),
+        (
+            FalsifierCert(qx_claim, RF_X, QXStepProbe(RF_ONE, -1)),
+            [
+                CheckRecord("falsifier", RF_X, half, w, RF_ONE, RF_ZERO, -w, False),
+                CheckRecord("falsifier", x_pow(-1), half, -RF_X, RF_ONE + RF_X, RF_X, RF_X, True),
+                CheckRecord("falsifier", RF_X, x_pow(3), RF_ZERO, None, None, RF_ZERO, False),
+            ],
+        ),
+    ]
+    for cert, records in cases:
+        want = [
+            kv_line(
+                "check",
+                [
+                    ("claim", 1),
+                    ("kind", r.kind),
+                    ("eps", r.eps),
+                    ("delta", r.delta),
+                    ("w", r.w),
+                    ("fw", r.fw),
+                    ("dist", r.dist),
+                    ("sep", r.sep),
+                    ("verdict", r.ok),
+                ],
+            )
+            for r in records
+        ]
+        assert _check_lines(RefereeReport(cert, "evidence", tuple(records))) == want
+    assert "fw=undef dist=undef" in want[2] and want[0].endswith("verdict=fail")
+
+
+def test_check_line_refuses_a_value_with_a_space():
+    cert = VerifierCert(LimitClaim(StepQ(), F(0), F(0)), ConstRule(F(1)), "")
+    rec = CheckRecord("ver ifier", F(1), F(1), F(1, 2), F(1, 2), F(1, 2), F(1, 2), True)
+    with pytest.raises(ValueError):
+        _check_lines(RefereeReport(cert, "evidence", (rec,)))
