@@ -287,7 +287,7 @@ def _assert_matches_oracle(cert, schedule, budget=None):
 
 def _demo_checks(demo, *args, **kwargs):
     """The Check steps of a demo, without running them: the generator
-    under the demo's driver yields the header pairs, then its steps."""
+    wrapped by the demo yields the header pairs, then its steps."""
     steps = demo.__wrapped__(*args, **kwargs)
     next(steps)
     return [s for s in steps if isinstance(s, Check)]
