@@ -28,7 +28,6 @@ from .claims import (
 from .demos import demo_dlim, demo_lhopital, demo_mvt, demo_taylor
 from .dyadic import (
     class_index,
-    cmp_to_cn,
     cn_bounds,
     constancy_radius_q,
     sqrt2_bounds,

@@ -18,6 +18,7 @@ from fractions import Fraction
 from .errors import DomainError, ParseError
 from .fields import render_elem, sign_of
 from .laurent import RatFunc, valuation, x_pow
+from .literals import check_nesting
 from .rationals import pow2
 
 
@@ -175,6 +176,7 @@ def split_call(s: str) -> tuple[str, list[str]]:
             continue
         if ch == "(":
             depth += 1
+            check_nesting(depth + 1)  # the call's own parenthesis is one more
         elif ch == ")":
             depth -= 1
         cur.append(ch)

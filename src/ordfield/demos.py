@@ -30,7 +30,7 @@ from .claims import (
     default_eps_schedule,
     derivative_claim,
 )
-from .dyadic import sqrt2_bounds, sqrt2_gap_radius
+from .dyadic import below_sqrt2, sqrt2_bounds, sqrt2_gap_radius
 from .errors import DomainError
 from .fields import Field, field_one, field_zero
 from .functions import (
@@ -207,7 +207,7 @@ def demo_dlim(
 
 def _interior_points(count: int, seed: int) -> list[Fraction]:
     """Interior sample points of (1, 2): a few fixed landmarks, dyadic
-    bisection bounds refined toward both sides of sqrt(2), topped up with
+    sandwiches of sqrt(2) of growing precision, topped up with
     seeded random rationals."""
     pts: set[Fraction] = {
         Fraction(5, 4),
@@ -217,11 +217,8 @@ def _interior_points(count: int, seed: int) -> list[Fraction]:
     }
     p = 2
     while len(pts) < min(count // 2, 24):
-        lo, hi = sqrt2_bounds(p)
-        if 1 < lo:
-            pts.add(lo)
-        if hi < 2:
-            pts.add(hi)
+        # from p = 2 on every sandwich of sqrt(2) lies inside (1, 2)
+        pts.update(sqrt2_bounds(p))
         p += 1
     rng = random.Random(seed)
     while len(pts) < count:
@@ -276,7 +273,7 @@ def demo_mvt(
     )
     for c in _interior_points(points, seed):
         radius = sqrt2_gap_radius(c)
-        below = c * c < 2
+        below = below_sqrt2(c)
         edge = c + radius if below else c - radius
         edge_sq = edge * edge
         bound_ok = edge_sq < 2 if below else edge_sq > 2

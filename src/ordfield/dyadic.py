@@ -8,13 +8,14 @@ square), so the comparison is total; hitting "equal" raises loudly.
 
 All outputs come with enough structure to be re-verified by squaring:
 class_index re-checks both band endpoints, cn_bounds returns a rational
-sandwich, constancy_radius_q returns a radius whose two defining
-inequalities hold exactly.
+sandwich read off one integer square root, and every constancy radius
+comes from a sandwich of sqrt(2) that clears both cuts around its point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from .errors import DomainError, IrrationalityError
 from .rationals import pow2
@@ -55,9 +56,10 @@ def cmp_to_scaled_cn(t: Fraction, n: int, scale: Fraction = Fraction(1)) -> int:
     return _cmp_scaled_square(p * p, q * q, 2 * n + 1)
 
 
-def cmp_to_cn(t: Fraction, n: int) -> int:
-    """Compare t > 0 against c_n by exact squaring."""
-    return cmp_to_scaled_cn(t, n)
+def below_sqrt2(c: Fraction) -> bool:
+    """True when c < sqrt(2): by exact integer squaring for c > 0, where a
+    square equal to 2 raises IrrationalityError."""
+    return c.numerator <= 0 or cmp_to_scaled_cn(c, -1) == LESS
 
 
 def class_index(t: Fraction) -> int:
@@ -72,14 +74,13 @@ def class_index(t: Fraction) -> int:
         raise DomainError("0 belongs to no band I_n")
     q = t.denominator
     p2, q2 = p * p, q * q
-    # 2^(e) <= t^2 < 2^(e+1) up to one off; band condition:
+    # 2^(e-1) < t^2 < 2^(e+1); band condition:
     # 2^(-2n-1) < t^2 < 2^(-2n+1), i.e. p2 * 2^(2n+1) > q2 > p2 * 2^(2n-1)
     e = p2.bit_length() - q2.bit_length()
+    # never above the band index, as t^2 < 2^(e+1) <= 2^(-2n+1)
     n = (-e) // 2
     while _cmp_scaled_square(p2, q2, 2 * n + 1) == LESS:
         n += 1
-    while _cmp_scaled_square(p2, q2, 2 * n - 1) == GREATER:
-        n -= 1
     if (
         _cmp_scaled_square(p2, q2, 2 * n + 1) != GREATER
         or _cmp_scaled_square(p2, q2, 2 * n - 1) != LESS
@@ -89,20 +90,30 @@ def class_index(t: Fraction) -> int:
 
 
 def cn_bounds(n: int, p: int) -> tuple[Fraction, Fraction]:
-    """Rational sandwich lo < c_n < hi with hi - lo <= 2**-p, by bisection
-    from the dyadic bracket (2**-(n+1), 2**-n)."""
+    """Rational sandwich lo < c_n < hi with hi - lo <= 2**-p: the bracket
+    [m, m + 1] * 2**-(n+1+h), m = floor(sqrt(2) * 2**h), that bisecting
+    (2**-(n+1), 2**-n) h = max(p - n - 1, 0) times lands on."""
     if p < 1:
         raise DomainError("precision must be at least 1")
-    lo = pow2(-n - 1)
-    hi = pow2(-n)
-    width_cap = pow2(-p)
-    while hi - lo > width_cap:
-        mid = (lo + hi) * _HALF
-        if cmp_to_cn(mid, n) == GREATER:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
+    h = max(p - n - 1, 0)
+    m = isqrt(2 << 2 * h)
+    k = n + 1 + h  # = max(p, n + 1) >= 1
+    return Fraction(m, 1 << k), Fraction(m + 1, 1 << k)
+
+
+def _sqrt2_gap(u: Fraction, lo_cut, hi_cut) -> Fraction:
+    """The gap from u to the nearer of the cuts lo_cut * sqrt(2) < u <
+    hi_cut * sqrt(2) (None: no cut), measured on the first sandwich of
+    sqrt(2) of width 4**-j, j >= 1, that clears both cuts."""
+    h = 2
+    while True:
+        lo, hi = sqrt2_bounds(h)
+        gaps = [] if lo_cut is None else [u - lo_cut * hi]
+        if hi_cut is not None:
+            gaps.append(hi_cut * lo - u)
+        if min(gaps) > 0:
+            return min(gaps)
+        h += 2
 
 
 def constancy_radius_q(t: Fraction) -> Fraction:
@@ -112,15 +123,7 @@ def constancy_radius_q(t: Fraction) -> Fraction:
     constancy_radius_q(t * 2**-k) = constancy_radius_q(t) * 2**-k exactly.
     """
     n = class_index(t)
-    u = abs(t) * pow2(n)
-    p = 3
-    while True:
-        lo, hi = cn_bounds(0, p)
-        if hi < u and u < 2 * lo:
-            break
-        p += 2
-    delta_u = min(u - hi, 2 * lo - u)
-    return delta_u * pow2(-n)
+    return _sqrt2_gap(abs(t) * pow2(n), _HALF, 1) * pow2(-n)
 
 
 def is_outer(t: Fraction, n: int | None = None) -> bool:
@@ -136,20 +139,9 @@ def outer_constancy_radius_q(t: Fraction) -> Fraction:
     constancy_radius_q."""
     n = class_index(t)
     u = abs(t) * pow2(n)
-    outer = cmp_to_scaled_cn(u, 0, OUTER_SCALE) == GREATER
-    p = 3
-    while True:
-        lo, hi = cn_bounds(0, p)
-        if outer:
-            if OUTER_SCALE * hi < u and u < 2 * lo:
-                delta_u = min(u - OUTER_SCALE * hi, 2 * lo - u)
-                break
-        else:
-            if hi < u and u < OUTER_SCALE * lo:
-                delta_u = min(u - hi, OUTER_SCALE * lo - u)
-                break
-        p += 2
-    return delta_u * pow2(-n)
+    cut = OUTER_SCALE * _HALF  # 3/2 * c_0 = 3/4 * sqrt(2)
+    cuts = (cut, 1) if is_outer(u, 0) else (_HALF, cut)
+    return _sqrt2_gap(u, *cuts) * pow2(-n)
 
 
 def sqrt2_bounds(p: int) -> tuple[Fraction, Fraction]:
@@ -158,16 +150,7 @@ def sqrt2_bounds(p: int) -> tuple[Fraction, Fraction]:
 
 
 def sqrt2_gap_radius(c: Fraction) -> Fraction:
-    """For rational c != sqrt(2)-side boundary cases, a radius delta > 0 such
-    that the ball (c - delta, c + delta) stays on c's side of sqrt(2).
-    Always justified by one exact squaring inequality on the returned bound.
-    """
-    below = c < 0 or c * c < 2
-    p = 2
-    while True:
-        lo, hi = sqrt2_bounds(p)
-        if below and c < lo:
-            return lo - c
-        if not below and hi < c:
-            return c - hi
-        p += 2
+    """For rational c, a radius delta > 0 such that the ball (c - delta,
+    c + delta) stays on c's side of sqrt(2).  Always justified by one exact
+    squaring inequality on the returned bound."""
+    return _sqrt2_gap(c, None, 1) if below_sqrt2(c) else _sqrt2_gap(c, 1, None)

@@ -30,13 +30,14 @@ from fractions import Fraction
 
 from .certs import ConstRule, DeltaRule, LinearCapRule, split_call
 from .dyadic import (
+    below_sqrt2,
     class_index,
     constancy_radius_q,
     is_outer,
     outer_constancy_radius_q,
     sqrt2_gap_radius,
 )
-from .errors import DomainError, IrrationalityError, ParseError, UnsupportedDerivativeError
+from .errors import DomainError, ParseError, UnsupportedDerivativeError
 from .fields import Field, field_one, field_zero, render_elem
 from .laurent import RF_ZERO, valuation, x_pow
 from .literals import parse_elem, parse_int
@@ -221,12 +222,7 @@ class IndicatorCut(FieldFn):
     TAG = "indicator_cut"
 
     def eval_at(self, t):
-        if t < 0:
-            return Fraction(1)
-        sq = t * t
-        if sq == 2:
-            raise IrrationalityError("rational square equal to 2")
-        return Fraction(1) if sq < 2 else Fraction(0)
+        return Fraction(1) if below_sqrt2(t) else Fraction(0)
 
     def radius_at(self, t):
         return sqrt2_gap_radius(t)

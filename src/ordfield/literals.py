@@ -15,6 +15,7 @@ back to an equal element.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .errors import ParseError, ZeroDenominatorError
@@ -27,6 +28,10 @@ _ATOM_STARTS = "digit, 'x', '-' or '('"
 # (see _power_bits): far above any point, candidate or schedule value a
 # claim needs, and far below what would exhaust memory.
 MAX_POWER_BITS = 1 << 20
+
+# The deepest nesting of parentheses and unary minus signs in a literal, and
+# of parentheses in a function name: far below the recursion limit.
+MAX_NESTING = 100
 
 
 class _Scanner:
@@ -61,41 +66,52 @@ class _Scanner:
             self.pos += 1
         if self.pos == digits:
             raise ParseError("expected an integer", start)
-        return int(self.text[start : self.pos])
+        return parse_int(self.text[start : self.pos], start)
 
 
 def parse_elem(field: Field, text: str):
     """Parse a literal into an exact element of the given field."""
     sc = _Scanner(text)
-    value = _expr(field, sc)
+    value = _expr(field, sc, 0)
     if sc.peek() is not None:
         raise ParseError(f"unexpected {sc.peek()!r}", sc.pos)
     return value
 
 
-def parse_int(text: str) -> int:
+def parse_int(text: str, pos: int | None = None) -> int:
     """A decimal integer written on its own, such as the exponent in a
     function name or a schedule depth in a claim file."""
     try:
         return int(text)
     except ValueError:
-        raise ParseError(f"expected an integer, got {text!r}") from None
+        # the interpreter's digit limit for int(); 0 means none (also before 3.10.7)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if 0 < limit < len(text):
+            raise ParseError(f"integer longer than the {limit}-digit limit", pos) from None
+        raise ParseError(f"expected an integer, got {text!r}", pos) from None
 
 
-def _expr(field: Field, sc: _Scanner):
-    value = _term(field, sc)
+def check_nesting(depth: int, pos: int | None = None) -> int:
+    """depth, refused past MAX_NESTING."""
+    if depth > MAX_NESTING:
+        raise ParseError(f"nested deeper than the {MAX_NESTING}-level limit", pos)
+    return depth
+
+
+def _expr(field: Field, sc: _Scanner, depth: int):
+    value = _term(field, sc, depth)
     while sc.peek() in ("+", "-"):
         op = sc.take()
-        rhs = _term(field, sc)
+        rhs = _term(field, sc, depth)
         value = value + rhs if op == "+" else value - rhs
     return value
 
 
-def _term(field: Field, sc: _Scanner):
-    value = _factor(field, sc)
+def _term(field: Field, sc: _Scanner, depth: int):
+    value = _factor(field, sc, depth)
     while sc.peek() in ("*", "/"):
         op = sc.take()
-        rhs = _factor(field, sc)
+        rhs = _factor(field, sc, depth)
         if op == "*":
             value = value * rhs
         elif not rhs:
@@ -105,8 +121,8 @@ def _term(field: Field, sc: _Scanner):
     return value
 
 
-def _factor(field: Field, sc: _Scanner):
-    value = _atom(field, sc)
+def _factor(field: Field, sc: _Scanner, depth: int):
+    value = _atom(field, sc, depth)
     while sc.peek() == "^":
         sc.take()
         pos = sc.pos
@@ -134,16 +150,16 @@ def _power_bits(value, k: int) -> int:
     return (k * degree + 1) * k * bits
 
 
-def _atom(field: Field, sc: _Scanner):
+def _atom(field: Field, sc: _Scanner, depth: int):
     ch = sc.peek()
     if ch is None:
         raise ParseError(f"expected {_ATOM_STARTS}", sc.pos)
     if ch == "-":
         sc.take()
-        return -_atom(field, sc)
+        return -_atom(field, sc, check_nesting(depth + 1, sc.pos))
     if ch == "(":
         sc.take()
-        value = _expr(field, sc)
+        value = _expr(field, sc, check_nesting(depth + 1, sc.pos))
         if sc.peek() != ")":
             raise ParseError("expected ')'", sc.pos)
         sc.take()

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,8 @@ from ordfield.cli import main
 from ordfield.demos import MAX_MVT_POINTS, demo_dlim, demo_lhopital, demo_mvt, demo_taylor
 from ordfield.errors import OrdFieldError
 from ordfield.fields import Field
+from ordfield.functions import fn_name, parse_fn
+from ordfield.literals import MAX_NESTING
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "ordfield" / "fixtures"
 
@@ -61,6 +64,35 @@ def test_claim_file_not_utf8_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not UTF-8" in captured.err
+
+
+def _nested_quotient(depth):
+    return "quotient(" * depth + "identity" + ",constant:1)" * depth
+
+
+def test_claim_fn_nesting_cap(tmp_path, capsys):
+    name = _nested_quotient(MAX_NESTING)
+    assert fn_name(parse_fn(Field.Q, name)) == name
+    for depth in (MAX_NESTING + 1, 3000):
+        path = tmp_path / "deep.claim"
+        path.write_text(
+            f"claim field=q fn={_nested_quotient(depth)} point=1 candidate=1\n"
+            "cert kind=verifier rule=const(1)\n"
+        )
+        t0 = time.perf_counter()
+        assert main(["claim", str(path)]) == 2, depth
+        assert time.perf_counter() - t0 < 1, depth
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ordfield: nested deeper than the {MAX_NESTING}-level limit\n"
+    # refereed at the deepest admitted nesting: the quotient is t, so 1 at 1
+    path.write_text(
+        f"claim field=q fn={name} point=1 candidate=1\n"
+        "cert kind=verifier rule=linear_cap(1,1)\n"
+        "schedule kind=eps depth=2\n"
+    )
+    assert main(["claim", str(path)]) == 0
+    capsys.readouterr()
 
 
 def test_claim_failing_certificate(tmp_path, capsys):

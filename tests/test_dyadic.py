@@ -7,8 +7,8 @@ from ordfield.dyadic import (
     GREATER,
     LESS,
     OUTER_SCALE,
+    below_sqrt2,
     class_index,
-    cmp_to_cn,
     cmp_to_scaled_cn,
     cn_bounds,
     constancy_radius_q,
@@ -30,13 +30,13 @@ def band_holds(t, n):
 
 
 def test_cmp_examples():
-    assert cmp_to_cn(F(3, 4), 0) == GREATER  # 9/16 > 1/2
-    assert cmp_to_cn(F(1, 2), 0) == LESS  # 1/4 < 1/2
-    assert cmp_to_cn(F(1), -1) == LESS  # 1 < 2
+    assert cmp_to_scaled_cn(F(3, 4), 0) == GREATER  # 9/16 > 1/2
+    assert cmp_to_scaled_cn(F(1, 2), 0) == LESS  # 1/4 < 1/2
+    assert cmp_to_scaled_cn(F(1), -1) == LESS  # 1 < 2
     with pytest.raises(DomainError):
-        cmp_to_cn(F(0), 0)
+        cmp_to_scaled_cn(F(0), 0)
     with pytest.raises(DomainError):
-        cmp_to_cn(F(-1), 0)
+        cmp_to_scaled_cn(F(-1), 0)
 
 
 def test_class_index_examples():
@@ -181,3 +181,45 @@ def test_integer_cut_comparisons_match_fraction_oracle_every_depth():
                 t = r * pow2(-n)
                 assert cmp_to_scaled_cn(t, n, scale) == oracle_dyadic.cmp_to_scaled_cn(t, n, scale)
         _agrees_with_fraction_oracle(F(5, 7) * pow2(-n))
+
+
+def test_cn_bounds_match_bisection_oracle():
+    # one bisection per n passes through the bracket of every precision p
+    for n in range(-40, 41):
+        brackets = oracle_dyadic.bisection(n)
+        lo, hi = next(brackets)
+        for p in range(1, 121):
+            while hi - lo > pow2(-p):
+                lo, hi = next(brackets)
+            assert cn_bounds(n, p) == (lo, hi), (n, p)
+    assert cn_bounds(-3, 7) == oracle_dyadic.cn_bounds(-3, 7)
+    with pytest.raises(DomainError):
+        cn_bounds(0, 0)
+
+
+def _radii_agree_with_oracle(t):
+    assert below_sqrt2(t) == oracle_dyadic.below_sqrt2(t), t
+    assert sqrt2_gap_radius(t) == oracle_dyadic.sqrt2_gap_radius(t), t
+    if t:
+        assert constancy_radius_q(t) == oracle_dyadic.constancy_radius_q(t), t
+        assert outer_constancy_radius_q(t) == oracle_dyadic.outer_constancy_radius_q(t), t
+
+
+def test_radii_match_oracle_wide_sample():
+    for t in wide_rationals(random.Random(20260810 + 6), 400):
+        _radii_agree_with_oracle(t)
+    for t in (F(0), F(1), F(-1), F(3, 2), F(7, 5), F(2), F(-10)):
+        _radii_agree_with_oracle(t)
+
+
+def test_radii_match_oracle_just_off_sqrt2_sandwiches():
+    # the cuts sit at 1/2, 3/4 and 1 times sqrt(2); points a hair on either
+    # side of a sandwich end need a deeper sandwich before both cuts clear
+    for p in range(1, 20, 3):
+        lo, hi = oracle_dyadic.cn_bounds(-1, p)
+        for cut in (F(1, 2), F(3, 4), F(1)):
+            for end in (cut * lo, cut * hi):
+                for k in (p + 1, 2 * p + 5):
+                    for t in (end - pow2(-k), end + pow2(-k)):
+                        _radii_agree_with_oracle(t)
+                        _radii_agree_with_oracle(-t * pow2(-7))

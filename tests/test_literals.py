@@ -1,3 +1,4 @@
+import sys
 import time
 from fractions import Fraction as F
 
@@ -9,7 +10,7 @@ from ordfield.cli import main
 from ordfield.errors import ParseError, ZeroDenominatorError
 from ordfield.fields import Field, render_elem
 from ordfield.laurent import RF_X, rf_normalize, poly, valuation, x_pow
-from ordfield.literals import MAX_POWER_BITS, parse_elem
+from ordfield.literals import MAX_NESTING, MAX_POWER_BITS, parse_elem, parse_int
 from ordfield.rationals import pow2
 
 from conftest import rand_ratfunc
@@ -106,3 +107,47 @@ def test_power_size_limit_boundary():
     assert parse_elem(Field.QX, "x^1023") == x_pow(1023)
     with pytest.raises(ParseError):
         parse_elem(Field.QX, "x^1024")
+
+
+def _refused_fast(capsys, text):
+    t0 = time.perf_counter()
+    assert main(["eval", "--field", "q", "--", text]) == 2
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert err.startswith("ordfield: ") and err.count("\n") == 1
+    return err
+
+
+def test_nesting_cap():
+    deepest = "(" * MAX_NESTING + "1" + ")" * MAX_NESTING
+    assert parse_elem(Field.Q, deepest) == 1
+    assert parse_elem(Field.Q, "-" * MAX_NESTING + "1") == 1
+    # parentheses and unary minus signs count together
+    half = MAX_NESTING // 2
+    assert parse_elem(Field.QX, "-(" * half + "x" + ")" * half) == RF_X
+    for text in (
+        "(" + deepest + ")",
+        "-" * (MAX_NESTING + 1) + "1",
+        "-(" * half + "-x" + ")" * half,
+        "1 - " + "-" * (MAX_NESTING + 1) + "1",
+    ):
+        with pytest.raises(ParseError, match="limit"):
+            parse_elem(Field.QX, text)
+
+
+def test_deep_nesting_exits_2(capsys):
+    for text in ("(" * 900 + "1" + ")" * 900, "-" * 5000 + "1"):
+        assert f"{MAX_NESTING}-level limit" in _refused_fast(capsys, text)
+
+
+def test_integer_past_the_digit_limit_exits_2(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert parse_elem(Field.Q, "7" * limit) == int("7" * limit)
+    digits = "7" * (limit + 1)
+    err = _refused_fast(capsys, digits)
+    assert f"{limit}-digit limit" in err and len(err) < 100
+    with pytest.raises(ParseError, match=f"{limit}-digit limit") as ei:
+        parse_int(digits)
+    assert len(str(ei.value)) < 100
+    with pytest.raises(ParseError, match="expected an integer, got 'abc'"):
+        parse_int("abc")
