@@ -37,6 +37,7 @@ from .errors import (
     IrrationalityError,
     OrdFieldError,
     ParseError,
+    ResourceError,
     UnsupportedDerivativeError,
     ZeroDenominatorError,
 )

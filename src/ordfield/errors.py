@@ -1,5 +1,7 @@
 """Exception types shared across the library."""
 
+import sys
+
 
 class OrdFieldError(Exception):
     """Base class for all library errors."""
@@ -12,6 +14,20 @@ class ZeroDenominatorError(OrdFieldError, ZeroDivisionError):
 class DomainError(OrdFieldError, ValueError):
     """Operation applied at a point outside its domain (e.g. valuation of 0,
     step function machinery at 0, quotient where the denominator vanishes)."""
+
+
+class ResourceError(OrdFieldError):
+    """An input whose work or output is past a size limit.  It refuses the
+    run (exit 2); it is not a DomainError, which the referee records as a
+    failed check."""
+
+
+def print_limit_error() -> ResourceError:
+    """The ResourceError for a value with an integer longer than the
+    interpreter's digit limit for int-to-text conversion; raise it where
+    that conversion's ValueError is caught."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return ResourceError(f"value too long to print: an integer past the {limit}-digit limit")
 
 
 class IrrationalityError(OrdFieldError, ArithmeticError):

@@ -16,6 +16,22 @@ infinitesimal: the Archimedean class of a nonzero element is determined
 by its valuation (trailing degree of num minus trailing degree of den),
 and x**n represents the class of valuation n.
 
+Arithmetic keeps operands canonical by cancelling their small cross
+factors, never a gcd of the degree-doubled result (Henrici 1956, "A
+subroutine for computations with rational numbers"; Knuth, TAOCP Vol. 2,
+4.5.1).  The two identities hold unchanged in Q[x]:
+
+  * n1/d1 + n2/d2: with g = gcd(d1, d2), the numerator
+    t = n1*(d2/g) + n2*(d1/g) is coprime to (d1/g)*(d2/g), so only
+    h = gcd(t, g) can cancel; when g is constant nothing does;
+  * (n1/d1) * (n2/d2): num and den of the product are coprime once
+    gcd(n1, d2) and gcd(n2, d1) are divided out, and when both are
+    constant nothing cancels.
+
+Each path ends in one step that divides out the joint integer content
+and makes den's trailing coefficient positive.  Division multiplies by
+the inverse, whose num and den are the operand's den and num.
+
 Rational coefficients appear only at the edges: poly and rf_normalize
 accept Fraction coefficients, rf_const a Fraction, and render_rf prints
 num and den divided by den's trailing coefficient.
@@ -27,7 +43,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DomainError, ZeroDenominatorError
+from .errors import DomainError, ZeroDenominatorError, print_limit_error
 
 Poly = tuple  # ascending degree, no trailing zeros; int coefficients in a RatFunc
 
@@ -75,6 +91,11 @@ def p_mul(a: Poly, b: Poly) -> Poly:
     coefficients is nonzero, so no high-order zero needs trimming."""
     if not a or not b:
         return P_ZERO
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        k = b[0]
+        return a if k == 1 else tuple([c * k for c in a])
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -83,19 +104,18 @@ def p_mul(a: Poly, b: Poly) -> Poly:
     return tuple(out)
 
 
-def p_scale(a: Poly, k) -> Poly:
-    if not k:
-        return P_ZERO
-    if k == 1:
-        return a
-    return tuple(c * k for c in a)
-
-
-# Cancellation in RatFunc arithmetic is decided by a mod-P coprimality
-# filter (a gcd of degree 0 mod P certifies coprimality over Q as long as
-# the leading coefficient survives mod P, since the leading coefficient of
-# any true common factor divides it); inconclusive cases fall back to an
-# exact primitive-PRS gcd over Z[x].
+# Each cross pair (d1, d2), (t, g), (n1, d2) or (n2, d1) is tested for a
+# common factor in the cheapest way that decides it (_cross_gcd):
+#   * a constant side shares no factor, with no test;
+#   * a linear side l shares one exactly when the other side vanishes at
+#     l's root, an integer evaluation that decides it either way;
+#   * two sides both divisible by x share x;
+#   * any other pair goes through a mod-P filter: a gcd of degree 0 mod P
+#     certifies coprimality over Q as long as the leading coefficients
+#     survive mod P, since the leading coefficient of any true common
+#     factor divides them.
+# The exact primitive-PRS gcd over Z[x] runs only on the pair itself, and
+# only when the pair shares x or the filter is inconclusive.
 _FILTER_P = (1 << 31) - 1
 
 
@@ -200,34 +220,39 @@ def _isurely_coprime(a: list, b: list) -> bool:
     return len(fa) == 1
 
 
-def _rf_from_int_ratio(nums, dens) -> "RatFunc":
-    """Canonical RatFunc equal to nums/dens (integer coefficient
-    sequences without high-order zeros)."""
-    if not dens:
-        raise ZeroDenominatorError("zero denominator polynomial")
-    if not nums:
-        return RF_ZERO
-    on, od = p_ord(nums), p_ord(dens)
-    k = on if on < od else od
-    if k:
-        nums = nums[k:]
-        dens = dens[k:]
-    if len(nums) > 1 and len(dens) > 1:
-        if len(nums) == 2 and len(dens) == 2:
-            if nums[0] * dens[1] == nums[1] * dens[0]:
-                # proportional linear parts: the value is a constant
-                nums, dens = nums[1:], dens[1:]
-        elif not _isurely_coprime(nums, dens):
-            g = _int_poly_gcd(nums, dens)
-            if len(g) > 1:
-                nums = _iexact_div(nums, g)
-                dens = _iexact_div(dens, g)
-    c = math.gcd(*nums, *dens)
-    if dens[p_ord(dens)] < 0:
+def _cross_gcd(a, b) -> list | None:
+    """Primitive gcd (up to sign) of two nonzero integer polynomials when
+    it is not a constant, else None; the tests are those described above
+    _FILTER_P, in that order."""
+    if len(a) == 1 or len(b) == 1:
+        return None
+    if len(a) == 2:
+        a, b = b, a
+    if len(b) == 2:
+        b0, b1 = b
+        v, w = a[-1], b1
+        for c in a[-2::-1]:
+            v = c * w - b0 * v
+            w *= b1
+        if v:
+            return None
+        g = math.gcd(b0, b1)
+        return [b0 // g, b1 // g]
+    if (a[0] or b[0]) and _isurely_coprime(a, b):
+        return None
+    g = _int_poly_gcd(list(a), list(b))
+    return g if len(g) > 1 else None
+
+
+def _rf_canon(num, den) -> "RatFunc":
+    """RatFunc of nonzero num and den, coprime over Q[x], with their joint
+    integer content and the sign of den's trailing coefficient divided out."""
+    c = math.gcd(*num, *den)
+    if den[p_ord(den)] < 0:
         c = -c
     if c == 1:
-        return RatFunc(tuple(nums), tuple(dens))
-    return RatFunc(tuple(x // c for x in nums), tuple(x // c for x in dens))
+        return RatFunc(tuple(num), tuple(den))
+    return RatFunc(tuple(x // c for x in num), tuple(x // c for x in den))
 
 
 class RatFunc(NamedTuple):
@@ -362,28 +387,31 @@ def rf_normalize(num: Poly, den: Poly) -> RatFunc:
     d, wd = _iview(den)
     if not d:
         raise ZeroDenominatorError("zero denominator polynomial")
-    return _rf_from_int_ratio(p_scale(n, wd), p_scale(d, wn))
+    if not n:
+        return RF_ZERO
+    n, d = p_mul(n, (wd,)), p_mul(d, (wn,))
+    g = _cross_gcd(n, d)
+    if g:
+        n, d = _iexact_div(n, g), _iexact_div(d, g)
+    return _rf_canon(n, d)
 
 
 def _rf_sum(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> RatFunc:
     """n1/d1 + n2/d2 for canonical operands with nonzero numerators."""
-    if len(d1) == 1 and len(d2) == 1:
-        # constant denominators: num and den stay coprime over Q[x], so
-        # only the integer content can cancel
-        s, t = d1[0], d2[0]
-        if s == t:
-            num = p_add(n1, n2)
-        else:
-            g = math.gcd(s, t)
-            num = p_add(p_scale(n1, t // g), p_scale(n2, s // g))
-            s = s // g * t
+    g = _cross_gcd(d1, d2)
+    if g is None:
+        num = p_add(p_mul(n1, d2), p_mul(n2, d1))
         if not num:
             return RF_ZERO
-        c = math.gcd(*num, s)
-        if c == 1:
-            return RatFunc(num, (s,))
-        return RatFunc(tuple(x // c for x in num), (s // c,))
-    return _rf_from_int_ratio(p_add(p_mul(n1, d2), p_mul(n2, d1)), p_mul(d1, d2))
+        return _rf_canon(num, p_mul(d1, d2))
+    d1, d2 = _iexact_div(d1, g), _iexact_div(d2, g)
+    t = p_add(p_mul(n1, d2), p_mul(n2, d1))
+    if not t:
+        return RF_ZERO
+    h = _cross_gcd(t, g)
+    if h:
+        t, g = _iexact_div(t, h), _iexact_div(g, h)
+    return _rf_canon(t, p_mul(p_mul(d1, d2), g))
 
 
 def rf_add(a: RatFunc, b: RatFunc) -> RatFunc:
@@ -409,17 +437,21 @@ def rf_mul(a: RatFunc, b: RatFunc) -> RatFunc:
         return a
     if a == RF_ONE:
         return b
-    return _rf_from_int_ratio(p_mul(a.num, b.num), p_mul(a.den, b.den))
+    n1, d1 = a
+    n2, d2 = b
+    g = _cross_gcd(n1, d2)
+    if g:
+        n1, d2 = _iexact_div(n1, g), _iexact_div(d2, g)
+    g = _cross_gcd(n2, d1)
+    if g:
+        n2, d1 = _iexact_div(n2, g), _iexact_div(d1, g)
+    return _rf_canon(p_mul(n1, n2), p_mul(d1, d2))
 
 
 def rf_div(a: RatFunc, b: RatFunc) -> RatFunc:
     if not b.num:
         raise ZeroDenominatorError("division by the zero rational function")
-    if not a.num:
-        return RF_ZERO
-    if b == RF_ONE:
-        return a
-    return _rf_from_int_ratio(p_mul(a.num, b.den), p_mul(a.den, b.num))
+    return rf_mul(a, rf_inv(b))
 
 
 def rf_inv(a: RatFunc) -> RatFunc:
@@ -473,11 +505,14 @@ def render_poly(p: Poly, compact: bool = False) -> str:
         if not c:
             continue
         mag = c if c > 0 else -c
-        if k == 0:
-            body = str(mag)
-        else:
-            xs = "x" if k == 1 else f"x^{k}"
-            body = xs if mag == 1 else f"{mag}*{xs}"
+        try:
+            if k == 0:
+                body = str(mag)
+            else:
+                xs = "x" if k == 1 else f"x^{k}"
+                body = xs if mag == 1 else f"{mag}*{xs}"
+        except ValueError:
+            raise print_limit_error() from None
         if not parts:
             parts.append(body if c > 0 else "-" + body)
         else:

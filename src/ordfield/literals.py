@@ -138,16 +138,20 @@ def _factor(field: Field, sc: _Scanner, depth: int):
 
 
 def _power_bits(value, k: int) -> int:
-    """An estimate of the size of value**k in bits, from the |k|-fold
-    growth of the base's size: for Q, of its numerator's and denominator's
-    bits; for Q(x), of its largest coefficient's bits and of its degree,
-    multiplied, since each coefficient of the result can be that large."""
+    """An estimate of the size of value**k in bits, never below it by more
+    than a bit per coefficient.  For Q: |k| times the bits of the base's
+    numerator or denominator.  For Q(x): each coefficient of p**|k| is at
+    most ||p||_1**|k| (||p||_1 the sum of p's absolute coefficients), so the
+    result's num and den each have at most |k|*deg(p) + 1 coefficients of
+    |k|*ceil(log2 ||p||_1) bits; the larger of the two products counts."""
     k = abs(k)
     if isinstance(value, Fraction):
         return k * max(value.numerator.bit_length(), value.denominator.bit_length())
-    bits = max(c.bit_length() for c in value.num + value.den)
-    degree = max(len(value.num), len(value.den)) - 1
-    return (k * degree + 1) * k * bits
+    return max(
+        (k * (len(p) - 1) + 1) * max(1, k * (sum(map(abs, p)) - 1).bit_length())
+        for p in (value.num, value.den)
+        if p
+    )
 
 
 def _atom(field: Field, sc: _Scanner, depth: int):

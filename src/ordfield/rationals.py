@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import print_limit_error
+
 
 def pow2(n: int) -> Fraction:
     """2**n exactly, for any integer n."""
@@ -20,6 +22,9 @@ def pow2(n: int) -> Fraction:
 
 def render_rat(a: Fraction) -> str:
     """Textual form "p/q", or "p" when the denominator is 1."""
-    if a.denominator == 1:
-        return str(a.numerator)
-    return f"{a.numerator}/{a.denominator}"
+    try:
+        if a.denominator == 1:
+            return str(a.numerator)
+        return f"{a.numerator}/{a.denominator}"
+    except ValueError:
+        raise print_limit_error() from None

@@ -8,7 +8,7 @@ import pytest
 
 from ordfield.cli import main
 from ordfield.demos import MAX_MVT_POINTS, demo_dlim, demo_lhopital, demo_mvt, demo_taylor
-from ordfield.errors import OrdFieldError
+from ordfield.errors import DomainError, OrdFieldError, ResourceError
 from ordfield.fields import Field
 from ordfield.functions import fn_name, parse_fn
 from ordfield.literals import MAX_NESTING
@@ -315,3 +315,24 @@ def test_eval_qx_zero_has_undefined_valuation(capsys):
     assert main(["eval", "--field", "qx", "x - x"]) == 0
     out = capsys.readouterr().out
     assert "value 0" in out and "sign 0" in out and "valuation undef" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--field", "q", "2^15000"),
+        ("eval", "--field", "qx", "1 + 2^15000*x"),
+        ("demo", "dlim", "--field", "q", "--delta-depth", "15000", "--eps-depth", "2"),
+        ("demo", "taylor", "--n", "50"),
+    ],
+)
+def test_values_past_the_digit_limit_exit_2(argv, capsys):
+    # a value with an integer too long to print refuses the run: it is not
+    # a DomainError, which the referee would record as a failed check
+    assert issubclass(ResourceError, OrdFieldError)
+    assert not issubclass(ResourceError, DomainError)
+    assert main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("ordfield: ") and err.count("\n") == 1
+    assert f"{sys.get_int_max_str_digits()}-digit limit" in err

@@ -315,3 +315,62 @@ def test_int_carrier_matches_fraction_oracle_wide_samples():
     pool = wide_ratfuncs(random.Random(20260810 + 3), 60)
     for a, b in zip(pool, pool[1:] + pool[:1]):
         _assert_matches_fraction_oracle(a, b)
+
+
+def _pm(*factors):
+    """Product of integer polynomials given as coefficient tuples."""
+    out = (1,)
+    for f in factors:
+        out = p_mul(out, f)
+    return out
+
+
+# irreducible over Q: quadratic factors reach the mod-P filter and the
+# exact gcd, linear ones the root test
+P2, Q2, S2 = (1, 1, 1), (2, -1, 3), (5, 0, 1)
+L1, L2 = (1, 2), (3, -1)
+# primitive with a positive leading and a negative trailing coefficient,
+# so dividing a canonical den by it flips the den's trailing sign
+NEG2, NEG1 = (-2, 0, 1), (-1, 1)
+X = (0, 1)
+
+CROSS_FACTOR_PAIRS = [
+    # a.num and b.den share a factor, and so do b.num and a.den
+    ((_pm(P2, L1), _pm(Q2, L2)), (_pm(Q2, S2), _pm(P2, X, (7, 1)))),
+    ((_pm(L1, (4, 0, 1)), _pm(L2, (2, 5))), (_pm(L2, S2), _pm(L1, Q2))),
+    # denominators share g = P2*Q2; part of it (P2) cancels into t, as
+    # x/(P2*Q2) + (P2 - x*S2)/(P2*Q2*S2) = 1/(Q2*S2)
+    ((X, _pm(P2, Q2)), (p_add(P2, p_neg(_pm(X, S2))), _pm(P2, Q2, S2))),
+    ((X, _pm(L1, Q2)), (p_add(L1, p_neg(_pm(X, S2))), _pm(L1, Q2, S2))),
+    # denominators sharing g whose reduced numerator keeps nothing of it
+    (((1,), _pm(P2, Q2)), ((3,), _pm(P2, S2))),
+    # both cross sides divisible by x, none of them linear
+    ((_pm(X, P2), (2, 1)), ((3, -1), _pm(X, Q2))),
+    (((1,), _pm(X, P2)), ((1,), _pm(X, X, S2))),
+    # cancelling NEG2 or NEG1 out of a den leaves its trailing coefficient
+    # negative; the first and third reach it through rf_div's inverse
+    (((1,), _pm(NEG2, (3, 1))), (_pm(S2, (2, 1)), NEG2)),
+    ((NEG2, (1, 1)), ((1,), _pm(NEG2, (3, 1)))),
+    (((1,), _pm(NEG1, (2, 1))), ((3, 1), NEG1)),
+    # constant sides: content cancels, denominators are integers, a sum
+    # cancels to zero
+    (((0, 2), (3,)), ((3,), (1, 2))),
+    (((1, 1), (6,)), ((-1, 1), (10,))),
+    (((0, 1), (2,)), ((0, -1), (2,))),
+    ((P2, (4,)), ((9,), Q2)),
+]
+
+
+@pytest.mark.parametrize("pair", range(len(CROSS_FACTOR_PAIRS)))
+def test_cross_factor_paths_match_fraction_oracle(pair):
+    # built operands that force each way _rf_sum and rf_mul cancel: every
+    # result is canonical and renders as the oracle's
+    operands = []
+    for num, den in CROSS_FACTOR_PAIRS[pair]:
+        f = rf_normalize(num, den)
+        assert_canonical(f)
+        assert render_rf(f) == oracle_qx.render(num, den)
+        operands.append(f)
+    a, b = operands
+    _assert_matches_fraction_oracle(a, b)
+    _assert_matches_fraction_oracle(b, a)

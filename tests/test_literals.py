@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ordfield.cli import main
 from ordfield.errors import ParseError, ZeroDenominatorError
 from ordfield.fields import Field, render_elem
-from ordfield.laurent import RF_X, rf_normalize, poly, valuation, x_pow
+from ordfield.laurent import RF_ONE, RF_X, rf_normalize, poly, valuation, x_pow
 from ordfield.literals import MAX_NESTING, MAX_POWER_BITS, parse_elem, parse_int
 from ordfield.rationals import pow2
 
@@ -104,9 +104,13 @@ def test_power_size_limit_boundary():
     assert parse_elem(Field.Q, "2^-524288") == pow2(-524288)
     with pytest.raises(ParseError):
         parse_elem(Field.Q, "2^524289")
-    assert parse_elem(Field.QX, "x^1023") == x_pow(1023)
-    with pytest.raises(ParseError):
-        parse_elem(Field.QX, "x^1024")
+    # Q(x) bounds each coefficient of p^k by ||p||_1^k: x^k and 1^k are tiny
+    assert parse_elem(Field.QX, "x^1024") == x_pow(1024)
+    assert parse_elem(Field.QX, "1^1048577") == RF_ONE
+    assert parse_elem(Field.QX, "(1-x)^-2") == parse_elem(Field.QX, "1/(1 - 2*x + x^2)")
+    for text in ("x^1048577", "2^1048577", "(1+x)^1024"):
+        with pytest.raises(ParseError, match="size limit"):
+            parse_elem(Field.QX, text)
 
 
 def _refused_fast(capsys, text):
