@@ -240,7 +240,7 @@ def _cross_gcd(a, b) -> list | None:
         return [b0 // g, b1 // g]
     if (a[0] or b[0]) and _isurely_coprime(a, b):
         return None
-    g = _int_poly_gcd(list(a), list(b))
+    g = _int_poly_gcd(a, b)
     return g if len(g) > 1 else None
 
 
