@@ -29,7 +29,9 @@ subroutine for computations with rational numbers"; Knuth, TAOCP Vol. 2,
     constant nothing cancels.
 
 Each path ends in one step that divides out the joint integer content
-and makes den's trailing coefficient positive.  Division multiplies by
+and makes den's trailing coefficient positive.  A sum whose two
+denominators are constants, the common case, takes a shorter integer
+path to the same form.  Division multiplies by
 the inverse, whose num and den are the operand's den and num.
 
 Rational coefficients appear only at the edges: poly and rf_normalize
@@ -398,6 +400,22 @@ def rf_normalize(num: Poly, den: Poly) -> RatFunc:
 
 def _rf_sum(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> RatFunc:
     """n1/d1 + n2/d2 for canonical operands with nonzero numerators."""
+    if len(d1) == 1 and len(d2) == 1:
+        # constant denominators: num and den stay coprime over Q[x], so
+        # only the integer content can cancel
+        s, t = d1[0], d2[0]
+        if s == t:
+            num = p_add(n1, n2)
+        else:
+            g = math.gcd(s, t)
+            num = p_add(p_mul(n1, (t // g,)), p_mul(n2, (s // g,)))
+            s = s // g * t
+        if not num:
+            return RF_ZERO
+        c = math.gcd(*num, s)
+        if c == 1:
+            return RatFunc(num, (s,))
+        return RatFunc(tuple(x // c for x in num), (s // c,))
     g = _cross_gcd(d1, d2)
     if g is None:
         num = p_add(p_mul(n1, d2), p_mul(n2, d1))
