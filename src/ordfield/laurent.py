@@ -31,8 +31,8 @@ subroutine for computations with rational numbers"; Knuth, TAOCP Vol. 2,
 Each path ends in one step that divides out the joint integer content
 and makes den's trailing coefficient positive.  A sum whose two
 denominators are constants, the common case, takes a shorter integer
-path to the same form.  Division multiplies by
-the inverse, whose num and den are the operand's den and num.
+path to the same form.  Division multiplies by the inverse, whose num
+and den are the operand's den and num.
 
 Rational coefficients appear only at the edges: poly and rf_normalize
 accept Fraction coefficients, rf_const a Fraction, and render_rf prints

@@ -348,7 +348,7 @@ CROSS_FACTOR_PAIRS = [
     ((_pm(X, P2), (2, 1)), ((3, -1), _pm(X, Q2))),
     (((1,), _pm(X, P2)), ((1,), _pm(X, X, S2))),
     # cancelling NEG2 or NEG1 out of a den leaves its trailing coefficient
-    # negative; the first and third reach it through rf_div's inverse
+    # negative, in a quotient of each pair among other results
     (((1,), _pm(NEG2, (3, 1))), (_pm(S2, (2, 1)), NEG2)),
     ((NEG2, (1, 1)), ((1,), _pm(NEG2, (3, 1)))),
     (((1,), _pm(NEG1, (2, 1))), ((3, 1), NEG1)),
