@@ -16,11 +16,12 @@ its verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .certs import DeltaRule, TwoSided, WitnessRule, min_dyadic_depth
-from .errors import DomainError
+from .errors import DomainError, ResourceError, digit_limit
 from .fields import Field, check_elem, field_zero, from_rat
 from .functions import DiffQuotient, FieldFn, evaluate, fn_field
 from .laurent import rf_const, valuation, x_pow
@@ -82,15 +83,65 @@ class CheckRecord:
     ok: bool
 
 
+class Probe(NamedTuple):
+    """A probe or witness point w with fn(w), |fn(w) - candidate| and
+    |w - point|; fw and dist are None when w is off fn's domain."""
+
+    w: object
+    fw: object
+    dist: object
+    sep: object
+
+
+class Row(NamedTuple):
+    """A delta and its probes, as (probe index, in_ball) pairs with
+    in_ball = fw is not None and 0 < sep < delta."""
+
+    delta: object
+    probes: tuple[tuple[int, bool], ...]
+
+
+class Use(NamedTuple):
+    """A schedule entry: its check kind, epsilon, the index of its row and
+    one verdict per probe of that row."""
+
+    kind: str  # "verifier" | "falsifier"
+    eps: object
+    row: int
+    verdicts: tuple[bool, ...]
+
+
 @dataclass(frozen=True)
 class RefereeReport:
+    """The checks of one certificate in the shape the referee does them:
+    each distinct probe once, each distinct delta once as a row that
+    decides which probes lie in its punctured ball, and one use per
+    schedule entry, in schedule order.  A verifier verdict is
+    in_ball and dist < eps, a falsifier verdict in_ball and dist >= eps.
+    `records` spells the report out as one CheckRecord per check."""
+
     cert: VerifierCert | FalsifierCert
     tag: str  # "evidence" | "refutation-instances"
-    records: tuple[CheckRecord, ...] = dc_field(default_factory=tuple)
+    probes: tuple[Probe, ...] = ()
+    rows: tuple[Row, ...] = ()
+    uses: tuple[Use, ...] = ()
+
+    @property
+    def checks(self) -> int:
+        return sum(len(u.verdicts) for u in self.uses)
 
     @property
     def passed(self) -> bool:
-        return bool(self.records) and all(r.ok for r in self.records)
+        return self.checks > 0 and all(all(u.verdicts) for u in self.uses)
+
+    @property
+    def records(self) -> tuple[CheckRecord, ...]:
+        out = []
+        for kind, eps, ri, verdicts in self.uses:
+            delta, pairs = self.rows[ri]
+            for (i, _), ok in zip(pairs, verdicts):
+                out.append(CheckRecord(kind, eps, delta, *self.probes[i], ok))
+        return tuple(out)
 
 
 def derivative_claim(fn: FieldFn, a, d) -> LimitClaim:
@@ -98,29 +149,41 @@ def derivative_claim(fn: FieldFn, a, d) -> LimitClaim:
     return LimitClaim(DiffQuotient(fn, a), field_zero(fn_field(fn)), d)
 
 
-def probe_gen(field: Field, point, delta, budget: int) -> list:
-    """Deterministic probes inside the punctured delta-ball around point.
-
-    Q: offsets +-r * 2**-n with r in {5/7, 3/4, 1, 7/5} and n walking down
-    from the minimal depth that fits; every offset has exactly known band.
-    QX: offsets +-r * x**(v(delta)+m) with unit r in {1/2, 1, 2}; higher
-    valuation makes containment automatic.  budget extends the depth range;
-    even budget 0 yields probes on both sides.
-    """
+def probe_levels(field: Field, delta, budget: int) -> range:
+    """The levels of delta's probes: Q dyadic depths n0..n0+budget, with
+    n0 the minimal depth whose offsets fit in the delta-ball; Q(x)
+    valuations v(delta)+1..v(delta)+max(1, budget).  budget extends the
+    range; even budget 0 gives one level."""
     if field is Field.Q:
         n0 = min_dyadic_depth(delta)
-        return [
-            point + sign * r * pow2(-n)
-            for n in range(n0, n0 + budget + 1)
-            for r in _Q_PATTERNS
-            for sign in (1, -1)
-        ]
+        return range(n0, n0 + budget + 1)
     v = valuation(delta)
+    return range(v + 1, v + max(1, budget) + 1)
+
+
+def level_probes(field: Field, point, level: int) -> list:
+    """The probes of one level, on both sides of point.
+
+    Q: offsets +-r * 2**-level with r in {5/7, 3/4, 1, 7/5}; every offset
+    has exactly known band.  QX: offsets +-r * x**level with unit r in
+    {1/2, 1, 2}; higher valuation makes containment automatic.  No two
+    levels share a probe."""
+    if field is Field.Q:
+        step = pow2(-level)
+        offsets = [r * step for r in _Q_PATTERNS]
+    else:
+        step = x_pow(level)
+        offsets = [rf_const(r) * step for r in _QX_PATTERNS]
+    return [point + s for o in offsets for s in (o, -o)]
+
+
+def probe_gen(field: Field, point, delta, budget: int) -> list:
+    """Deterministic probes inside the punctured delta-ball around point:
+    the probes of every level of delta, in level order."""
     return [
-        point + sign * rf_const(r) * x_pow(v + m)
-        for m in range(1, max(1, budget) + 1)
-        for r in _QX_PATTERNS
-        for sign in (1, -1)
+        w
+        for level in probe_levels(field, delta, budget)
+        for w in level_probes(field, point, level)
     ]
 
 
@@ -132,41 +195,48 @@ def check_verifier(
     """Challenge the delta-rule on every epsilon in the schedule: every
     probe in the punctured delta(eps)-ball must satisfy |f(w) - L| < eps.
 
-    Each distinct delta's probes are generated, and each distinct probe
-    evaluated, once per report: a ConstRule, or a LinearCapRule once its
-    cap binds, gives the same delta for many epsilons, and deltas with
-    the same dyadic depth share their probes."""
+    Each level's probes are built and evaluated once per report, kept by
+    their int level: deltas with the same dyadic depth or valuation share
+    levels.  Each distinct delta becomes one row, and its in-ball test is
+    decided once per probe of the row: a ConstRule, or a LinearCapRule
+    once its cap binds, gives the same delta for many epsilons.  Each
+    epsilon then only compares dist < eps on its row."""
     claim = cert.claim
     fld = claim.field
     zero = field_zero(fld)
     if not eps_schedule:
         raise DomainError("epsilon schedule is empty")
-    rows: dict = {}  # delta -> [(w, fw, dist, sep)] of its probes
-    probed: dict = {}  # w -> (w, fw, dist, sep)
-    records = []
+    probes: list[Probe] = []
+    levels: dict[int, range] = {}  # level -> indices of its probes
+    rows: list[Row] = []
+    row_of: dict = {}  # delta -> index of its row
+    uses = []
     for eps in eps_schedule:
         if not eps > zero:
             raise DomainError("epsilon schedule must be strictly positive")
         delta = cert.rule.delta_for(eps)
-        row = rows.get(delta)
-        if row is None:
-            row = []
-            for w in probe_gen(fld, claim.point, delta, probe_budget):
-                p = probed.get(w)
-                if p is None:
-                    p = probed[w] = _probe(claim, w)
-                row.append(p)
-            rows[delta] = row
-        for w, fw, dist, sep in row:
-            ok = fw is not None and zero < sep < delta and dist < eps
-            records.append(CheckRecord("verifier", eps, delta, w, fw, dist, sep, ok))
-    return RefereeReport(cert, "evidence", tuple(records))
+        ri = row_of.get(delta)
+        if ri is None:
+            ri = row_of[delta] = len(rows)
+            indices = []
+            for level in probe_levels(fld, delta, probe_budget):
+                idx = levels.get(level)
+                if idx is None:
+                    start = len(probes)
+                    probes.extend(_probe(claim, w) for w in level_probes(fld, claim.point, level))
+                    idx = levels[level] = range(start, len(probes))
+                indices.extend(idx)
+            rows.append(_row(probes, indices, delta, zero))
+        verdicts = tuple([ib and probes[i].dist < eps for i, ib in rows[ri].probes])
+        uses.append(Use("verifier", eps, ri, verdicts))
+    return RefereeReport(cert, "evidence", tuple(probes), tuple(rows), tuple(uses))
 
 
 def check_falsifier(cert: FalsifierCert, delta_schedule) -> RefereeReport:
     """Challenge the witness rule on every delta in the schedule: the
     produced point must sit inside the punctured ball and miss the
-    candidate by at least epsilon."""
+    candidate by at least epsilon.  Each delta is a row of one probe, its
+    witness."""
     claim = cert.claim
     fld = claim.field
     zero = field_zero(fld)
@@ -178,29 +248,53 @@ def check_falsifier(cert: FalsifierCert, delta_schedule) -> RefereeReport:
         rule = rule.pick(claim.candidate)
     if not delta_schedule:
         raise DomainError("delta schedule is empty")
-    records = []
+    probes: list[Probe] = []
+    rows: list[Row] = []
+    uses = []
     for delta in delta_schedule:
         if not delta > zero:
             raise DomainError("delta schedule must be strictly positive")
-        w, fw, dist, sep = _probe(claim, claim.point + rule.witness_for(delta))
-        ok = fw is not None and zero < sep < delta and dist >= eps
-        records.append(CheckRecord("falsifier", eps, delta, w, fw, dist, sep, ok))
-    return RefereeReport(cert, "refutation-instances", tuple(records))
+        i = len(probes)
+        probes.append(_probe(claim, claim.point + rule.witness_for(delta)))
+        row = _row(probes, (i,), delta, zero)
+        uses.append(Use("falsifier", eps, len(rows), (row.probes[0][1] and probes[i].dist >= eps,)))
+        rows.append(row)
+    return RefereeReport(cert, "refutation-instances", tuple(probes), tuple(rows), tuple(uses))
 
 
-def _probe(claim: LimitClaim, w) -> tuple:
-    """(w, fn(w), |fn(w) - candidate|, |w - point|); fn(w) and the
-    distance are None when w is off fn's domain, which fails every check."""
+def _row(probes: list[Probe], indices, delta, zero) -> Row:
+    """The row of delta over the probes at indices."""
+    return Row(
+        delta,
+        tuple([(i, probes[i].fw is not None and zero < probes[i].sep < delta) for i in indices]),
+    )
+
+
+def _probe(claim: LimitClaim, w) -> Probe:
+    """The probe at w; fn(w) and the distance are None when w is off fn's
+    domain, which fails every check."""
     sep = abs(w - claim.point)
     try:
         fw = evaluate(claim.fn, w)
     except DomainError:
-        return w, None, None, sep
-    return w, fw, abs(fw - claim.candidate), sep
+        return Probe(w, None, None, sep)
+    return Probe(w, fw, abs(fw - claim.candidate), sep)
+
+
+def _refuse_unprintable(depth: int) -> None:
+    """Refuse a schedule of 2**-k for k = 0..depth before building it when
+    2**depth has more digits than the interpreter's limit for int-to-text
+    conversion (0: no limit), so it could never be printed."""
+    limit = digit_limit()
+    if limit and depth > (10**limit).bit_length() - 1:
+        raise ResourceError(
+            f"schedule depth {depth} too deep to print: 2^{depth} passes the {limit}-digit limit"
+        )
 
 
 def default_eps_schedule(field: Field, depth: int = DEFAULT_EPS_DEPTH) -> list:
     """{2**-k : k = 0..depth} as elements of the field."""
+    _refuse_unprintable(depth)
     return [from_rat(field, pow2(-k)) for k in range(depth + 1)]
 
 
@@ -210,6 +304,7 @@ def default_delta_schedule(field: Field, depth: int | None = None) -> list:
     if field is Field.Q:
         if depth is None:
             depth = DEFAULT_DELTA_DEPTH_Q
+        _refuse_unprintable(depth)
         return [pow2(-k) for k in range(depth + 1)]
     if depth is None:
         depth = DEFAULT_DELTA_DEPTH_QX

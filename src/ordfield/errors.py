@@ -22,11 +22,17 @@ class ResourceError(OrdFieldError):
     failed check."""
 
 
+def digit_limit() -> int:
+    """The interpreter's digit limit for converting an int to or from
+    text; 0 means none (also before 3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def print_limit_error() -> ResourceError:
     """The ResourceError for a value with an integer longer than the
     interpreter's digit limit for int-to-text conversion; raise it where
     that conversion's ValueError is caught."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = digit_limit()
     return ResourceError(f"value too long to print: an integer past the {limit}-digit limit")
 
 

@@ -111,6 +111,7 @@ def p_mul(a: Poly, b: Poly) -> Poly:
 #   * a constant side shares no factor, with no test;
 #   * a linear side l shares one exactly when the other side vanishes at
 #     l's root, an integer evaluation that decides it either way;
+#   * two equal sides are their own gcd;
 #   * two sides both divisible by x share x;
 #   * any other pair goes through a mod-P filter: a gcd of degree 0 mod P
 #     certifies coprimality over Q as long as the leading coefficients
@@ -240,6 +241,8 @@ def _cross_gcd(a, b) -> list | None:
             return None
         g = math.gcd(b0, b1)
         return [b0 // g, b1 // g]
+    if a == b:
+        return _iprim(a)
     if (a[0] or b[0]) and _isurely_coprime(a, b):
         return None
     g = _int_poly_gcd(a, b)

@@ -15,10 +15,9 @@ back to an equal element.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 
-from .errors import ParseError, ZeroDenominatorError
+from .errors import ParseError, ZeroDenominatorError, digit_limit
 from .fields import Field
 from .laurent import RF_X, rf_const
 
@@ -84,8 +83,7 @@ def parse_int(text: str, pos: int | None = None) -> int:
     try:
         return int(text)
     except ValueError:
-        # the interpreter's digit limit for int(); 0 means none (also before 3.10.7)
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        limit = digit_limit()
         if 0 < limit < len(text):
             raise ParseError(f"integer longer than the {limit}-digit limit", pos) from None
         raise ParseError(f"expected an integer, got {text!r}", pos) from None

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field as dc_field
 from .certs import parse_rule, parse_witness
 from .claims import (
     DEFAULT_EPS_DEPTH,
-    CheckRecord,
     FalsifierCert,
     LimitClaim,
+    Probe,
     RefereeReport,
     VerifierCert,
 )
@@ -132,14 +132,14 @@ class Transcript:
                 ("witness", cert.witness.render()),
             ]
         self.add("cert", pairs)
-        self.lines.extend(_check_line(cid, rec) for rec in report.records)
+        self.lines.extend(_check_lines(cid, report))
         self.add(
             "report",
             [
                 ("claim", cid),
                 ("kind", "verifier" if isinstance(cert, VerifierCert) else "falsifier"),
                 ("tag", report.tag),
-                ("checks", len(report.records)),
+                ("checks", report.checks),
                 ("verdict", report.passed),
             ],
         )
@@ -161,22 +161,42 @@ class Transcript:
         return "\n".join(self.lines) + "\n"
 
 
-def _check_line(cid: int, rec: CheckRecord) -> str:
-    """The `check` record of rec: the bytes kv_line("check", ...) gives
-    for the fields claim, kind, eps, delta, w, fw, dist, sep, verdict."""
-    fw = "undef" if rec.fw is None else render_elem(rec.fw)
-    dist = "undef" if rec.dist is None else render_elem(rec.dist)
-    line = (
-        f"check claim={cid} kind={rec.kind} eps={render_elem(rec.eps)}"
-        f" delta={render_elem(rec.delta)} w={render_elem(rec.w)} fw={fw}"
-        f" dist={dist} sep={render_elem(rec.sep)}"
-        f" verdict={'pass' if rec.ok else 'fail'}"
+_VERDICT = (" verdict=fail", " verdict=pass")
+
+
+def _check_lines(cid: int, report: RefereeReport) -> list[str]:
+    """The `check` records of report, one per (use, probe of its row): the
+    bytes kv_line("check", ...) gives for the fields claim, kind, eps,
+    delta, w, fw, dist, sep, verdict.  Each probe's w-fw-dist-sep tail and
+    each row's delta are rendered once, and each use's head once."""
+    tails = [_probe_tail(p) for p in report.probes]
+    rows = []
+    for delta, pairs in report.rows:
+        d = _guard(" delta=" + render_elem(delta), 1)
+        rows.append([d + tails[i] for i, _ in pairs])
+    lines = []
+    for kind, eps, ri, verdicts in report.uses:
+        head = _guard(f"check claim={cid} kind={kind} eps={render_elem(eps)}", 3)
+        lines.extend([head + s + _VERDICT[ok] for s, ok in zip(rows[ri], verdicts)])
+    return lines
+
+
+def _probe_tail(p: Probe) -> str:
+    w, fw, dist, sep = p
+    tail = (
+        f" w={render_elem(w)} fw={'undef' if fw is None else render_elem(fw)}"
+        f" dist={'undef' if dist is None else render_elem(dist)} sep={render_elem(sep)}"
     )
-    # one space before each of the nine fields: a value with a space in
-    # it would split into two fields when the line is parsed back
-    if line.count(" ") != 9:
-        raise ValueError(f"check record value contains a space: {line!r}")
-    return line
+    return _guard(tail, 4)
+
+
+def _guard(piece: str, spaces: int) -> str:
+    """piece, which must hold exactly one space per field it carries: a
+    value with a space in it would split into two fields when the line is
+    parsed back."""
+    if piece.count(" ") != spaces:
+        raise ValueError(f"check record value contains a space: {piece!r}")
+    return piece
 
 
 @dataclass

@@ -1,10 +1,12 @@
 """Oracle for the exact referee: one evaluation per (epsilon, probe).
 
 This is the loop `claims.check_verifier` / `check_falsifier` ran before
-they evaluated each distinct probe once per report.  Every record is
-computed from scratch: the probes of every epsilon are generated again and
-every probe is evaluated again, so a fault in the library's per-report
-reuse of probes or values shows as a record that differs from this one.
+they built each level's probes and each row once per report.  Every
+record is computed from scratch: the probes of every epsilon are
+generated again, every probe is evaluated again and every verdict is
+decided in full, so a fault in the library's sharing of levels, rows,
+probes or verdicts shows as a record that differs from this one.  Both
+checks return the plain records, in schedule order.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from ordfield.claims import (
     CheckRecord,
     FalsifierCert,
     LimitClaim,
-    RefereeReport,
     VerifierCert,
     probe_gen,
 )
@@ -26,7 +27,7 @@ from ordfield.functions import evaluate
 
 def check_verifier(
     cert: VerifierCert, eps_schedule, probe_budget: int = DEFAULT_PROBE_BUDGET
-) -> RefereeReport:
+) -> tuple[CheckRecord, ...]:
     claim = cert.claim
     fld = claim.field
     if not eps_schedule:
@@ -38,10 +39,10 @@ def check_verifier(
         delta = cert.rule.delta_for(eps)
         for w in probe_gen(fld, claim.point, delta, probe_budget):
             records.append(check_one("verifier", claim, eps, delta, w))
-    return RefereeReport(cert, "evidence", tuple(records))
+    return tuple(records)
 
 
-def check_falsifier(cert: FalsifierCert, delta_schedule) -> RefereeReport:
+def check_falsifier(cert: FalsifierCert, delta_schedule) -> tuple[CheckRecord, ...]:
     claim = cert.claim
     fld = claim.field
     eps = cert.epsilon
@@ -58,7 +59,7 @@ def check_falsifier(cert: FalsifierCert, delta_schedule) -> RefereeReport:
             raise DomainError("delta schedule must be strictly positive")
         w = claim.point + rule.witness_for(delta)
         records.append(check_one("falsifier", claim, eps, delta, w))
-    return RefereeReport(cert, "refutation-instances", tuple(records))
+    return tuple(records)
 
 
 def check_one(kind: str, claim: LimitClaim, eps, delta, w) -> CheckRecord:

@@ -10,6 +10,7 @@ from ordfield.certs import (
     TwoSided,
     min_dyadic_depth,
 )
+from ordfield import claims
 from ordfield.claims import (
     FalsifierCert,
     LimitClaim,
@@ -19,7 +20,9 @@ from ordfield.claims import (
     default_delta_schedule,
     default_eps_schedule,
     derivative_claim,
+    level_probes,
     probe_gen,
+    probe_levels,
 )
 from ordfield.errors import DomainError
 from ordfield.fields import Field
@@ -275,12 +278,14 @@ def _assert_matches_oracle(cert, schedule, budget=None):
     if isinstance(cert, FalsifierCert):
         got = check_falsifier(cert, schedule)
         want = oracle_referee.check_falsifier(cert, schedule)
+        assert got.tag == "refutation-instances"
     else:
         got = check_verifier(cert, schedule, budget)
         want = oracle_referee.check_verifier(cert, schedule, budget)
-    assert got.tag == want.tag and got.passed == want.passed
-    assert len(got.records) == len(want.records)
-    for i, (a, b) in enumerate(zip(got.records, want.records)):
+        assert got.tag == "evidence"
+    assert got.passed == (bool(want) and all(r.ok for r in want))
+    assert got.checks == len(got.records) == len(want)
+    for i, (a, b) in enumerate(zip(got.records, want)):
         for name in ("kind", "eps", "delta", "w", "fw", "dist", "sep", "ok"):
             assert getattr(a, name) == getattr(b, name), (i, name, a, b)
 
@@ -349,3 +354,102 @@ def test_referee_matches_oracle_when_the_distance_equals_epsilon():
     falsifier = FalsifierCert(claim, F(1, 2), QStepProbe(F(5, 7)))
     _assert_matches_oracle(falsifier, [F(1), F(1, 8)])
     assert check_falsifier(falsifier, [F(1)]).passed
+
+
+def test_probe_gen_is_its_levels_in_order():
+    for field, point, delta, budget in (
+        (Field.Q, F(1, 3), F(1, 10), 2),
+        (Field.Q, F(0), F(7), 0),
+        (Field.QX, RF_ONE, x_pow(3), 2),
+        (Field.QX, RF_ZERO, rf_const(F(1, 2)), 0),
+    ):
+        levels = probe_levels(field, delta, budget)
+        assert len(levels) == (budget + 1 if field is Field.Q else max(1, budget))
+        by_level = [level_probes(field, point, n) for n in levels]
+        assert probe_gen(field, point, delta, budget) == [w for ws in by_level for w in ws]
+        seen = [w for ws in by_level for w in ws]
+        assert len(set(seen)) == len(seen)
+
+
+def _count_evaluations(monkeypatch) -> list:
+    calls = []
+
+    def counted(fn, w):
+        calls.append(w)
+        return evaluate(fn, w)
+
+    monkeypatch.setattr(claims, "evaluate", counted)
+    return calls
+
+
+def test_each_distinct_probe_is_evaluated_once_per_report(monkeypatch):
+    # LinearCapRule deltas share dyadic depths (Q) or valuations (Q(x)) and
+    # a ConstRule repeats one delta: either way each probe of the report is
+    # evaluated once, and only the probes of the checks are in the report
+    calls = _count_evaluations(monkeypatch)
+    for cert, eps, budget in (
+        (VerifierCert(LimitClaim(StepQ(), F(0), F(0)), LinearCapRule(F(1), F(1, 2)), ""),
+         default_eps_schedule(Field.Q, 24), 2),
+        (VerifierCert(LimitClaim(StepQ(), F(1), F(1)), ConstRule(F(1, 4)), ""),
+         default_eps_schedule(Field.Q, 24), 1),
+        (VerifierCert(LimitClaim(StepQX(), RF_ZERO, RF_ZERO), LinearCapRule(RF_ONE, RF_X), ""),
+         [RF_ONE, RF_X, rf_const(F(1, 2)) * RF_X, x_pow(2), x_pow(2), RF_X], 2),
+    ):
+        calls.clear()
+        rep = check_verifier(cert, eps, budget)
+        distinct = {r.w for r in rep.records}
+        assert len(calls) == len(rep.probes) == len(distinct) == len(set(calls))
+        assert {p.w for p in rep.probes} == distinct
+        assert len(rep.rows) == len({r.delta for r in rep.records})
+        assert [u.eps for u in rep.uses] == list(eps)
+        assert rep.checks == sum(len(rep.rows[u.row].probes) for u in rep.uses)
+
+
+def test_records_are_spelled_out_from_uses_rows_and_probes():
+    cert = VerifierCert(LimitClaim(StepQ(), F(0), F(1, 64)), LinearCapRule(F(1, 4), F(1)), "")
+    rep = check_verifier(cert, default_eps_schedule(Field.Q, 10), 1)
+    assert not rep.passed and any(r.ok for r in rep.records)
+    records = iter(rep.records)
+    for use in rep.uses:
+        delta, pairs = rep.rows[use.row]
+        assert len(pairs) == len(use.verdicts)
+        for (i, in_ball), ok in zip(pairs, use.verdicts):
+            r = next(records)
+            assert (r.kind, r.eps, r.delta, r.ok) == (use.kind, use.eps, delta, ok)
+            assert (r.w, r.fw, r.dist, r.sep) == rep.probes[i]
+            assert in_ball and ok == (r.dist < r.eps)
+    assert next(records, None) is None
+
+
+def test_probes_outside_the_punctured_ball_fail(monkeypatch):
+    # probe_gen keeps every probe inside its ball, so move some out: the
+    # point itself (sep = 0), the far edge (sep = delta) and beyond it
+    def with_outside(field, point, level):
+        inside = level_probes(field, point, level)
+        return inside[:2] + [point, point + 4 * pow2(-level), point - 8 * pow2(-level)] + inside[2:]
+
+    monkeypatch.setattr(claims, "level_probes", with_outside)
+    claim = LimitClaim(Constant(Field.Q, F(0)), F(0), F(0))
+    cert = VerifierCert(claim, ConstRule(F(1, 4)), "")
+    rep = check_verifier(cert, [F(1), F(1, 2)], 0)
+    assert not rep.passed
+    outside = [r for r in rep.records if not 0 < r.sep < r.delta]
+    assert outside and not any(r.ok for r in outside)
+    assert all(r.ok for r in rep.records if 0 < r.sep < r.delta)
+    _assert_matches_oracle(cert, [F(1), F(1, 2)], 1)
+
+    class Fixed:
+        """A witness rule that offers the point itself or the ball's edge."""
+
+        def __init__(self, scale):
+            self.scale = scale
+
+        def witness_for(self, delta):
+            return self.scale * delta
+
+    for scale in (0, 1, -1):
+        fals = FalsifierCert(LimitClaim(Constant(Field.Q, F(1)), F(0), F(0)), F(1, 2), Fixed(scale))
+        rep = check_falsifier(fals, [F(1), F(1, 8)])
+        assert rep.checks == 2 and not rep.passed
+        assert all(r.dist >= r.eps and not r.ok for r in rep.records)
+        _assert_matches_oracle(fals, [F(1), F(1, 8)])

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from ordfield.claims import default_delta_schedule, default_eps_schedule
 from ordfield.cli import main
 from ordfield.demos import MAX_MVT_POINTS, demo_dlim, demo_lhopital, demo_mvt, demo_taylor
 from ordfield.errors import DomainError, OrdFieldError, ResourceError
-from ordfield.fields import Field
+from ordfield.fields import Field, render_elem
 from ordfield.functions import fn_name, parse_fn
 from ordfield.literals import MAX_NESTING
 
@@ -336,3 +337,59 @@ def test_values_past_the_digit_limit_exit_2(argv, capsys):
     assert out == ""
     assert err.startswith("ordfield: ") and err.count("\n") == 1
     assert f"{sys.get_int_max_str_digits()}-digit limit" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("demo", "dlim", "--field", "q", "--delta-depth", "15000", "--eps-depth", "2"),
+        ("demo", "dlim", "--field", "q", "--eps-depth", "20000"),
+        ("demo", "dlim", "--field", "qx", "--eps-depth", "20000"),
+        ("demo", "mvt", "--eps-depth", "100000000"),
+    ],
+)
+def test_unprintable_schedules_are_refused_before_any_work(argv, capsys):
+    t0 = time.perf_counter()
+    assert main(list(argv)) == 2
+    assert time.perf_counter() - t0 < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("ordfield: schedule depth ") and err.count("\n") == 1
+    assert f"{sys.get_int_max_str_digits()}-digit limit" in err
+
+
+@pytest.mark.parametrize("kind", ["eps", "delta"])
+def test_claim_file_unprintable_schedule_exits_2(kind, tmp_path, capsys):
+    path = tmp_path / "deep.claim"
+    path.write_text(
+        "claim field=q fn=quotient(step_q,identity) point=0 candidate=0\n"
+        "cert kind=verifier rule=const(1)\n"
+        "cert kind=falsifier eps=1/2 witness=qstep(5/7)\n"
+        f"schedule kind={kind} depth=999999999\n",
+        encoding="utf-8",
+    )
+    t0 = time.perf_counter()
+    assert main(["claim", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert "schedule depth 999999999" in err
+
+
+def test_schedule_depth_boundary_at_the_digit_limit():
+    # at the default limit of 4,300 digits, 2^14284 is the deepest power
+    # of two that prints
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for build in (
+            lambda d: default_eps_schedule(Field.Q, d),
+            lambda d: default_eps_schedule(Field.QX, d),
+            lambda d: default_delta_schedule(Field.Q, d),
+        ):
+            deepest = build(14_284)[-1]
+            assert len(render_elem(deepest)) == len("1/") + 4300
+            with pytest.raises(ResourceError, match="4300-digit limit"):
+                build(14_285)
+    finally:
+        sys.set_int_max_str_digits(old)

@@ -358,6 +358,11 @@ CROSS_FACTOR_PAIRS = [
     (((1, 1), (6,)), ((-1, 1), (10,))),
     (((0, 1), (2,)), ((0, -1), (2,))),
     ((P2, (4,)), ((9,), Q2)),
+    # equal cross pairs, decided without the filter: d1 == d2 in a sum
+    # (one pair also divisible by x), n1 == d2 and n2 == d1 in a*(1/a)
+    (((1, 2), _pm(P2, Q2)), ((3, 0, 1), _pm(P2, Q2))),
+    (((1,), _pm(X, P2)), ((2, 1), _pm(X, P2))),
+    ((_pm(P2, Q2), _pm(S2, L1)), (_pm(S2, L1), _pm(P2, Q2))),
 ]
 
 

@@ -11,11 +11,15 @@ from ordfield.certs import (
     parse_rule,
     parse_witness,
 )
+from ordfield import transcript
 from ordfield.claims import (
     CheckRecord,
     FalsifierCert,
     LimitClaim,
+    Probe,
     RefereeReport,
+    Row,
+    Use,
     VerifierCert,
     check_falsifier,
     check_verifier,
@@ -91,7 +95,7 @@ def test_transcript_report_lines_recompute():
     rep = check_verifier(cert, default_eps_schedule(Field.Q, 4), 0)
     tr.add_report(rep)
     checks = [ln for ln in tr.lines if ln.startswith("check ")]
-    assert len(checks) == len(rep.records)
+    assert len(checks) == rep.checks == len(rep.records)
     # recompute one verdict from the serialized exact values
     kind, kv = parse_kv_line(checks[0])
     eps = parse_elem(Field.Q, kv["eps"])
@@ -155,31 +159,72 @@ def _check_lines(report: RefereeReport) -> list[str]:
     return [ln for ln in tr.lines if ln.startswith("check ")]
 
 
-def test_check_lines_match_kv_line():
-    # a pass, a fail and an undef record in each field, rendered by
-    # add_report and by the general record renderer
+def _report_cases():
+    """(report, its records) with pass, fail and undef checks in each field:
+    in Q two epsilons share a row and two rows share a probe; in Q(x) each
+    falsifier row has its own probe."""
     q_claim = LimitClaim(StepQ(), F(0), F(0))
     qx_claim = LimitClaim(Quotient(Identity(Field.QX), Identity(Field.QX)), RF_ZERO, RF_ONE)
     half, w = rf_const(F(1, 2)), x_pow(2) * rf_const(F(-3, 7)) / (RF_ONE + RF_X)
-    cases = [
+    q = (
+        Probe(F(5, 112), F(1, 32), F(1, 32), F(5, 112)),
+        Probe(F(-7, 5), F(1), F(1), F(7, 5)),
+        Probe(F(0), None, None, F(0)),
+    )
+    qx = (
+        Probe(w, RF_ONE, RF_ZERO, -w),
+        Probe(-RF_X, RF_ONE + RF_X, RF_X, RF_X),
+        Probe(RF_ZERO, None, None, RF_ZERO),
+    )
+    v, f = "verifier", "falsifier"
+    return [
         (
-            VerifierCert(q_claim, LinearCapRule(F(1), F(1, 2)), ""),
+            RefereeReport(
+                VerifierCert(q_claim, LinearCapRule(F(1), F(1, 2)), ""),
+                "evidence",
+                q,
+                (Row(F(1, 8), ((0, True), (1, False))), Row(F(1, 2), ((2, False), (1, False)))),
+                (
+                    Use(v, F(1, 4), 0, (True, False)),
+                    Use(v, F(1, 64), 0, (False, False)),
+                    Use(v, F(1), 1, (False, False)),
+                ),
+            ),
             [
-                CheckRecord("verifier", F(1, 4), F(1, 8), F(5, 112), F(1, 32), F(1, 32), F(5, 112), True),
-                CheckRecord("verifier", F(1, 64), F(1, 8), F(-7, 5), F(1), F(1), F(7, 5), False),
-                CheckRecord("verifier", F(1), F(1, 2), F(0), None, None, F(0), False),
+                CheckRecord(v, F(1, 4), F(1, 8), *q[0], True),
+                CheckRecord(v, F(1, 4), F(1, 8), *q[1], False),
+                CheckRecord(v, F(1, 64), F(1, 8), *q[0], False),
+                CheckRecord(v, F(1, 64), F(1, 8), *q[1], False),
+                CheckRecord(v, F(1), F(1, 2), *q[2], False),
+                CheckRecord(v, F(1), F(1, 2), *q[1], False),
             ],
         ),
         (
-            FalsifierCert(qx_claim, RF_X, QXStepProbe(RF_ONE, -1)),
+            RefereeReport(
+                FalsifierCert(qx_claim, RF_X, QXStepProbe(RF_ONE, -1)),
+                "refutation-instances",
+                qx,
+                (Row(half, ((0, False),)), Row(half, ((1, True),)), Row(x_pow(3), ((2, False),))),
+                (
+                    Use(f, RF_X, 0, (False,)),
+                    Use(f, x_pow(-1), 1, (True,)),
+                    Use(f, RF_X, 2, (False,)),
+                ),
+            ),
             [
-                CheckRecord("falsifier", RF_X, half, w, RF_ONE, RF_ZERO, -w, False),
-                CheckRecord("falsifier", x_pow(-1), half, -RF_X, RF_ONE + RF_X, RF_X, RF_X, True),
-                CheckRecord("falsifier", RF_X, x_pow(3), RF_ZERO, None, None, RF_ZERO, False),
+                CheckRecord(f, RF_X, half, *qx[0], False),
+                CheckRecord(f, x_pow(-1), half, *qx[1], True),
+                CheckRecord(f, RF_X, x_pow(3), *qx[2], False),
             ],
         ),
     ]
-    for cert, records in cases:
+
+
+def test_check_lines_match_kv_line():
+    # a pass, a fail and an undef record in each field, rendered by
+    # add_report and by the general record renderer
+    for report, records in _report_cases():
+        assert report.records == tuple(records)
         want = [
             kv_line(
                 "check",
@@ -197,12 +242,37 @@ def test_check_lines_match_kv_line():
             )
             for r in records
         ]
-        assert _check_lines(RefereeReport(cert, "evidence", tuple(records))) == want
+        assert _check_lines(report) == want
     assert "fw=undef dist=undef" in want[2] and want[0].endswith("verdict=fail")
+
+
+def test_each_probe_row_and_epsilon_is_rendered_once(monkeypatch):
+    tails, rendered = [], []
+    probe_tail, render = transcript._probe_tail, transcript.render_elem
+    monkeypatch.setattr(transcript, "_probe_tail", lambda p: tails.append(p) or probe_tail(p))
+    monkeypatch.setattr(transcript, "render_elem", lambda e: rendered.append(e) or render(e))
+    cert = VerifierCert(LimitClaim(StepQ(), F(1), F(1)), ConstRule(F(1, 4)), "")
+    for report in [r for r, _ in _report_cases()] + [
+        check_verifier(cert, default_eps_schedule(Field.Q, 8), 1),
+        check_falsifier(
+            FalsifierCert(LimitClaim(StepQ(), F(0), F(1)), F(1, 2), QStepProbe(F(5, 7))),
+            [F(1), F(1, 2), F(1, 2)],
+        ),
+    ]:
+        tails.clear()
+        rendered.clear()
+        lines = transcript._check_lines(1, report)
+        assert len(lines) == report.checks == len(report.records)
+        assert tails == list(report.probes)
+        values = sum(4 if p.fw is not None else 2 for p in report.probes)
+        assert len(rendered) == values + len(report.rows) + len(report.uses)
 
 
 def test_check_line_refuses_a_value_with_a_space():
     cert = VerifierCert(LimitClaim(StepQ(), F(0), F(0)), ConstRule(F(1)), "")
-    rec = CheckRecord("ver ifier", F(1), F(1), F(1, 2), F(1, 2), F(1, 2), F(1, 2), True)
+    probe = Probe(F(1, 2), F(1, 2), F(1, 2), F(1, 2))
+    report = RefereeReport(
+        cert, "evidence", (probe,), (Row(F(1), ((0, True),)),), (Use("ver ifier", F(1), 0, (True,)),)
+    )
     with pytest.raises(ValueError):
-        _check_lines(RefereeReport(cert, "evidence", (rec,)))
+        _check_lines(report)
