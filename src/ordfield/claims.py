@@ -122,9 +122,9 @@ class RefereeReport:
 
     cert: VerifierCert | FalsifierCert
     tag: str  # "evidence" | "refutation-instances"
-    probes: tuple[Probe, ...] = ()
-    rows: tuple[Row, ...] = ()
-    uses: tuple[Use, ...] = ()
+    probes: tuple[Probe, ...]
+    rows: tuple[Row, ...]
+    uses: tuple[Use, ...]
 
     @property
     def checks(self) -> int:

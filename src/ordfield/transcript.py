@@ -168,16 +168,14 @@ def _check_lines(cid: int, report: RefereeReport) -> list[str]:
     """The `check` records of report, one per (use, probe of its row): the
     bytes kv_line("check", ...) gives for the fields claim, kind, eps,
     delta, w, fw, dist, sep, verdict.  Each probe's w-fw-dist-sep tail and
-    each row's delta are rendered once, and each use's head once."""
+    each row's delta are rendered once, and each use's eps once."""
     tails = [_probe_tail(p) for p in report.probes]
-    rows = []
-    for delta, pairs in report.rows:
-        d = _guard(" delta=" + render_elem(delta), 1)
-        rows.append([d + tails[i] for i, _ in pairs])
+    deltas = [_guard(" delta=" + render_elem(delta), 1) for delta, _ in report.rows]
     lines = []
     for kind, eps, ri, verdicts in report.uses:
-        head = _guard(f"check claim={cid} kind={kind} eps={render_elem(eps)}", 3)
-        lines.extend([head + s + _VERDICT[ok] for s, ok in zip(rows[ri], verdicts)])
+        head = _guard(f"check claim={cid} kind={kind} eps={render_elem(eps)}", 3) + deltas[ri]
+        pairs = report.rows[ri].probes
+        lines.extend([head + tails[i] + _VERDICT[ok] for (i, _), ok in zip(pairs, verdicts)])
     return lines
 
 
