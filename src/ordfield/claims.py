@@ -68,8 +68,7 @@ class FalsifierCert:
     witness: WitnessRule
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     """One exact referee check; the verdict is recomputable from the claim
     plus these values alone."""
 
