@@ -393,3 +393,71 @@ def test_schedule_depth_boundary_at_the_digit_limit():
                 build(14_285)
     finally:
         sys.set_int_max_str_digits(old)
+
+
+_PRECEDENCE_CLAIM = (
+    "claim field=q fn=step_q point=0 candidate=0\n"
+    "cert kind=verifier rule=linear_cap(1,1/2)\n"
+)
+
+
+def _check_lines(out: str) -> list[str]:
+    return [ln for ln in out.splitlines() if ln.startswith("check ")]
+
+
+def test_claim_file_schedule_precedence(tmp_path, capsys):
+    # schedules are file-global: a values= record beats a depth= record of
+    # the same kind wherever it stands (2 epsilons x 24 probes = 48 checks;
+    # depth=3 would give 4 epsilons and 96)
+    values, depth = "schedule kind=eps values=1/2,1/4\n", "schedule kind=eps depth=3\n"
+    path = tmp_path / "precedence.claim"
+    for records in (values + depth, depth + values):
+        path.write_text(_PRECEDENCE_CLAIM + records, encoding="utf-8")
+        assert main(["claim", str(path)]) == 0
+        checks = _check_lines(capsys.readouterr().out)
+        assert len(checks) == 48, records
+        assert {ln.split()[3] for ln in checks} == {"eps=1/2", "eps=1/4"}
+    # of two depth= records of one kind the last wins: depth 1 is 1 and 1/2
+    path.write_text(
+        _PRECEDENCE_CLAIM + "schedule kind=eps depth=5\nschedule kind=eps depth=1\n",
+        encoding="utf-8",
+    )
+    assert main(["claim", str(path)]) == 0
+    checks = _check_lines(capsys.readouterr().out)
+    assert len(checks) == 48
+    assert {ln.split()[3] for ln in checks} == {"eps=1", "eps=1/2"}
+
+
+def test_claim_file_default_schedules(tmp_path, capsys):
+    # a kind with no schedule record: eps depth 128 in either field, delta
+    # depth 512 in q and 64 in qx
+    path = tmp_path / "defaults.claim"
+    path.write_text(
+        _PRECEDENCE_CLAIM
+        + "claim field=q fn=diffq(step_q,0) point=0 candidate=0\n"
+        "cert kind=falsifier eps=1/2 witness=qstep(5/7)\n"
+        "claim field=qx fn=step_qx point=0 candidate=0\n"
+        "cert kind=verifier rule=linear_cap(1,x)\n"
+        "claim field=qx fn=diffq(step_qx,0) point=0 candidate=0\n"
+        "cert kind=falsifier eps=x witness=qxstep(1,+)\n",
+        encoding="utf-8",
+    )
+    assert main(["claim", str(path)]) == 0
+    checks = _check_lines(capsys.readouterr().out)
+
+    def column(claim: int, key: str) -> list[str]:
+        # the key= values of one claim's checks, in order, without repeats
+        vals = [
+            kv.split("=", 1)[1]
+            for ln in checks
+            if ln.startswith(f"check claim={claim} ")
+            for kv in ln.split()
+            if kv.startswith(key + "=")
+        ]
+        return list(dict.fromkeys(vals))
+
+    assert column(1, "eps") == [render_elem(e) for e in default_eps_schedule(Field.Q, 128)]
+    assert column(2, "delta") == [render_elem(d) for d in default_delta_schedule(Field.Q, 512)]
+    assert column(3, "eps") == [render_elem(e) for e in default_eps_schedule(Field.QX, 128)]
+    assert column(4, "delta") == [render_elem(d) for d in default_delta_schedule(Field.QX, 64)]
+    assert len(column(2, "delta")) == 513 and len(column(4, "delta")) == 130
