@@ -143,6 +143,16 @@ class RefereeReport:
         return tuple(out)
 
 
+@dataclass(frozen=True)
+class Check:
+    """Referee one certificate: a verifier on an epsilon schedule with a
+    probe budget, or a falsifier on a delta schedule."""
+
+    cert: VerifierCert | FalsifierCert
+    schedule: list
+    budget: int = DEFAULT_PROBE_BUDGET
+
+
 def derivative_claim(fn: FieldFn, a, d) -> LimitClaim:
     """The claim f'(a) = d, phrased as lim_{h->0} (f(a+h)-f(a))/h = d."""
     return LimitClaim(DiffQuotient(fn, a), field_zero(fn_field(fn)), d)

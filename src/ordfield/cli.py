@@ -12,27 +12,21 @@ PATH is given; identical invocations produce byte-identical transcripts.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 
-from .claims import FalsifierCert, default_delta_schedule, default_eps_schedule
-from .demos import Check, demo_dlim, demo_lhopital, demo_mvt, demo_taylor, run
+from . import demos
 from .errors import DomainError, OrdFieldError, ParseError
 from .fields import Field, render_elem, sign_of
 from .laurent import RatFunc, valuation
 from .literals import parse_elem
-from .transcript import ClaimFile, Transcript, VERSION, parse_claim_file
+from .transcript import Transcript, VERSION, parse_claim_file
 
 USAGE_ERROR = 2
 
-# the demo flags (argparse dests) each demo takes, as keyword arguments
-DEMO_FLAGS = {
-    "dlim": ("field", "eps_depth", "delta_depth"),
-    "mvt": ("points", "seed", "eps_depth"),
-    "lhopital": ("candidate", "eps_depth", "delta_depth"),
-    "taylor": ("n", "candidate", "eps_depth", "delta_depth"),
-}
-_ALL_DEMO_FLAGS = tuple(dict.fromkeys(k for flags in DEMO_FLAGS.values() for k in flags))
+# the arguments of `demo` that are not demo flags
+_NOT_DEMO_FLAGS = ("command", "name", "transcript")
 
 
 def _field_arg(s: str) -> Field:
@@ -48,8 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     demo = sub.add_parser("demo", help="run a counterexample demonstration")
-    demo.add_argument("name", choices=list(DEMO_FLAGS))
-    # a flag left out takes the demo's own default
+    demo.add_argument("name", choices=demos.DEMOS)
+    # a demo takes the flags named in its signature; a flag left out takes
+    # the demo's own default
     demo.add_argument("--field", type=_field_arg, help="q or qx (dlim only)")
     demo.add_argument("--eps-depth", type=int, help="verifier schedule depth")
     demo.add_argument("--delta-depth", type=int, help="falsifier schedule depth (not mvt)")
@@ -69,27 +64,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit(transcript: Transcript, path: str | None) -> None:
-    text = transcript.render()
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _run_demo(args) -> int:
-    given = {k: v for k in _ALL_DEMO_FLAGS if (v := getattr(args, k)) is not None}
-    refused = [k for k in given if k not in DEMO_FLAGS[args.name]]
+def _run_demo(args) -> tuple[int, Transcript]:
+    # looked up when the command runs, so a rebound demo_<name> is the one run
+    demo = getattr(demos, f"demo_{args.name}")
+    takes = inspect.signature(demo).parameters
+    given = {k: v for k, v in vars(args).items() if k not in _NOT_DEMO_FLAGS and v is not None}
+    refused = [k for k in given if k not in takes]
     if refused:
         flags = ", ".join("--" + k.replace("_", "-") for k in refused)
         raise DomainError(f"demo {args.name} does not take {flags}")
     if "candidate" in given:
         given["candidate"] = parse_elem(Field.Q, given["candidate"])
-    demo = {"dlim": demo_dlim, "mvt": demo_mvt, "lhopital": demo_lhopital, "taylor": demo_taylor}
-    code, tr = demo[args.name](**given)
-    _emit(tr, args.transcript)
-    return code
+    return demo(**given)
 
 
 def _run_eval(args) -> int:
@@ -101,22 +87,7 @@ def _run_eval(args) -> int:
     return 0
 
 
-def _claim_schedule(contents: ClaimFile, cert) -> list:
-    """The file's schedule for cert, with values= parsed in the field of
-    cert's own claim."""
-    fld = cert.claim.field
-    if isinstance(cert, FalsifierCert):
-        values = contents.delta_values
-        if values is None:
-            return default_delta_schedule(fld, contents.delta_depth)
-    else:
-        values = contents.eps_values
-        if values is None:
-            return default_eps_schedule(fld, contents.eps_depth)
-    return [parse_elem(fld, v) for v in values.split(",")]
-
-
-def _run_claim(args) -> int:
+def _run_claim(args) -> tuple[int, Transcript]:
     try:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
@@ -124,24 +95,24 @@ def _run_claim(args) -> int:
         raise ParseError(
             f"claim file {args.file} is not UTF-8 text (byte {exc.start}: {exc.reason})"
         ) from None
-    contents = parse_claim_file(text)
-    tr = Transcript()
-    tr.header([("demo", "claim-file")])
-    steps = [Check(cert, _claim_schedule(contents, cert)) for cert in contents.certs]
-    code = run(tr, "claim-file", steps)
-    _emit(tr, args.transcript)
-    return code
+    return demos.run("claim-file", [], parse_claim_file(text))
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if args.command == "demo":
-            return _run_demo(args)
         if args.command == "eval":
             return _run_eval(args)
-        return _run_claim(args)
+        run_command = _run_demo if args.command == "demo" else _run_claim
+        code, tr = run_command(args)
+        text = tr.render()
+        if args.transcript is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.transcript, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        return code
     except OrdFieldError as exc:
         print(f"ordfield: {exc}", file=sys.stderr)
         return USAGE_ERROR

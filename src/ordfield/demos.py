@@ -2,13 +2,16 @@
 runs demos and claim files alike.
 
 Each demo is a generator of steps: certificates with their schedules and
-plain records.  `run` referees every step and returns an exit code; the
-demo returns that code plus the full transcript.  Exit 0 means the
+plain records.  `run` referees every step into a fresh transcript and
+returns it with an exit code; the demo returns both.  Exit 0 means the
 expected pattern was observed: hypothesis certificates verified (evidence)
 and the conclusion claim refuted (exact refutation instances at every
 challenged delta) — i.e. the incompleteness phenomenon was exhibited.  Any
 unexpected verdict yields exit 1 with the offending record in the
 transcript.
+
+`DEMOS` names the demos in definition order.  Demo `name` is the function
+`demo_<name>`, and its keyword parameters are the flags it takes.
 """
 
 from __future__ import annotations
@@ -20,7 +23,11 @@ from fractions import Fraction
 
 from .certs import ConstRule, LinearCapRule, QStepProbe, QXStepProbe, TwoSided
 from .claims import (
+    DEFAULT_DELTA_DEPTH_Q,
+    DEFAULT_DELTA_DEPTH_QX,
+    DEFAULT_EPS_DEPTH,
     DEFAULT_PROBE_BUDGET,
+    Check,
     FalsifierCert,
     LimitClaim,
     VerifierCert,
@@ -51,21 +58,13 @@ from .transcript import Transcript
 
 SAMPLE_EPS_DEPTH = 16
 SAMPLE_PROBE_BUDGET = 1
+MVT_PROBE_BUDGET = 0
+DEMOS: list[str] = []  # the demo names in definition order, added by _demo
 
 # The distinct rationals in (1, 2) with a denominator below 400: the pool
 # the mvt demo tops its interior points up from.  A larger count could
 # never be reached, so it is refused instead of sampled forever.
 MAX_MVT_POINTS = 48_517
-
-
-@dataclass(frozen=True)
-class Check:
-    """Referee one certificate: a verifier on an epsilon schedule with a
-    probe budget, or a falsifier on a delta schedule."""
-
-    cert: VerifierCert | FalsifierCert
-    schedule: list
-    budget: int = DEFAULT_PROBE_BUDGET
 
 
 @dataclass(frozen=True)
@@ -78,12 +77,15 @@ class Record:
     outcome: bool | None = None
 
 
-def run(tr: Transcript, name: str, steps) -> int:
-    """Add the records and reports of every step to tr in order, then the
-    summary line; returns the exit code, 0 when every report and outcome
-    passed, else 1.  Every step runs, so each failing record is in the
-    transcript."""
+def run(name: str, header: list, steps) -> tuple[int, Transcript]:
+    """A transcript of the header line, the records and reports of every
+    step in order, and the summary line, with its exit code: 0 when every
+    report and outcome passed, else 1.  Every step runs, so each failing
+    record is in the transcript."""
+    tr = Transcript()
+    tr.header([("demo", name)] + header)
     verdict = True
+    checks = 0
     for step in steps:
         if isinstance(step, Record):
             tr.add(step.kind, step.pairs)
@@ -94,26 +96,26 @@ def run(tr: Transcript, name: str, steps) -> int:
             else:
                 report = check_verifier(step.cert, step.schedule, step.budget)
             tr.add_report(report)
+            checks += report.checks
             ok = report.passed
         verdict = verdict and ok
     code = 0 if verdict else 1
-    tr.summary(name, code, verdict)
-    return code
+    tr.summary(name, checks, code, verdict)
+    return code, tr
 
 
 def _demo(make_steps):
     """Make a demo out of a generator function that first yields the
-    demo's header pairs and then its steps.  The demo takes the same
-    arguments, runs the steps and returns (exit code, transcript); its
-    name in the transcript is the function's name without `demo_`."""
+    demo's header pairs and then its steps, and add its name, the
+    function's name without `demo_`, to DEMOS.  The demo takes the same
+    arguments, runs the steps and returns (exit code, transcript)."""
     name = make_steps.__name__.removeprefix("demo_")
+    DEMOS.append(name)
 
     @functools.wraps(make_steps)
     def demo(*args, **kwargs) -> tuple[int, Transcript]:
         steps = make_steps(*args, **kwargs)
-        tr = Transcript()
-        tr.header([("demo", name)] + next(steps))
-        return run(tr, name, steps), tr
+        return run(name, next(steps), steps)
 
     return demo
 
@@ -153,20 +155,19 @@ def _derivative_checks(fn, points, eps_schedule, budget: int = SAMPLE_PROBE_BUDG
 @_demo
 def demo_dlim(
     field: Field = Field.Q,
-    eps_depth: int = 128,
+    eps_depth: int = DEFAULT_EPS_DEPTH,
     delta_depth: int | None = None,
-    probe_budget: int = 2,
 ):
     """Limit of Derivatives Property fails: lim f = 0 = f(0) and
     lim f' = 0 verify, while lim f(t)/t = 0 (the value the property would
     force) is refuted at every challenged delta."""
     if delta_depth is None:
-        delta_depth = 512 if field is Field.Q else 64
+        delta_depth = DEFAULT_DELTA_DEPTH_Q if field is Field.Q else DEFAULT_DELTA_DEPTH_QX
     yield [
         ("field", field),
         ("eps-depth", eps_depth),
         ("delta-depth", delta_depth),
-        ("probe-budget", probe_budget),
+        ("probe-budget", DEFAULT_PROBE_BUDGET),
         ("sample-eps-depth", SAMPLE_EPS_DEPTH),
     ]
     eps_full = default_eps_schedule(field, eps_depth)
@@ -188,7 +189,7 @@ def demo_dlim(
         refute_eps, witness = RF_X, QXStepProbe(RF_ONE, 1)
 
     # (i) continuity at 0: lim f(t) = 0 = f(0)
-    yield Check(VerifierCert(LimitClaim(f, zero, zero), env_rule, env_note), eps_full, probe_budget)
+    yield Check(VerifierCert(LimitClaim(f, zero, zero), env_rule, env_note), eps_full)
     # (ii) f'(t) = 0 at sampled t != 0, and lim f'(t) = 0
     yield from _derivative_checks(f, samples, eps_short)
     yield Check(
@@ -199,7 +200,6 @@ def demo_dlim(
             "see the sampled difference-quotient certificates",
         ),
         eps_full,
-        probe_budget,
     )
     # (iii) but f'(0), i.e. lim f(t)/t, is not 0
     yield Check(FalsifierCert(derivative_claim(f, zero, zero), refute_eps, witness), deltas)
@@ -233,7 +233,6 @@ def demo_mvt(
     points: int = 100,
     seed: int = 0,
     eps_depth: int = 12,
-    probe_budget: int = 0,
 ):
     """Mean Value Theorem fails on [1, 2] for the indicator of the cut set
     {q : q < 0 or q^2 < 2}: f(2) - f(1) = -1 although every interior point
@@ -247,7 +246,7 @@ def demo_mvt(
     yield [
         ("field", Field.Q),
         ("eps-depth", eps_depth),
-        ("probe-budget", probe_budget),
+        ("probe-budget", MVT_PROBE_BUDGET),
         ("points", points),
         ("seed", seed),
     ]
@@ -298,17 +297,16 @@ def demo_mvt(
                 "constant on this side of sqrt(2)",
             ),
             eps_schedule,
-            probe_budget,
+            MVT_PROBE_BUDGET,
         )
-        yield from _derivative_checks(ind, [c], eps_schedule, probe_budget)
+        yield from _derivative_checks(ind, [c], eps_schedule, MVT_PROBE_BUDGET)
 
 
 @_demo
 def demo_lhopital(
     candidate: Fraction | None = None,
-    eps_depth: int = 128,
-    delta_depth: int = 512,
-    probe_budget: int = 2,
+    eps_depth: int = DEFAULT_EPS_DEPTH,
+    delta_depth: int = DEFAULT_DELTA_DEPTH_Q,
 ):
     """Classical (punctured-neighborhood) L'Hopital fails for
     (f, g) = (StepQ, Identity): all hypotheses verify, yet lim f/g = 0 is
@@ -318,7 +316,7 @@ def demo_lhopital(
         ("field", Field.Q),
         ("eps-depth", eps_depth),
         ("delta-depth", delta_depth),
-        ("probe-budget", probe_budget),
+        ("probe-budget", DEFAULT_PROBE_BUDGET),
         ("sample-eps-depth", SAMPLE_EPS_DEPTH),
         ("candidate", candidate if candidate is not None else "0"),
     ]
@@ -336,7 +334,6 @@ def demo_lhopital(
             "envelope |f(t)| < 2|t|",
         ),
         eps_full,
-        probe_budget,
     )
     yield Check(
         VerifierCert(
@@ -345,7 +342,6 @@ def demo_lhopital(
             "identity map",
         ),
         eps_full,
-        probe_budget,
     )
     # hypotheses: f' = 0 and g' = 1 on the punctured line (sampled), so f'/g' = 0
     yield from _derivative_checks(f, _Q_SAMPLES, eps_short)
@@ -357,7 +353,6 @@ def demo_lhopital(
             "f'/g' = 0/1 identically off 0; see the sampled certificates",
         ),
         eps_full,
-        probe_budget,
     )
     # conclusion refuted: lim f(t)/g(t) is not 0
     conclusion = Quotient(f, g)
@@ -393,7 +388,6 @@ def demo_lhopital(
                 f"pointwise form conclusion for the smooth pair (t^{power}, t)",
             ),
             eps_full,
-            probe_budget,
         )
 
 
@@ -401,9 +395,8 @@ def demo_lhopital(
 def demo_taylor(
     n: int = 2,
     candidate: Fraction | None = None,
-    eps_depth: int = 128,
-    delta_depth: int = 512,
-    probe_budget: int = 2,
+    eps_depth: int = DEFAULT_EPS_DEPTH,
+    delta_depth: int = DEFAULT_DELTA_DEPTH_Q,
 ):
     """Taylor's Theorem with Peano Remainder fails at order n >= 2 for the
     outer-square step function F: every derivative of F at 0 exists and is
@@ -420,7 +413,7 @@ def demo_taylor(
         ("n", n),
         ("eps-depth", eps_depth),
         ("delta-depth", delta_depth),
-        ("probe-budget", probe_budget),
+        ("probe-budget", DEFAULT_PROBE_BUDGET),
         ("sample-eps-depth", SAMPLE_EPS_DEPTH),
         ("candidate", candidate if candidate is not None else "0"),
     ]
@@ -438,10 +431,9 @@ def demo_taylor(
             "|F(t)| <= (8/9)t^2 < |t| for |t| <= 1",
         ),
         eps_full,
-        probe_budget,
     )
     # k = 1: F'(0) = 0
-    yield from _derivative_checks(F, [zero], eps_full, probe_budget)
+    yield from _derivative_checks(F, [zero], eps_full, DEFAULT_PROBE_BUDGET)
     # k = 2..n: F^(k-1) = 0 identically, so F^(k)(0) = 0
     for k in range(2, n + 1):
         yield Check(
@@ -451,7 +443,6 @@ def demo_taylor(
                 f"k={k}: F^({k - 1}) vanishes identically, difference quotient is 0",
             ),
             eps_full,
-            probe_budget,
         )
     # F' = 0 at sampled t != 0 (local constancy certificates)
     samples = [

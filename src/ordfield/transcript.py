@@ -3,8 +3,9 @@
 One exact check per line, every number in exact textual form, no
 timestamps anywhere: identical invocations produce byte-identical
 transcripts, and every verdict can be recomputed from its own line plus
-the claim line it references.  The same record syntax is used for claim
-files fed to `ordfield claim`.
+the claim line it references.  Claim files fed to `ordfield claim` use
+the same record syntax plus `schedule` records; `parse_claim_file` turns
+one into the `Check` steps that `demos.run` referees, schedules built.
 
 Record kinds:
 
@@ -22,16 +23,18 @@ Record kinds:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
 
 from .certs import parse_rule, parse_witness
 from .claims import (
     DEFAULT_EPS_DEPTH,
+    Check,
     FalsifierCert,
     LimitClaim,
     Probe,
     RefereeReport,
     VerifierCert,
+    default_delta_schedule,
+    default_eps_schedule,
 )
 from .errors import ParseError
 from .fields import Field, render_elem
@@ -144,8 +147,7 @@ class Transcript:
             ],
         )
 
-    def summary(self, demo: str, exit_code: int, verdict: bool) -> None:
-        checks = sum(1 for ln in self.lines if ln.startswith("check "))
+    def summary(self, demo: str, checks: int, exit_code: int, verdict: bool) -> None:
         self.add(
             "summary",
             [
@@ -197,21 +199,16 @@ def _guard(piece: str, spaces: int) -> str:
     return piece
 
 
-@dataclass
-class ClaimFile:
-    """Parsed contents of an `ordfield claim` input file."""
-
-    certs: list[VerifierCert | FalsifierCert] = dc_field(default_factory=list)
-    eps_depth: int = DEFAULT_EPS_DEPTH
-    delta_depth: int | None = None
-    # schedules are file-global; values= is kept as text and parsed in
-    # the field of each claim that uses it
-    eps_values: str | None = None
-    delta_values: str | None = None
-
-
-def parse_claim_file(text: str) -> ClaimFile:
-    out = ClaimFile()
+def parse_claim_file(text: str) -> list[Check]:
+    """The certificates of a claim file as Check steps, in file order, each
+    on the file's schedule of its kind (eps for a verifier, delta for a
+    falsifier) built in the field of its own claim.  Schedule records are
+    file-global: `values=` beats `depth=` of the same kind wherever it
+    stands, of two records of one form the last wins, and a kind with
+    neither takes the default depth."""
+    certs: list[tuple[str, VerifierCert | FalsifierCert]] = []  # (schedule kind, cert)
+    depths: dict[str, int] = {}
+    values: dict[str, str] = {}  # kept as text, parsed in each claim's field
     current: LimitClaim | None = None
     fld: Field | None = None
     for raw in text.splitlines():
@@ -234,15 +231,14 @@ def parse_claim_file(text: str) -> ClaimFile:
             ckind = _need(kv, "kind", line)
             if ckind == "verifier":
                 rule = parse_rule(_need(kv, "rule", line), parse_value)
-                out.certs.append(VerifierCert(current, rule, kv.get("note", "")))
+                certs.append(("eps", VerifierCert(current, rule, kv.get("note", ""))))
             elif ckind == "falsifier":
-                out.certs.append(
-                    FalsifierCert(
-                        current,
-                        parse_value(_need(kv, "eps", line)),
-                        parse_witness(_need(kv, "witness", line), parse_value),
-                    )
+                cert = FalsifierCert(
+                    current,
+                    parse_value(_need(kv, "eps", line)),
+                    parse_witness(_need(kv, "witness", line), parse_value),
                 )
+                certs.append(("delta", cert))
             else:
                 raise ParseError(f"unknown cert kind {ckind!r}")
         elif kind == "schedule":
@@ -252,23 +248,25 @@ def parse_claim_file(text: str) -> ClaimFile:
             if skind not in ("eps", "delta"):
                 raise ParseError(f"unknown schedule kind {skind!r}")
             if "depth" in kv:
-                depth = parse_int(kv["depth"])
-                if skind == "eps":
-                    out.eps_depth = depth
-                else:
-                    out.delta_depth = depth
+                depths[skind] = parse_int(kv["depth"])
             elif "values" in kv:
-                if skind == "eps":
-                    out.eps_values = kv["values"]
-                else:
-                    out.delta_values = kv["values"]
+                values[skind] = kv["values"]
             else:
                 raise ParseError("schedule record needs depth= or values=")
         else:
             raise ParseError(f"unknown record kind {kind!r}")
-    if not out.certs:
+    if not certs:
         raise ParseError("claim file contains no certificates")
-    return out
+    return [Check(cert, _schedule(skind, cert.claim.field, depths, values)) for skind, cert in certs]
+
+
+def _schedule(skind: str, fld: Field, depths: dict[str, int], values: dict[str, str]) -> list:
+    """The file's schedule of kind skind, in field fld."""
+    if skind in values:
+        return [parse_elem(fld, v) for v in values[skind].split(",")]
+    if skind == "eps":
+        return default_eps_schedule(fld, depths.get("eps", DEFAULT_EPS_DEPTH))
+    return default_delta_schedule(fld, depths.get("delta"))
 
 
 def _field_of(kv: dict[str, str]) -> Field:

@@ -12,6 +12,7 @@ from ordfield.certs import (
 )
 from ordfield import claims
 from ordfield.claims import (
+    Check,
     FalsifierCert,
     LimitClaim,
     VerifierCert,
@@ -26,7 +27,7 @@ from ordfield.claims import (
 )
 from ordfield.errors import DomainError
 from ordfield.fields import Field
-from ordfield.demos import Check, demo_dlim, demo_lhopital, demo_mvt, demo_taylor
+from ordfield.demos import demo_dlim, demo_lhopital, demo_mvt, demo_taylor
 from ordfield.functions import (
     Constant,
     DiffQuotient,

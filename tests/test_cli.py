@@ -1,3 +1,4 @@
+import argparse
 import subprocess
 import sys
 import time
@@ -7,12 +8,14 @@ from pathlib import Path
 import pytest
 
 from ordfield.claims import default_delta_schedule, default_eps_schedule
-from ordfield.cli import main
+from ordfield import demos
+from ordfield.cli import build_parser, main
 from ordfield.demos import MAX_MVT_POINTS, demo_dlim, demo_lhopital, demo_mvt, demo_taylor
 from ordfield.errors import DomainError, OrdFieldError, ResourceError
 from ordfield.fields import Field, render_elem
 from ordfield.functions import fn_name, parse_fn
 from ordfield.literals import MAX_NESTING
+from ordfield.transcript import Transcript
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "ordfield" / "fixtures"
 
@@ -176,6 +179,54 @@ def test_demo_refuses_flags_it_does_not_take(capsys):
         assert captured.out == ""
         for flag in flags:
             assert flag in captured.err, (argv, flag)
+    # the refused flags are named in one fixed order, not in argv order
+    assert main(["demo", "mvt", "--delta-depth", "5", "--candidate", "3", "--field", "qx",
+                 "--n", "4"]) == 2
+    assert capsys.readouterr().err == (
+        "ordfield: demo mvt does not take --field, --delta-depth, --candidate, --n\n"
+    )
+
+
+# the flags (argparse dests) each demo takes
+DEMO_FLAGS = {
+    "dlim": ("field", "eps_depth", "delta_depth"),
+    "mvt": ("points", "seed", "eps_depth"),
+    "lhopital": ("candidate", "eps_depth", "delta_depth"),
+    "taylor": ("n", "candidate", "eps_depth", "delta_depth"),
+}
+FLAG_ARGS = {
+    "field": "q", "eps_depth": "2", "delta_depth": "2", "points": "3", "seed": "1",
+    "candidate": "1", "n": "2",
+}
+
+
+def test_demo_registry_is_the_cli_surface(monkeypatch, capsys):
+    # the demo choices, in definition order
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    name_arg = next(a for a in sub.choices["demo"]._actions if a.dest == "name")
+    assert list(name_arg.choices) == ["dlim", "mvt", "lhopital", "taylor"]
+    # each demo takes exactly its flags: run it with one flag at a time,
+    # its steps cut short after the header
+    monkeypatch.setattr(demos, "run", lambda name, header, steps: (0, Transcript()))
+    for name, flags in DEMO_FLAGS.items():
+        for flag, value in FLAG_ARGS.items():
+            code = main(["demo", name, "--" + flag.replace("_", "-"), value])
+            err = capsys.readouterr().err
+            assert code == (0 if flag in flags else 2), (name, flag, err)
+    monkeypatch.undo()
+    # the command looks its demo up when it runs, so a traced run sees it
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import spans
+
+    tracer = spans.Tracer()
+    saved = spans.install(tracer)
+    try:
+        assert main(["demo", "mvt", "--points", "2", "--eps-depth", "1"]) == 0
+    finally:
+        spans.uninstall(saved)
+    calls, self_ns = tracer.stats["demos.demo_mvt"][:2]
+    assert calls == 1 and self_ns > 0
+    capsys.readouterr()
 
 
 def test_demo_flags_each_demo_takes(capsys):

@@ -23,6 +23,7 @@ from ordfield.claims import (
     VerifierCert,
     check_falsifier,
     check_verifier,
+    default_delta_schedule,
     default_eps_schedule,
 )
 from ordfield.errors import ParseError
@@ -114,18 +115,25 @@ def test_parse_claim_file_verifier_and_falsifier():
 claim field=q fn=quotient(step_q,identity) point=0 candidate=0
 cert kind=falsifier eps=1/2 witness=qstep(5/7)
 cert kind=verifier rule=linear_cap(1,1/2) note=wrong on purpose
+claim field=qx fn=step_qx point=0 candidate=0
+cert kind=verifier rule=linear_cap(1,x)
 schedule kind=delta depth=8
 schedule kind=eps values=1,1/2,1/4
 """
-    cf = parse_claim_file(text)
-    assert len(cf.certs) == 2
-    fals, ver = cf.certs
-    assert isinstance(fals, FalsifierCert)
-    assert fals.claim.fn == Quotient(StepQ(), Identity(Field.Q))
-    assert fals.epsilon == F(1, 2)
-    assert cf.delta_depth == 8
-    assert cf.eps_values == "1,1/2,1/4"
-    assert isinstance(ver, VerifierCert) and ver.note == "wrong on purpose"
+    steps = parse_claim_file(text)
+    assert len(steps) == 3
+    fals, ver, ver_qx = steps
+    assert isinstance(fals.cert, FalsifierCert)
+    assert fals.cert.claim.fn == Quotient(StepQ(), Identity(Field.Q))
+    assert fals.cert.epsilon == F(1, 2)
+    # each certificate gets the file's schedule of its kind, built in the
+    # field of its own claim, with the default probe budget
+    assert fals.schedule == default_delta_schedule(Field.Q, 8)
+    assert isinstance(ver.cert, VerifierCert) and ver.cert.note == "wrong on purpose"
+    assert ver.schedule == [F(1), F(1, 2), F(1, 4)]
+    assert ver_qx.cert.claim.field is Field.QX
+    assert ver_qx.schedule == [RF_ONE, rf_const(F(1, 2)), rf_const(F(1, 4))]
+    assert {s.budget for s in steps} == {2}
 
 
 def test_parse_claim_file_errors():
