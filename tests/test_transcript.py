@@ -13,6 +13,7 @@ from ordfield.certs import (
 )
 from ordfield import transcript
 from ordfield.claims import (
+    Check,
     CheckRecord,
     FalsifierCert,
     LimitClaim,
@@ -26,6 +27,7 @@ from ordfield.claims import (
     default_delta_schedule,
     default_eps_schedule,
 )
+from ordfield.demos import demo_dlim, demo_lhopital, demo_mvt, demo_taylor
 from ordfield.errors import ParseError
 from ordfield.fields import Field
 from ordfield.functions import Quotient, Identity, StepQ
@@ -145,6 +147,37 @@ def test_parse_claim_file_errors():
         parse_claim_file("claim field=zz fn=step_q point=0 candidate=0\n")
     with pytest.raises(ParseError):
         parse_claim_file("")
+    with pytest.raises(ParseError, match="unknown cert kind 'prover'"):
+        parse_claim_file("claim field=q fn=step_q point=0 candidate=0\ncert kind=prover\n")
+
+
+@pytest.mark.parametrize(
+    "demo, kwargs",
+    [
+        (demo_dlim, dict(field=Field.Q, eps_depth=2, delta_depth=2)),
+        (demo_dlim, dict(field=Field.QX, eps_depth=2, delta_depth=2)),
+        (demo_mvt, dict(points=3, seed=1, eps_depth=2)),
+        (demo_lhopital, dict(candidate=F(1), eps_depth=2, delta_depth=2)),
+        (demo_taylor, dict(n=3, candidate=F(1), eps_depth=2, delta_depth=2)),
+    ],
+    ids=["dlim-q", "dlim-qx", "mvt", "lhopital", "taylor"],
+)
+def test_transcript_claims_and_certs_parse_back(demo, kwargs):
+    # each cert line, behind the claim line it references, parses back to
+    # the certificate of the demo's step, in step order
+    steps = demo.__wrapped__(**kwargs)
+    next(steps)
+    want = [s.cert for s in steps if isinstance(s, Check)]
+    _, tr = demo(**kwargs)
+    claims, text = {}, []
+    for line in tr.lines:
+        kind, kv = parse_kv_line(line)
+        if kind == "claim":
+            claims[kv["id"]] = line
+        elif kind == "cert":
+            text += [claims[kv["claim"]], line]
+    got = [s.cert for s in parse_claim_file("\n".join(text))]
+    assert len(want) > 1 and got == want
 
 
 def test_falsifier_transcript_has_witness_line():
