@@ -3,12 +3,15 @@
 The epistemic asymmetry is deliberate and explicit in every report:
 
   * a VerifierCert (a closed-form delta-rule) is checked on probe
-    schedules; passing is tagged "evidence" because bounded probing cannot
+    schedules; passing is tagged `evidence` because bounded probing cannot
     prove a universally quantified statement;
   * a FalsifierCert (a fixed epsilon plus a closed-form witness rule) is
     checked per challenge delta; every passing record is a machine-checked
     proof that this delta fails for that epsilon, so the report is tagged
-    "refutation-instances".
+    `refutation-instances`.
+
+Each certificate class sets KIND, its report TAG and its SCHEDULE kind;
+`record_pairs` and `from_record` render and parse its `cert` record.
 
 All checks are exact; each record carries the values needed to recompute
 its verdict.
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .certs import DeltaRule, TwoSided, WitnessRule, min_dyadic_depth
+from .certs import DeltaRule, TwoSided, WitnessRule, min_dyadic_depth, parse_rule, parse_witness
 from .errors import DomainError, ResourceError, digit_limit
 from .fields import Field, check_elem, field_zero, from_rat
 from .functions import DiffQuotient, FieldFn, evaluate, fn_field
@@ -60,6 +63,20 @@ class VerifierCert:
     rule: DeltaRule
     note: str = ""
 
+    KIND = "verifier"
+    TAG = "evidence"
+    SCHEDULE = "eps"
+
+    def record_pairs(self) -> list:
+        pairs = [("rule", self.rule.render())]
+        if self.note:
+            pairs.append(("note", self.note))
+        return pairs
+
+    @classmethod
+    def from_record(cls, claim: LimitClaim, kv: dict, need, parse_value) -> VerifierCert:
+        return cls(claim, parse_rule(need("rule"), parse_value), kv.get("note", ""))
+
 
 @dataclass(frozen=True)
 class FalsifierCert:
@@ -67,12 +84,23 @@ class FalsifierCert:
     epsilon: object
     witness: WitnessRule
 
+    KIND = "falsifier"
+    TAG = "refutation-instances"
+    SCHEDULE = "delta"
+
+    def record_pairs(self) -> list:
+        return [("eps", self.epsilon), ("witness", self.witness.render())]
+
+    @classmethod
+    def from_record(cls, claim: LimitClaim, kv: dict, need, parse_value) -> FalsifierCert:
+        return cls(claim, parse_value(need("eps")), parse_witness(need("witness"), parse_value))
+
 
 class CheckRecord(NamedTuple):
     """One exact referee check; the verdict is recomputable from the claim
     plus these values alone."""
 
-    kind: str  # "verifier" | "falsifier"
+    kind: str  # the certificate's KIND
     eps: object
     delta: object
     w: object  # probe or witness point
@@ -101,10 +129,9 @@ class Row(NamedTuple):
 
 
 class Use(NamedTuple):
-    """A schedule entry: its check kind, epsilon, the index of its row and
-    one verdict per probe of that row."""
+    """A schedule entry: its epsilon, the index of its row and one verdict
+    per probe of that row."""
 
-    kind: str  # "verifier" | "falsifier"
     eps: object
     row: int
     verdicts: tuple[bool, ...]
@@ -120,7 +147,6 @@ class RefereeReport:
     `records` spells the report out as one CheckRecord per check."""
 
     cert: VerifierCert | FalsifierCert
-    tag: str  # "evidence" | "refutation-instances"
     probes: tuple[Probe, ...]
     rows: tuple[Row, ...]
     uses: tuple[Use, ...]
@@ -136,7 +162,8 @@ class RefereeReport:
     @property
     def records(self) -> tuple[CheckRecord, ...]:
         out = []
-        for kind, eps, ri, verdicts in self.uses:
+        kind = self.cert.KIND
+        for eps, ri, verdicts in self.uses:
             delta, pairs = self.rows[ri]
             for (i, _), ok in zip(pairs, verdicts):
                 out.append(CheckRecord(kind, eps, delta, *self.probes[i], ok))
@@ -237,8 +264,8 @@ def check_verifier(
                 indices.extend(idx)
             rows.append(_row(probes, indices, delta, zero))
         verdicts = tuple([ib and probes[i].dist < eps for i, ib in rows[ri].probes])
-        uses.append(Use("verifier", eps, ri, verdicts))
-    return RefereeReport(cert, "evidence", tuple(probes), tuple(rows), tuple(uses))
+        uses.append(Use(eps, ri, verdicts))
+    return RefereeReport(cert, tuple(probes), tuple(rows), tuple(uses))
 
 
 def check_falsifier(cert: FalsifierCert, delta_schedule) -> RefereeReport:
@@ -266,9 +293,9 @@ def check_falsifier(cert: FalsifierCert, delta_schedule) -> RefereeReport:
         i = len(probes)
         probes.append(_probe(claim, claim.point + rule.witness_for(delta)))
         row = _row(probes, (i,), delta, zero)
-        uses.append(Use("falsifier", eps, len(rows), (row.probes[0][1] and probes[i].dist >= eps,)))
+        uses.append(Use(eps, len(rows), (row.probes[0][1] and probes[i].dist >= eps,)))
         rows.append(row)
-    return RefereeReport(cert, "refutation-instances", tuple(probes), tuple(rows), tuple(uses))
+    return RefereeReport(cert, tuple(probes), tuple(rows), tuple(uses))
 
 
 def _row(probes: list[Probe], indices, delta, zero) -> Row:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 
-from .certs import parse_rule, parse_witness
 from .claims import (
     DEFAULT_EPS_DEPTH,
     Check,
@@ -43,6 +42,7 @@ from .literals import parse_elem, parse_int
 
 TOOL = "ordfield"
 VERSION = "0.1.0"
+_CERT_KINDS = {cert.KIND: cert for cert in (VerifierCert, FalsifierCert)}
 
 
 def _fmt(v) -> str:
@@ -123,29 +123,11 @@ class Transcript:
     def add_report(self, report: RefereeReport) -> None:
         cert = report.cert
         cid = self.claim_id(cert.claim)
-        if isinstance(cert, VerifierCert):
-            pairs = [("claim", cid), ("kind", "verifier"), ("rule", cert.rule.render())]
-            if cert.note:
-                pairs.append(("note", cert.note))
-        else:
-            pairs = [
-                ("claim", cid),
-                ("kind", "falsifier"),
-                ("eps", cert.epsilon),
-                ("witness", cert.witness.render()),
-            ]
-        self.add("cert", pairs)
+        head = [("claim", cid), ("kind", cert.KIND)]
+        self.add("cert", head + cert.record_pairs())
         self.lines.extend(_check_lines(cid, report))
-        self.add(
-            "report",
-            [
-                ("claim", cid),
-                ("kind", "verifier" if isinstance(cert, VerifierCert) else "falsifier"),
-                ("tag", report.tag),
-                ("checks", report.checks),
-                ("verdict", report.passed),
-            ],
-        )
+        tail = [("tag", cert.TAG), ("checks", report.checks), ("verdict", report.passed)]
+        self.add("report", head + tail)
 
     def summary(self, demo: str, checks: int, exit_code: int, verdict: bool) -> None:
         self.add(
@@ -174,7 +156,8 @@ def _check_lines(cid: int, report: RefereeReport) -> list[str]:
     tails = [_probe_tail(p) for p in report.probes]
     deltas = [_guard(" delta=" + render_elem(delta), 1) for delta, _ in report.rows]
     lines = []
-    for kind, eps, ri, verdicts in report.uses:
+    kind = report.cert.KIND
+    for eps, ri, verdicts in report.uses:
         head = _guard(f"check claim={cid} kind={kind} eps={render_elem(eps)}", 3) + deltas[ri]
         pairs = report.rows[ri].probes
         lines.extend([head + tails[i] + _VERDICT[ok] for (i, _), ok in zip(pairs, verdicts)])
@@ -201,23 +184,22 @@ def _guard(piece: str, spaces: int) -> str:
 
 def parse_claim_file(text: str) -> list[Check]:
     """The certificates of a claim file as Check steps, in file order, each
-    on the file's schedule of its kind (eps for a verifier, delta for a
-    falsifier) built in the field of its own claim.  Schedule records are
-    file-global: `values=` beats `depth=` of the same kind wherever it
+    on the file's schedule of its SCHEDULE kind (eps for a verifier, delta
+    for a falsifier) built in the field of its own claim.  Schedule records
+    are file-global: `values=` beats `depth=` of the same kind wherever it
     stands, of two records of one form the last wins, and a kind with
     neither takes the default depth."""
-    certs: list[tuple[str, VerifierCert | FalsifierCert]] = []  # (schedule kind, cert)
+    certs: list[VerifierCert | FalsifierCert] = []
     depths: dict[str, int] = {}
     values: dict[str, str] = {}  # kept as text, parsed in each claim's field
     current: LimitClaim | None = None
-    fld: Field | None = None
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         kind, kv = parse_kv_line(line)
         if kind == "claim":
-            fld = _field_of(kv)
+            fld = _field_of(kv.get("field", ""))
             fn = parse_fn(fld, _need(kv, "fn", line))
             current = LimitClaim(
                 fn,
@@ -225,24 +207,16 @@ def parse_claim_file(text: str) -> list[Check]:
                 parse_elem(fld, _need(kv, "candidate", line)),
             )
         elif kind == "cert":
-            if current is None or fld is None:
+            if current is None:
                 raise ParseError("cert record before any claim record")
-            parse_value = functools.partial(parse_elem, fld)
             ckind = _need(kv, "kind", line)
-            if ckind == "verifier":
-                rule = parse_rule(_need(kv, "rule", line), parse_value)
-                certs.append(("eps", VerifierCert(current, rule, kv.get("note", ""))))
-            elif ckind == "falsifier":
-                cert = FalsifierCert(
-                    current,
-                    parse_value(_need(kv, "eps", line)),
-                    parse_witness(_need(kv, "witness", line), parse_value),
-                )
-                certs.append(("delta", cert))
-            else:
+            if ckind not in _CERT_KINDS:
                 raise ParseError(f"unknown cert kind {ckind!r}")
+            need = functools.partial(_need, kv, line=line)
+            parse_value = functools.partial(parse_elem, current.field)
+            certs.append(_CERT_KINDS[ckind].from_record(current, kv, need, parse_value))
         elif kind == "schedule":
-            if fld is None:
+            if current is None:
                 raise ParseError("schedule record before any claim record")
             skind = _need(kv, "kind", line)
             if skind not in ("eps", "delta"):
@@ -257,7 +231,7 @@ def parse_claim_file(text: str) -> list[Check]:
             raise ParseError(f"unknown record kind {kind!r}")
     if not certs:
         raise ParseError("claim file contains no certificates")
-    return [Check(cert, _schedule(skind, cert.claim.field, depths, values)) for skind, cert in certs]
+    return [Check(cert, _schedule(cert.SCHEDULE, cert.claim.field, depths, values)) for cert in certs]
 
 
 def _schedule(skind: str, fld: Field, depths: dict[str, int], values: dict[str, str]) -> list:
@@ -269,12 +243,11 @@ def _schedule(skind: str, fld: Field, depths: dict[str, int], values: dict[str, 
     return default_delta_schedule(fld, depths.get("delta"))
 
 
-def _field_of(kv: dict[str, str]) -> Field:
-    name = kv.get("field", "")
-    for f in Field:
-        if f.value == name:
-            return f
-    raise ParseError(f"unknown field {name!r}")
+def _field_of(name: str) -> Field:
+    try:
+        return Field(name)
+    except ValueError:
+        raise ParseError(f"unknown field {name!r}") from None
 
 
 def _need(kv: dict[str, str], key: str, line: str) -> str:

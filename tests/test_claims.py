@@ -108,7 +108,7 @@ def test_verifier_step_q_envelope():
         LimitClaim(StepQ(), F(0), F(0)), LinearCapRule(F(1), F(1, 2)), "envelope"
     )
     rep = check_verifier(cert, default_eps_schedule(Field.Q, 32), 2)
-    assert rep.passed and rep.tag == "evidence"
+    assert rep.passed and rep.cert.TAG == "evidence"
     # every record is consistent: probes inside ball, values below eps
     for r in rep.records:
         assert 0 < r.sep < r.delta
@@ -148,7 +148,7 @@ def test_falsifier_step_q():
         derivative_claim(StepQ(), F(0), F(0)), F(1, 2), QStepProbe(F(5, 7))
     )
     rep = check_falsifier(cert, default_delta_schedule(Field.Q, 64))
-    assert rep.passed and rep.tag == "refutation-instances"
+    assert rep.passed and rep.cert.TAG == "refutation-instances"
     for r in rep.records:
         assert r.dist == F(7, 5)
         assert 0 < r.sep < r.delta
@@ -279,11 +279,11 @@ def _assert_matches_oracle(cert, schedule, budget=None):
     if isinstance(cert, FalsifierCert):
         got = check_falsifier(cert, schedule)
         want = oracle_referee.check_falsifier(cert, schedule)
-        assert got.tag == "refutation-instances"
+        assert got.cert.TAG == "refutation-instances"
     else:
         got = check_verifier(cert, schedule, budget)
         want = oracle_referee.check_verifier(cert, schedule, budget)
-        assert got.tag == "evidence"
+        assert got.cert.TAG == "evidence"
     assert got.passed == (bool(want) and all(r.ok for r in want))
     assert got.checks == len(got.records) == len(want)
     for i, (a, b) in enumerate(zip(got.records, want)):
@@ -416,7 +416,7 @@ def test_records_are_spelled_out_from_uses_rows_and_probes():
         assert len(pairs) == len(use.verdicts)
         for (i, in_ball), ok in zip(pairs, use.verdicts):
             r = next(records)
-            assert (r.kind, r.eps, r.delta, r.ok) == (use.kind, use.eps, delta, ok)
+            assert (r.kind, r.eps, r.delta, r.ok) == ("verifier", use.eps, delta, ok)
             assert (r.w, r.fw, r.dist, r.sep) == rep.probes[i]
             assert in_ball and ok == (r.dist < r.eps)
     assert next(records, None) is None

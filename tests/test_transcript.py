@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -139,16 +140,28 @@ schedule kind=eps values=1,1/2,1/4
 
 
 def test_parse_claim_file_errors():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^cert record before any claim record$"):
         parse_claim_file("cert kind=falsifier eps=1/2 witness=qstep(5/7)\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^schedule record before any claim record$"):
+        parse_claim_file("schedule kind=eps depth=2\n")
+    with pytest.raises(ParseError, match="^unknown function name 'nosuch'$"):
         parse_claim_file("claim field=q fn=nosuch point=0 candidate=0\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^unknown field 'zz'$"):
         parse_claim_file("claim field=zz fn=step_q point=0 candidate=0\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^unknown field ''$"):
+        parse_claim_file("claim fn=step_q point=0 candidate=0\n")
+    with pytest.raises(ParseError, match="^claim file contains no certificates$"):
         parse_claim_file("")
-    with pytest.raises(ParseError, match="unknown cert kind 'prover'"):
-        parse_claim_file("claim field=q fn=step_q point=0 candidate=0\ncert kind=prover\n")
+    claim = "claim field=q fn=step_q point=0 candidate=0\n"
+    with pytest.raises(ParseError, match="^unknown cert kind 'prover'$"):
+        parse_claim_file(claim + "cert kind=prover\n")
+    for cert, key in [
+        ("cert kind=verifier note=no rule", "rule"),
+        ("cert kind=falsifier witness=qstep(5/7)", "eps"),
+        ("cert kind=falsifier eps=1/2", "witness"),
+    ]:
+        with pytest.raises(ParseError, match=f"^missing {key}= in record '{re.escape(cert)}'$"):
+            parse_claim_file(claim + cert + "\n")
 
 
 @pytest.mark.parametrize(
@@ -222,13 +235,12 @@ def _report_cases():
         (
             RefereeReport(
                 VerifierCert(q_claim, LinearCapRule(F(1), F(1, 2)), ""),
-                "evidence",
                 q,
                 (Row(F(1, 8), ((0, True), (1, False))), Row(F(1, 2), ((2, False), (1, False)))),
                 (
-                    Use(v, F(1, 4), 0, (True, False)),
-                    Use(v, F(1, 64), 0, (False, False)),
-                    Use(v, F(1), 1, (False, False)),
+                    Use(F(1, 4), 0, (True, False)),
+                    Use(F(1, 64), 0, (False, False)),
+                    Use(F(1), 1, (False, False)),
                 ),
             ),
             [
@@ -243,13 +255,12 @@ def _report_cases():
         (
             RefereeReport(
                 FalsifierCert(qx_claim, RF_X, QXStepProbe(RF_ONE, -1)),
-                "refutation-instances",
                 qx,
                 (Row(half, ((0, False),)), Row(half, ((1, True),)), Row(x_pow(3), ((2, False),))),
                 (
-                    Use(f, RF_X, 0, (False,)),
-                    Use(f, x_pow(-1), 1, (True,)),
-                    Use(f, RF_X, 2, (False,)),
+                    Use(RF_X, 0, (False,)),
+                    Use(x_pow(-1), 1, (True,)),
+                    Use(RF_X, 2, (False,)),
                 ),
             ),
             [
@@ -309,11 +320,20 @@ def test_each_probe_row_and_epsilon_is_rendered_once(monkeypatch):
         assert len(rendered) == values + len(report.rows) + len(report.uses)
 
 
-def test_check_line_refuses_a_value_with_a_space():
+@pytest.mark.parametrize(
+    "spaced, piece",
+    [(F(1, 3), "check claim=1 kind=verifier eps="), (F(1, 5), " delta="), (F(1, 7), " w=")],
+    ids=["eps-head", "delta", "probe-tail"],
+)
+def test_check_line_refuses_a_value_with_a_space(monkeypatch, spaced, piece):
+    # a rendered value with a space in it would split into two fields when
+    # the line is parsed back: the epsilon's head, the row's delta and the
+    # probe's tail each refuse one
     cert = VerifierCert(LimitClaim(StepQ(), F(0), F(0)), ConstRule(F(1)), "")
-    probe = Probe(F(1, 2), F(1, 2), F(1, 2), F(1, 2))
-    report = RefereeReport(
-        cert, "evidence", (probe,), (Row(F(1), ((0, True),)),), (Use("ver ifier", F(1), 0, (True,)),)
-    )
-    with pytest.raises(ValueError):
-        _check_lines(report)
+    probe = Probe(F(1, 7), F(1, 2), F(1, 2), F(1, 7))
+    report = RefereeReport(cert, (probe,), (Row(F(1, 5), ((0, True),)),), (Use(F(1, 3), 0, (True,)),))
+    assert transcript._check_lines(1, report)
+    render = transcript.render_elem
+    monkeypatch.setattr(transcript, "render_elem", lambda e: "1 /3" if e == spaced else render(e))
+    with pytest.raises(ValueError, match="contains a space: '" + re.escape(piece)):
+        transcript._check_lines(1, report)
