@@ -44,14 +44,20 @@ def build_parser() -> argparse.ArgumentParser:
     demo = sub.add_parser("demo", help="run a counterexample demonstration")
     demo.add_argument("name", choices=demos.DEMOS)
     # a demo takes the flags named in its signature; a flag left out takes
-    # the demo's own default
-    demo.add_argument("--field", type=_field_arg, help="q or qx (dlim only)")
-    demo.add_argument("--eps-depth", type=int, help="verifier schedule depth")
-    demo.add_argument("--delta-depth", type=int, help="falsifier schedule depth (not mvt)")
-    demo.add_argument("--points", type=int, help="interior sample count (mvt)")
-    demo.add_argument("--seed", type=int, help="seed for randomized interior sampling (mvt)")
-    demo.add_argument("--candidate", help="claimed limit value to refute (lhopital, taylor)")
-    demo.add_argument("--n", type=int, help="Taylor order (>= 2)")
+    # the demo's own default.  Each flag's help names the demos that take it.
+    takes = {name: _demo(name)[1] for name in demos.DEMOS}
+
+    def flag(dest: str, text: str, **kwargs) -> None:
+        names = ", ".join(name for name in demos.DEMOS if dest in takes[name])
+        demo.add_argument("--" + dest.replace("_", "-"), help=f"{text} ({names})", **kwargs)
+
+    flag("field", "q or qx", type=_field_arg)
+    flag("eps_depth", "verifier schedule depth", type=int)
+    flag("delta_depth", "falsifier schedule depth", type=int)
+    flag("points", "interior sample count", type=int)
+    flag("seed", "seed for randomized interior sampling", type=int)
+    flag("candidate", "claimed limit value to refute")
+    flag("n", "Taylor order n >= 2", type=int)
     demo.add_argument("--transcript", default=None, help="write the transcript to PATH")
 
     ev = sub.add_parser("eval", help="evaluate a field-element literal")
@@ -64,10 +70,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _demo(name: str):
+    """The demo `name` and the flags it takes, its keyword parameters.  It
+    is looked up when called, so a rebound demo_<name> is the one run."""
+    demo = getattr(demos, f"demo_{name}")
+    return demo, inspect.signature(demo).parameters
+
+
 def _run_demo(args) -> tuple[int, Transcript]:
-    # looked up when the command runs, so a rebound demo_<name> is the one run
-    demo = getattr(demos, f"demo_{args.name}")
-    takes = inspect.signature(demo).parameters
+    demo, takes = _demo(args.name)
     given = {k: v for k, v in vars(args).items() if k not in _NOT_DEMO_FLAGS and v is not None}
     refused = [k for k in given if k not in takes]
     if refused:

@@ -229,6 +229,27 @@ def test_demo_registry_is_the_cli_surface(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def _demo_flag_help() -> dict[str, list[str]]:
+    """The demos each demo flag's help names, by flag dest."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        a.dest: a.help.rsplit(" (", 1)[1].removesuffix(")").split(", ")
+        for a in sub.choices["demo"]._actions
+        if a.option_strings and a.dest not in ("help", "transcript")
+    }
+
+
+def test_demo_flag_help_names_the_demos_that_take_it(monkeypatch):
+    assert _demo_flag_help() == {
+        flag: [name for name, flags in DEMO_FLAGS.items() if flag in flags]
+        for flag in FLAG_ARGS
+    }
+    # the help is read off the signatures when the parser is built
+    monkeypatch.setattr(demos, "demo_mvt", lambda points=1, n=2: None)
+    helps = _demo_flag_help()
+    assert helps["n"] == ["mvt", "taylor"] and helps["eps_depth"] == ["dlim", "lhopital", "taylor"]
+
+
 def test_demo_flags_each_demo_takes(capsys):
     # the argv forms the benchmark runs, plus every flag a demo takes
     for argv in (
