@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("name", choices=demos.DEMOS)
     # a demo takes the flags named in its signature; a flag left out takes
     # the demo's own default.  Each flag's help names the demos that take it.
-    takes = {name: _demo(name)[1] for name in demos.DEMOS}
+    takes = {name: _lookup_demo(name)[1] for name in demos.DEMOS}
 
     def flag(dest: str, text: str, **kwargs) -> None:
         names = ", ".join(name for name in demos.DEMOS if dest in takes[name])
@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _demo(name: str):
+def _lookup_demo(name: str):
     """The demo `name` and the flags it takes, its keyword parameters.  It
     is looked up when called, so a rebound demo_<name> is the one run."""
     demo = getattr(demos, f"demo_{name}")
@@ -78,7 +78,7 @@ def _demo(name: str):
 
 
 def _run_demo(args) -> tuple[int, Transcript]:
-    demo, takes = _demo(args.name)
+    demo, takes = _lookup_demo(args.name)
     given = {k: v for k, v in vars(args).items() if k not in _NOT_DEMO_FLAGS and v is not None}
     refused = [k for k in given if k not in takes]
     if refused:
