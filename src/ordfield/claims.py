@@ -213,16 +213,6 @@ def level_probes(field: Field, point, level: int) -> list:
     return [point + s for o in offsets for s in (o, -o)]
 
 
-def probe_gen(field: Field, point, delta, budget: int) -> list:
-    """Deterministic probes inside the punctured delta-ball around point:
-    the probes of every level of delta, in level order."""
-    return [
-        w
-        for level in probe_levels(field, delta, budget)
-        for w in level_probes(field, point, level)
-    ]
-
-
 def check_verifier(
     cert: VerifierCert,
     eps_schedule,
@@ -239,7 +229,6 @@ def check_verifier(
     epsilon then only compares dist < eps on its row."""
     claim = cert.claim
     fld = claim.field
-    zero = field_zero(fld)
     if not eps_schedule:
         raise DomainError("epsilon schedule is empty")
     probes: list[Probe] = []
@@ -248,7 +237,7 @@ def check_verifier(
     row_of: dict = {}  # delta -> index of its row
     uses = []
     for eps in eps_schedule:
-        if not eps > zero:
+        if not eps > 0:
             raise DomainError("epsilon schedule must be strictly positive")
         delta = cert.rule.delta_for(eps)
         ri = row_of.get(delta)
@@ -262,7 +251,7 @@ def check_verifier(
                     probes.extend(_probe(claim, w) for w in level_probes(fld, claim.point, level))
                     idx = levels[level] = range(start, len(probes))
                 indices.extend(idx)
-            rows.append(_row(probes, indices, delta, zero))
+            rows.append(_row(probes, indices, delta))
         verdicts = tuple([ib and probes[i].dist < eps for i, ib in rows[ri].probes])
         uses.append(Use(eps, ri, verdicts))
     return RefereeReport(cert, tuple(probes), tuple(rows), tuple(uses))
@@ -274,10 +263,8 @@ def check_falsifier(cert: FalsifierCert, delta_schedule) -> RefereeReport:
     candidate by at least epsilon.  Each delta is a row of one probe, its
     witness."""
     claim = cert.claim
-    fld = claim.field
-    zero = field_zero(fld)
     eps = cert.epsilon
-    if not eps > zero:
+    if not eps > 0:
         raise DomainError("falsifier epsilon must be strictly positive")
     rule = cert.witness
     if isinstance(rule, TwoSided):
@@ -288,22 +275,24 @@ def check_falsifier(cert: FalsifierCert, delta_schedule) -> RefereeReport:
     rows: list[Row] = []
     uses = []
     for delta in delta_schedule:
-        if not delta > zero:
+        if not delta > 0:
             raise DomainError("delta schedule must be strictly positive")
         i = len(probes)
         probes.append(_probe(claim, claim.point + rule.witness_for(delta)))
-        row = _row(probes, (i,), delta, zero)
+        row = _row(probes, (i,), delta)
         uses.append(Use(eps, len(rows), (row.probes[0][1] and probes[i].dist >= eps,)))
         rows.append(row)
     return RefereeReport(cert, tuple(probes), tuple(rows), tuple(uses))
 
 
-def _row(probes: list[Probe], indices, delta, zero) -> Row:
-    """The row of delta over the probes at indices."""
-    return Row(
-        delta,
-        tuple([(i, probes[i].fw is not None and zero < probes[i].sep < delta) for i in indices]),
-    )
+def _row(probes: list[Probe], indices, delta) -> Row:
+    """The row of delta over the probes at indices; sep = |w - point| is
+    never negative, so 0 < sep is bool(sep)."""
+    in_ball = [
+        (i, probes[i].fw is not None and bool(probes[i].sep) and probes[i].sep < delta)
+        for i in indices
+    ]
+    return Row(delta, tuple(in_ball))
 
 
 def _probe(claim: LimitClaim, w) -> Probe:

@@ -63,7 +63,7 @@ def poly(coeffs) -> Poly:
     return tuple(out)
 
 
-def p_ord(p: Poly) -> int:
+def _p_ord(p: Poly) -> int:
     """Index of the lowest nonzero coefficient (p must be nonzero)."""
     if not p:
         raise DomainError("ord of the zero polynomial")
@@ -73,7 +73,7 @@ def p_ord(p: Poly) -> int:
     raise DomainError("non-canonical zero polynomial")
 
 
-def p_add(a: Poly, b: Poly) -> Poly:
+def _p_add(a: Poly, b: Poly) -> Poly:
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
@@ -84,11 +84,11 @@ def p_add(a: Poly, b: Poly) -> Poly:
     return tuple(out)
 
 
-def p_neg(a: Poly) -> Poly:
+def _p_neg(a: Poly) -> Poly:
     return tuple(-c for c in a)
 
 
-def p_mul(a: Poly, b: Poly) -> Poly:
+def _p_mul(a: Poly, b: Poly) -> Poly:
     """Product of two canonical polynomials; the product of their leading
     coefficients is nonzero, so no high-order zero needs trimming."""
     if not a or not b:
@@ -253,7 +253,7 @@ def _rf_canon(num, den) -> "RatFunc":
     """RatFunc of nonzero num and den, coprime over Q[x], with their joint
     integer content and the sign of den's trailing coefficient divided out."""
     c = math.gcd(*num, *den)
-    if den[p_ord(den)] < 0:
+    if den[_p_ord(den)] < 0:
         c = -c
     if c == 1:
         return RatFunc(tuple(num), tuple(den))
@@ -310,7 +310,7 @@ class RatFunc(NamedTuple):
         return rf_div(o, self)
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(p_neg(self.num), self.den)
+        return RatFunc(_p_neg(self.num), self.den)
 
     def __pos__(self) -> "RatFunc":
         return self
@@ -394,7 +394,7 @@ def rf_normalize(num: Poly, den: Poly) -> RatFunc:
         raise ZeroDenominatorError("zero denominator polynomial")
     if not n:
         return RF_ZERO
-    n, d = p_mul(n, (wd,)), p_mul(d, (wn,))
+    n, d = _p_mul(n, (wd,)), _p_mul(d, (wn,))
     g = _cross_gcd(n, d)
     if g:
         n, d = _iexact_div(n, g), _iexact_div(d, g)
@@ -408,10 +408,10 @@ def _rf_sum(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> RatFunc:
         # only the integer content can cancel
         s, t = d1[0], d2[0]
         if s == t:
-            num = p_add(n1, n2)
+            num = _p_add(n1, n2)
         else:
             g = math.gcd(s, t)
-            num = p_add(p_mul(n1, (t // g,)), p_mul(n2, (s // g,)))
+            num = _p_add(_p_mul(n1, (t // g,)), _p_mul(n2, (s // g,)))
             s = s // g * t
         if not num:
             return RF_ZERO
@@ -421,18 +421,18 @@ def _rf_sum(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> RatFunc:
         return RatFunc(tuple(x // c for x in num), (s // c,))
     g = _cross_gcd(d1, d2)
     if g is None:
-        num = p_add(p_mul(n1, d2), p_mul(n2, d1))
+        num = _p_add(_p_mul(n1, d2), _p_mul(n2, d1))
         if not num:
             return RF_ZERO
-        return _rf_canon(num, p_mul(d1, d2))
+        return _rf_canon(num, _p_mul(d1, d2))
     d1, d2 = _iexact_div(d1, g), _iexact_div(d2, g)
-    t = p_add(p_mul(n1, d2), p_mul(n2, d1))
+    t = _p_add(_p_mul(n1, d2), _p_mul(n2, d1))
     if not t:
         return RF_ZERO
     h = _cross_gcd(t, g)
     if h:
         t, g = _iexact_div(t, h), _iexact_div(g, h)
-    return _rf_canon(t, p_mul(p_mul(d1, d2), g))
+    return _rf_canon(t, _p_mul(_p_mul(d1, d2), g))
 
 
 def rf_add(a: RatFunc, b: RatFunc) -> RatFunc:
@@ -448,7 +448,7 @@ def rf_sub(a: RatFunc, b: RatFunc) -> RatFunc:
         return a
     if not a.num:
         return -b
-    return _rf_sum(a.num, a.den, p_neg(b.num), b.den)
+    return _rf_sum(a.num, a.den, _p_neg(b.num), b.den)
 
 
 def rf_mul(a: RatFunc, b: RatFunc) -> RatFunc:
@@ -466,7 +466,7 @@ def rf_mul(a: RatFunc, b: RatFunc) -> RatFunc:
     g = _cross_gcd(n2, d1)
     if g:
         n2, d1 = _iexact_div(n2, g), _iexact_div(d1, g)
-    return _rf_canon(p_mul(n1, n2), p_mul(d1, d2))
+    return _rf_canon(_p_mul(n1, n2), _p_mul(d1, d2))
 
 
 def rf_div(a: RatFunc, b: RatFunc) -> RatFunc:
@@ -480,8 +480,8 @@ def rf_inv(a: RatFunc) -> RatFunc:
     the sign of the new den's trailing coefficient needs fixing."""
     if not a.num:
         raise ZeroDenominatorError("inverse of the zero rational function")
-    if a.num[p_ord(a.num)] < 0:
-        return RatFunc(p_neg(a.den), p_neg(a.num))
+    if a.num[_p_ord(a.num)] < 0:
+        return RatFunc(_p_neg(a.den), _p_neg(a.num))
     return RatFunc(a.den, a.num)
 
 
@@ -490,7 +490,7 @@ def rf_sign(f: RatFunc) -> int:
     coefficient (den's is positive by canonical form)."""
     if not f.num:
         return 0
-    c = f.num[p_ord(f.num)]
+    c = f.num[_p_ord(f.num)]
     return 1 if c > 0 else -1
 
 
@@ -498,7 +498,7 @@ def valuation(f: RatFunc) -> int:
     """Order of vanishing at 0; defined for nonzero f only."""
     if not f.num:
         raise DomainError("valuation of 0 (the class of 0 is {0})")
-    return p_ord(f.num) - p_ord(f.den)
+    return _p_ord(f.num) - _p_ord(f.den)
 
 
 def dominates(p: RatFunc, q: RatFunc) -> bool:
@@ -546,7 +546,7 @@ def render_rf(f: RatFunc, compact: bool = False) -> str:
     """Textual form "(num)/(den)" with num and den divided by den's
     trailing coefficient, trimmed for single terms and a constant den."""
     num, den = f.num, f.den
-    t = den[p_ord(den)]
+    t = den[_p_ord(den)]
     if t != 1:
         num = tuple(Fraction(c, t) for c in num)
         den = tuple(Fraction(c, t) for c in den)

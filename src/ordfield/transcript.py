@@ -185,13 +185,16 @@ def _guard(piece: str, spaces: int) -> str:
 def parse_claim_file(text: str) -> list[Check]:
     """The certificates of a claim file as Check steps, in file order, each
     on the file's schedule of its SCHEDULE kind (eps for a verifier, delta
-    for a falsifier) built in the field of its own claim.  Schedule records
+    for a falsifier) built in the field of its own claim.  A cert's
+    `claim=` names the claim record above it with that `id=`; a cert with
+    no `claim=` takes the last claim record above it.  Schedule records
     are file-global: `values=` beats `depth=` of the same kind wherever it
     stands, of two records of one form the last wins, and a kind with
     neither takes the default depth."""
     certs: list[VerifierCert | FalsifierCert] = []
     depths: dict[str, int] = {}
     values: dict[str, str] = {}  # kept as text, parsed in each claim's field
+    claims: dict[int, LimitClaim] = {}  # by id=
     current: LimitClaim | None = None
     for raw in text.splitlines():
         line = raw.strip()
@@ -206,15 +209,27 @@ def parse_claim_file(text: str) -> list[Check]:
                 parse_elem(fld, _need(kv, "point", line)),
                 parse_elem(fld, _need(kv, "candidate", line)),
             )
+            if "id" in kv:
+                cid = _claim_id(kv["id"])
+                if cid in claims:
+                    raise ParseError(f"duplicate claim id {cid}")
+                claims[cid] = current
         elif kind == "cert":
-            if current is None:
+            if "claim" in kv:
+                cid = _claim_id(kv["claim"])
+                if cid not in claims:
+                    raise ParseError(f"cert names unknown claim {cid}")
+                claim = claims[cid]
+            elif current is None:
                 raise ParseError("cert record before any claim record")
+            else:
+                claim = current
             ckind = _need(kv, "kind", line)
             if ckind not in _CERT_KINDS:
                 raise ParseError(f"unknown cert kind {ckind!r}")
             need = functools.partial(_need, kv, line=line)
-            parse_value = functools.partial(parse_elem, current.field)
-            certs.append(_CERT_KINDS[ckind].from_record(current, kv, need, parse_value))
+            parse_value = functools.partial(parse_elem, claim.field)
+            certs.append(_CERT_KINDS[ckind].from_record(claim, kv, need, parse_value))
         elif kind == "schedule":
             if current is None:
                 raise ParseError("schedule record before any claim record")
@@ -248,6 +263,13 @@ def _field_of(name: str) -> Field:
         return Field(name)
     except ValueError:
         raise ParseError(f"unknown field {name!r}") from None
+
+
+def _claim_id(text: str) -> int:
+    cid = parse_int(text)
+    if cid < 1:
+        raise ParseError(f"claim id {cid} is not a positive integer")
+    return cid
 
 
 def _need(kv: dict[str, str], key: str, line: str) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ordfield.laurent import RatFunc, p_ord
+from ordfield.laurent import RatFunc, _p_ord
 
 TERMS = 32
 
@@ -32,7 +32,7 @@ def expand(f: RatFunc, terms: int = TERMS) -> Series:
     """Exact expansion of f at 0 to `terms` coefficients by long division."""
     if not f.num:
         return Series(0, terms, {})
-    on, od = p_ord(f.num), p_ord(f.den)
+    on, od = _p_ord(f.num), _p_ord(f.den)
     v = on - od
     num = list(f.num[on:])
     den = list(f.den[od:])

@@ -22,7 +22,6 @@ from ordfield.claims import (
     default_eps_schedule,
     derivative_claim,
     level_probes,
-    probe_gen,
     probe_levels,
 )
 from ordfield.errors import DomainError
@@ -44,6 +43,7 @@ from ordfield.rationals import pow2
 
 import oracle_referee
 from conftest import rand_nonzero_rat, rand_ratfunc
+from oracle_referee import probe_gen
 
 
 def test_derivative_claim_examples():

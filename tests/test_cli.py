@@ -533,3 +533,78 @@ def test_claim_file_default_schedules(tmp_path, capsys):
     assert column(3, "eps") == [render_elem(e) for e in default_eps_schedule(Field.QX, 128)]
     assert column(4, "delta") == [render_elem(d) for d in default_delta_schedule(Field.QX, 64)]
     assert len(column(2, "delta")) == 513 and len(column(4, "delta")) == 130
+
+
+_Q_CLAIM = "claim field=q fn=quotient(step_q,identity) point=0 candidate=0\n"
+_QX_CLAIM = "claim field=qx fn=diffq(step_qx,0) point=0 candidate=0\n"
+_Q_CERT = "cert kind=verifier rule=const(1)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("claim", _Q_CLAIM + "cert kind=verifier rule=nosuch(1)\n"), "unknown delta rule 'nosuch(1)'"),
+        (("claim", _Q_CLAIM + "cert kind=verifier rule=linear_cap(1)\n"),
+         "unknown delta rule 'linear_cap(1)'"),
+        (("claim", _Q_CLAIM + "cert kind=verifier rule=const\n"),
+         "expected name(args) form, got 'const'"),
+        (("claim", _QX_CLAIM + "cert kind=falsifier eps=x witness=qxstep(1,*)\n"),
+         "bad probe sign '*'"),
+        (("claim", _QX_CLAIM + "cert kind=falsifier eps=x witness=qxstep(x,+)\n"),
+         "qx step probe pattern must be a positive unit"),
+        (("claim", _QX_CLAIM + "cert kind=falsifier eps=x witness=qxstep(-1,+)\n"),
+         "qx step probe pattern must be a positive unit"),
+        (("claim", _Q_CLAIM + "cert kind=falsifier eps=1/2 witness=qstep(3/2)\n"),
+         "step probe pattern 3/2 needs 1/2 < r^2 < 2"),
+        (("claim", _Q_CLAIM + "cert kind=falsifier eps=1/2 witness=nosuch(1)\n"),
+         "unknown witness rule 'nosuch(1)'"),
+        (("claim", _Q_CLAIM + "cert kind\n"), "malformed record field near 'kind'"),
+        (("claim", _Q_CLAIM + _Q_CERT + "schedule kind=gamma depth=2\n"),
+         "unknown schedule kind 'gamma'"),
+        (("claim", _Q_CLAIM + _Q_CERT + "schedule kind=eps\n"),
+         "schedule record needs depth= or values="),
+        (("claim", _Q_CLAIM + _Q_CERT + "lemma x=1\n"), "unknown record kind 'lemma'"),
+        (("claim", "claim field=q fn=step_qx point=0 candidate=0\n" + _Q_CERT),
+         "function 'step_qx' lives in field qx"),
+        (("claim", _Q_CLAIM + "cert kind=falsifier eps=0 witness=qstep(5/7)\n"),
+         "falsifier epsilon must be strictly positive"),
+        (("claim", _Q_CLAIM + "cert kind=falsifier eps=-1/2 witness=qstep(5/7)\n"),
+         "falsifier epsilon must be strictly positive"),
+        (("eval", "--field", "q", "0^-1"), "zero raised to a negative power"),
+    ],
+    ids=[
+        "unknown-delta-rule", "linear-cap-one-arg", "const-no-parens", "qxstep-bad-sign",
+        "qxstep-not-a-unit", "qxstep-negative", "qstep-out-of-band", "unknown-witness-rule",
+        "malformed-field", "unknown-schedule-kind", "schedule-no-depth-or-values",
+        "unknown-record-kind", "qx-fn-in-q-claim", "falsifier-eps-zero", "falsifier-eps-negative",
+        "eval-zero-negative-power",
+    ],
+)
+def test_refused_input_exits_2_with_one_line(argv, message, tmp_path, capsys):
+    # a claim file is given by its text
+    if argv[0] == "claim":
+        path = tmp_path / "refused.claim"
+        path.write_text(argv[1], encoding="utf-8")
+        argv = ("claim", str(path))
+    assert main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"ordfield: {message}\n"
+
+
+def test_claim_file_cert_binds_to_the_claim_it_names(tmp_path, capsys):
+    # claim=1 names the claim with candidate 0, which the falsifier refutes;
+    # the last claim above the cert has candidate 1
+    path = tmp_path / "named.claim"
+    claims = (
+        "claim id=1 field=q fn=quotient(step_q,identity) point=0 candidate=0\n"
+        "claim id=2 field=q fn=quotient(step_q,identity) point=0 candidate=1\n"
+    )
+    path.write_text(claims + "cert claim=1 kind=falsifier eps=1/2 witness=qstep(5/7)\n")
+    assert main(["claim", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "claim id=1 field=q fn=quotient(step_q,identity) point=0 candidate=0\n" in out
+    assert "candidate=1" not in out
+    path.write_text(claims + "cert claim=7 kind=falsifier eps=1/2 witness=qstep(5/7)\n")
+    assert main(["claim", str(path)]) == 2
+    assert capsys.readouterr() == ("", "ordfield: cert names unknown claim 7\n")

@@ -12,10 +12,10 @@ from ordfield.laurent import (
     RF_X,
     RF_ZERO,
     dominates,
+    _p_add,
+    _p_mul,
+    _p_neg,
     poly,
-    p_add,
-    p_mul,
-    p_neg,
     render_poly,
     render_rf,
     rf_add,
@@ -43,9 +43,9 @@ def qx(text):
 
 
 def test_poly_arith_examples():
-    assert p_mul(poly([1, 1]), poly([1, -1])) == poly([1, 0, -1])
-    assert p_add(poly([2, 0, 5]), poly([])) == poly([2, 0, 5])
-    assert p_add(poly([1, 1]), p_neg(poly([1, 1]))) == ()
+    assert _p_mul(poly([1, 1]), poly([1, -1])) == poly([1, 0, -1])
+    assert _p_add(poly([2, 0, 5]), poly([])) == poly([2, 0, 5])
+    assert _p_add(poly([1, 1]), _p_neg(poly([1, 1]))) == ()
 
 
 def test_poly_gcd_examples():
@@ -215,8 +215,8 @@ def test_int_gcd_route_matches_monic_euclid(rng):
 
     for _ in range(200):
         g = rand_poly(rng, 2, 5, nonzero=True)
-        a = p_mul(g, rand_poly(rng, 2, 5, nonzero=True))
-        b = p_mul(g, rand_poly(rng, 2, 5, nonzero=True))
+        a = _p_mul(g, rand_poly(rng, 2, 5, nonzero=True))
+        b = _p_mul(g, rand_poly(rng, 2, 5, nonzero=True))
         ints_a = [int(c) for c in a]
         ints_b = [int(c) for c in b]
         got = _int_poly_gcd(ints_a, ints_b)
@@ -251,7 +251,7 @@ def test_rf_normalize_fractional_coefficient_inputs():
 
 
 def assert_canonical(f):
-    from ordfield.laurent import _int_poly_gcd, p_ord
+    from ordfield.laurent import _int_poly_gcd, _p_ord
 
     assert all(type(c) is int for c in f.num + f.den)
     if not f.num:
@@ -260,7 +260,7 @@ def assert_canonical(f):
     # no high-order zeros
     assert f.num[-1] and f.den[-1]
     # den's trailing nonzero coefficient is positive
-    assert f.den[p_ord(f.den)] > 0
+    assert f.den[_p_ord(f.den)] > 0
     # the integer content of num and den together is 1
     assert math.gcd(*f.num, *f.den) == 1
     # num and den are coprime over Q[x]
@@ -321,7 +321,7 @@ def _pm(*factors):
     """Product of integer polynomials given as coefficient tuples."""
     out = (1,)
     for f in factors:
-        out = p_mul(out, f)
+        out = _p_mul(out, f)
     return out
 
 
@@ -340,8 +340,8 @@ CROSS_FACTOR_PAIRS = [
     ((_pm(L1, (4, 0, 1)), _pm(L2, (2, 5))), (_pm(L2, S2), _pm(L1, Q2))),
     # denominators share g = P2*Q2; part of it (P2) cancels into t, as
     # x/(P2*Q2) + (P2 - x*S2)/(P2*Q2*S2) = 1/(Q2*S2)
-    ((X, _pm(P2, Q2)), (p_add(P2, p_neg(_pm(X, S2))), _pm(P2, Q2, S2))),
-    ((X, _pm(L1, Q2)), (p_add(L1, p_neg(_pm(X, S2))), _pm(L1, Q2, S2))),
+    ((X, _pm(P2, Q2)), (_p_add(P2, _p_neg(_pm(X, S2))), _pm(P2, Q2, S2))),
+    ((X, _pm(L1, Q2)), (_p_add(L1, _p_neg(_pm(X, S2))), _pm(L1, Q2, S2))),
     # denominators sharing g whose reduced numerator keeps nothing of it
     (((1,), _pm(P2, Q2)), ((3,), _pm(P2, S2))),
     # both cross sides divisible by x, none of them linear

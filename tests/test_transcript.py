@@ -164,6 +164,37 @@ def test_parse_claim_file_errors():
             parse_claim_file(claim + cert + "\n")
 
 
+_NAMED_CLAIMS = (
+    "claim id=1 field=q fn=quotient(step_q,identity) point=0 candidate=0\n"
+    "claim id=2 field=q fn=quotient(step_q,identity) point=0 candidate=1\n"
+)
+
+
+def test_parse_claim_file_binds_each_cert_to_the_claim_it_names():
+    steps = parse_claim_file(
+        _NAMED_CLAIMS
+        + "cert claim=1 kind=falsifier eps=1/2 witness=qstep(5/7)\n"
+        + "cert kind=falsifier eps=1/2 witness=qstep(5/7)\n"
+        + "cert claim=2 kind=verifier rule=const(1)\n"
+    )
+    # a cert with no claim= takes the last claim above it
+    assert [s.cert.claim.candidate for s in steps] == [0, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_NAMED_CLAIMS + "cert claim=3 kind=verifier rule=const(1)\n", "cert names unknown claim 3"),
+        (_NAMED_CLAIMS.replace("id=2", "id=1"), "duplicate claim id 1"),
+        ("claim id=0 field=q fn=step_q point=0 candidate=0\n", "claim id 0 is not a positive integer"),
+    ],
+    ids=["unknown-claim", "duplicate-id", "id-not-positive"],
+)
+def test_parse_claim_file_claim_id_errors(text, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_claim_file(text)
+
+
 @pytest.mark.parametrize(
     "demo, kwargs",
     [
@@ -176,21 +207,19 @@ def test_parse_claim_file_errors():
     ids=["dlim-q", "dlim-qx", "mvt", "lhopital", "taylor"],
 )
 def test_transcript_claims_and_certs_parse_back(demo, kwargs):
-    # each cert line, behind the claim line it references, parses back to
-    # the certificate of the demo's step, in step order
+    # the demo's claim and cert lines, in their own order, parse back to
+    # the certificates of the demo's steps, in step order: each cert binds
+    # to the claim its claim= names
     steps = demo.__wrapped__(**kwargs)
     next(steps)
     want = [s.cert for s in steps if isinstance(s, Check)]
     _, tr = demo(**kwargs)
-    claims, text = {}, []
-    for line in tr.lines:
-        kind, kv = parse_kv_line(line)
-        if kind == "claim":
-            claims[kv["id"]] = line
-        elif kind == "cert":
-            text += [claims[kv["claim"]], line]
-    got = [s.cert for s in parse_claim_file("\n".join(text))]
-    assert len(want) > 1 and got == want
+    lines = [line for line in tr.lines if line.startswith(("claim ", "cert "))]
+    # and with every claim line moved in front of every cert line
+    claims_first = sorted(lines, key=lambda line: not line.startswith("claim "))
+    for text in (lines, claims_first):
+        got = [s.cert for s in parse_claim_file("\n".join(text))]
+        assert len(want) > 1 and got == want
 
 
 def test_falsifier_transcript_has_witness_line():
