@@ -215,15 +215,14 @@ def parse_claim_file(text: str) -> list[Check]:
                     raise ParseError(f"duplicate claim id {cid}")
                 claims[cid] = current
         elif kind == "cert":
+            claim = current
             if "claim" in kv:
                 cid = _claim_id(kv["claim"])
                 if cid not in claims:
                     raise ParseError(f"cert names unknown claim {cid}")
                 claim = claims[cid]
-            elif current is None:
+            elif claim is None:
                 raise ParseError("cert record before any claim record")
-            else:
-                claim = current
             ckind = _need(kv, "kind", line)
             if ckind not in _CERT_KINDS:
                 raise ParseError(f"unknown cert kind {ckind!r}")

@@ -448,9 +448,16 @@ def test_probes_outside_the_punctured_ball_fail(monkeypatch):
         def witness_for(self, delta):
             return self.scale * delta
 
+    qx_claim = LimitClaim(Constant(Field.QX, RF_ONE), RF_ZERO, RF_ZERO)
     for scale in (0, 1, -1):
         fals = FalsifierCert(LimitClaim(Constant(Field.Q, F(1)), F(0), F(0)), F(1, 2), Fixed(scale))
         rep = check_falsifier(fals, [F(1), F(1, 8)])
         assert rep.checks == 2 and not rep.passed
         assert all(r.dist >= r.eps and not r.ok for r in rep.records)
         _assert_matches_oracle(fals, [F(1), F(1, 8)])
+        # in Q(x) the point itself has sep the zero RatFunc
+        fals = FalsifierCert(qx_claim, RF_X, Fixed(rf_const(F(scale))))
+        rep = check_falsifier(fals, [RF_ONE, RF_X])
+        assert rep.checks == 2 and not rep.passed
+        assert all(r.dist >= r.eps and not r.ok for r in rep.records)
+        _assert_matches_oracle(fals, [RF_ONE, RF_X])
