@@ -543,41 +543,86 @@ _Q_CERT = "cert kind=verifier rule=const(1)\n"
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("claim", _Q_CLAIM + "cert kind=verifier rule=nosuch(1)\n"), "unknown delta rule 'nosuch(1)'"),
-        (("claim", _Q_CLAIM + "cert kind=verifier rule=linear_cap(1)\n"),
-         "unknown delta rule 'linear_cap(1)'"),
-        (("claim", _Q_CLAIM + "cert kind=verifier rule=const\n"),
-         "expected name(args) form, got 'const'"),
-        (("claim", _QX_CLAIM + "cert kind=falsifier eps=x witness=qxstep(1,*)\n"),
-         "bad probe sign '*'"),
-        (("claim", _QX_CLAIM + "cert kind=falsifier eps=x witness=qxstep(x,+)\n"),
-         "qx step probe pattern must be a positive unit"),
-        (("claim", _QX_CLAIM + "cert kind=falsifier eps=x witness=qxstep(-1,+)\n"),
-         "qx step probe pattern must be a positive unit"),
-        (("claim", _Q_CLAIM + "cert kind=falsifier eps=1/2 witness=qstep(3/2)\n"),
-         "step probe pattern 3/2 needs 1/2 < r^2 < 2"),
-        (("claim", _Q_CLAIM + "cert kind=falsifier eps=1/2 witness=nosuch(1)\n"),
-         "unknown witness rule 'nosuch(1)'"),
-        (("claim", _Q_CLAIM + "cert kind\n"), "malformed record field near 'kind'"),
-        (("claim", _Q_CLAIM + _Q_CERT + "schedule kind=gamma depth=2\n"),
-         "unknown schedule kind 'gamma'"),
-        (("claim", _Q_CLAIM + _Q_CERT + "schedule kind=eps\n"),
-         "schedule record needs depth= or values="),
-        (("claim", _Q_CLAIM + _Q_CERT + "lemma x=1\n"), "unknown record kind 'lemma'"),
-        (("claim", "claim field=q fn=step_qx point=0 candidate=0\n" + _Q_CERT),
-         "function 'step_qx' lives in field qx"),
-        (("claim", _Q_CLAIM + "cert kind=falsifier eps=0 witness=qstep(5/7)\n"),
-         "falsifier epsilon must be strictly positive"),
-        (("claim", _Q_CLAIM + "cert kind=falsifier eps=-1/2 witness=qstep(5/7)\n"),
-         "falsifier epsilon must be strictly positive"),
-        (("eval", "--field", "q", "0^-1"), "zero raised to a negative power"),
-    ],
-    ids=[
-        "unknown-delta-rule", "linear-cap-one-arg", "const-no-parens", "qxstep-bad-sign",
-        "qxstep-not-a-unit", "qxstep-negative", "qstep-out-of-band", "unknown-witness-rule",
-        "malformed-field", "unknown-schedule-kind", "schedule-no-depth-or-values",
-        "unknown-record-kind", "qx-fn-in-q-claim", "falsifier-eps-zero", "falsifier-eps-negative",
-        "eval-zero-negative-power",
+        pytest.param(
+            ("claim", _Q_CLAIM + "cert kind=verifier rule=nosuch(1)\n"),
+            "unknown delta rule 'nosuch(1)'",
+            id="unknown-delta-rule",
+        ),
+        pytest.param(
+            ("claim", _Q_CLAIM + "cert kind=verifier rule=linear_cap(1)\n"),
+            "unknown delta rule 'linear_cap(1)'",
+            id="linear-cap-one-arg",
+        ),
+        pytest.param(
+            ("claim", _Q_CLAIM + "cert kind=verifier rule=const\n"),
+            "expected name(args) form, got 'const'",
+            id="const-no-parens",
+        ),
+        pytest.param(
+            ("claim", _QX_CLAIM + "cert kind=falsifier eps=x witness=qxstep(1,*)\n"),
+            "bad probe sign '*'",
+            id="qxstep-bad-sign",
+        ),
+        pytest.param(
+            ("claim", _QX_CLAIM + "cert kind=falsifier eps=x witness=qxstep(x,+)\n"),
+            "qx step probe pattern must be a positive unit",
+            id="qxstep-not-a-unit",
+        ),
+        pytest.param(
+            ("claim", _QX_CLAIM + "cert kind=falsifier eps=x witness=qxstep(-1,+)\n"),
+            "qx step probe pattern must be a positive unit",
+            id="qxstep-negative",
+        ),
+        pytest.param(
+            ("claim", _Q_CLAIM + "cert kind=falsifier eps=1/2 witness=qstep(3/2)\n"),
+            "step probe pattern 3/2 needs 1/2 < r^2 < 2",
+            id="qstep-out-of-band",
+        ),
+        pytest.param(
+            ("claim", _Q_CLAIM + "cert kind=falsifier eps=1/2 witness=nosuch(1)\n"),
+            "unknown witness rule 'nosuch(1)'",
+            id="unknown-witness-rule",
+        ),
+        pytest.param(
+            ("claim", _Q_CLAIM + "cert kind\n"),
+            "malformed record field near 'kind'",
+            id="malformed-field",
+        ),
+        pytest.param(
+            ("claim", _Q_CLAIM + _Q_CERT + "schedule kind=gamma depth=2\n"),
+            "unknown schedule kind 'gamma'",
+            id="unknown-schedule-kind",
+        ),
+        pytest.param(
+            ("claim", _Q_CLAIM + _Q_CERT + "schedule kind=eps\n"),
+            "schedule record needs depth= or values=",
+            id="schedule-no-depth-or-values",
+        ),
+        pytest.param(
+            ("claim", _Q_CLAIM + _Q_CERT + "lemma x=1\n"),
+            "unknown record kind 'lemma'",
+            id="unknown-record-kind",
+        ),
+        pytest.param(
+            ("claim", "claim field=q fn=step_qx point=0 candidate=0\n" + _Q_CERT),
+            "function 'step_qx' lives in field qx",
+            id="qx-fn-in-q-claim",
+        ),
+        pytest.param(
+            ("claim", _Q_CLAIM + "cert kind=falsifier eps=0 witness=qstep(5/7)\n"),
+            "falsifier epsilon must be strictly positive",
+            id="falsifier-eps-zero",
+        ),
+        pytest.param(
+            ("claim", _Q_CLAIM + "cert kind=falsifier eps=-1/2 witness=qstep(5/7)\n"),
+            "falsifier epsilon must be strictly positive",
+            id="falsifier-eps-negative",
+        ),
+        pytest.param(
+            ("eval", "--field", "q", "0^-1"),
+            "zero raised to a negative power",
+            id="eval-zero-negative-power",
+        ),
     ],
 )
 def test_refused_input_exits_2_with_one_line(argv, message, tmp_path, capsys):
