@@ -1,20 +1,22 @@
 """The non-Archimedean ordered field Q(x), ordered by behavior as x -> 0+.
 
-Elements are canonical ratios of integer polynomials.  A polynomial is a
-tuple of coefficients in ascending degree with no high-order zero padding
-(the zero polynomial is the empty tuple).  A RatFunc holds two such tuples
-of ints and is canonical when
+A polynomial is a tuple of coefficients in ascending degree with no
+high-order zero padding (the zero polynomial is the empty tuple).  A
+nonzero RatFunc is held in x-adic normal form x**v * num/den: v is an int,
+num and den are tuples of ints, and
 
+  * neither num nor den is divisible by x: num[0] != 0 and den[0] > 0,
   * gcd(num, den) over Q[x] is a constant,
   * the gcd of all the coefficients of num and den together is 1,
-  * the lowest-order nonzero coefficient of den is positive,
 
-and zero is ((), (1,)).  The form is unique, so structural equality is
-value equality and the sign of an element can be read off the trailing
-coefficient of its numerator.  Under this order x is a positive
-infinitesimal: the Archimedean class of a nonzero element is determined
-by its valuation (trailing degree of num minus trailing degree of den),
-and x**n represents the class of valuation n.
+and zero is (0, (), (1,)).  The form is unique (Knuth, TAOCP Vol. 2,
+4.6; Geddes, Czapor and Labahn 1992, on normal forms for rational
+functions), so structural equality is value equality.  Under this order x
+is a positive infinitesimal, the Archimedean class of a nonzero element is
+its valuation v, and x**n represents the class of valuation n.  So v is
+the valuation, the sign of num[0] is the sign, and two elements of
+different valuations, or of different signs, compare without a
+subtraction; x**n is (n, (1,), (1,)).
 
 Arithmetic keeps operands canonical by cancelling their small cross
 factors, never a gcd of the degree-doubled result (Henrici 1956, "A
@@ -28,15 +30,20 @@ subroutine for computations with rational numbers"; Knuth, TAOCP Vol. 2,
     gcd(n1, d2) and gcd(n2, d1) are divided out, and when both are
     constant nothing cancels.
 
+A product adds the two valuations.  A sum factors out the lower one,
+x**v1 * (n1/d1 + x**(v2 - v1) * n2/d2), so it shifts one numerator; only
+when v1 == v2 can the low terms of t cancel, and the factor of x they
+leave moves into v.  No side of a cross pair is ever divisible by x.
 Each path ends in one step that divides out the joint integer content
-and makes den's trailing coefficient positive.  A sum whose two
-denominators are constants, the common case, takes a shorter integer
-path to the same form.  Division multiplies by the inverse, whose num
-and den are the operand's den and num.
+and makes den[0] positive.  A sum whose two denominators are constants,
+the common case, takes a shorter integer path to the same form.  Division
+multiplies by the inverse, whose num and den are the operand's den and
+num.
 
-Rational coefficients appear only at the edges: poly and rf_normalize
-accept Fraction coefficients, rf_const a Fraction, and render_rf prints
-num and den divided by den's trailing coefficient.
+Rational coefficients and dense x-powers appear only at the edges: poly
+and rf_normalize accept dense Fraction coefficients, rf_const a Fraction,
+and render_rf prints num and den divided by den[0], with the x-power
+added to the exponents.
 """
 
 from __future__ import annotations
@@ -51,7 +58,6 @@ Poly = tuple  # ascending degree, no trailing zeros; int coefficients in a RatFu
 
 P_ZERO: Poly = ()
 P_ONE: Poly = (1,)
-P_X: Poly = (0, 1)
 
 
 def poly(coeffs) -> Poly:
@@ -63,14 +69,12 @@ def poly(coeffs) -> Poly:
     return tuple(out)
 
 
-def _p_ord(p: Poly) -> int:
-    """Index of the lowest nonzero coefficient (p must be nonzero)."""
-    if not p:
-        raise DomainError("ord of the zero polynomial")
-    for i, c in enumerate(p):
-        if c:
-            return i
-    raise DomainError("non-canonical zero polynomial")
+def _x_split(p):
+    """(k, p / x**k) for the largest k with x**k dividing nonzero p."""
+    k = 0
+    while not p[k]:
+        k += 1
+    return (k, p[k:]) if k else (0, p)
 
 
 def _p_add(a: Poly, b: Poly) -> Poly:
@@ -112,13 +116,12 @@ def _p_mul(a: Poly, b: Poly) -> Poly:
 #   * a linear side l shares one exactly when the other side vanishes at
 #     l's root, an integer evaluation that decides it either way;
 #   * two equal sides are their own gcd;
-#   * two sides both divisible by x share x;
 #   * any other pair goes through a mod-P filter: a gcd of degree 0 mod P
 #     certifies coprimality over Q as long as the leading coefficients
 #     survive mod P, since the leading coefficient of any true common
 #     factor divides them.
 # The exact primitive-PRS gcd over Z[x] runs only on the pair itself, and
-# only when the pair shares x or the filter is inconclusive.
+# only when the filter is inconclusive.  Neither side is divisible by x.
 _FILTER_P = (1 << 31) - 1
 
 
@@ -243,26 +246,29 @@ def _cross_gcd(a, b) -> list | None:
         return [b0 // g, b1 // g]
     if a == b:
         return _iprim(a)
-    if (a[0] or b[0]) and _isurely_coprime(a, b):
+    if _isurely_coprime(a, b):
         return None
     g = _int_poly_gcd(a, b)
     return g if len(g) > 1 else None
 
 
-def _rf_canon(num, den) -> "RatFunc":
-    """RatFunc of nonzero num and den, coprime over Q[x], with their joint
-    integer content and the sign of den's trailing coefficient divided out."""
+def _rf_canon(v: int, num, den) -> "RatFunc":
+    """RatFunc x**v * num/den of nonzero num and den, coprime over Q[x] and
+    not divisible by x, with their joint integer content and the sign of
+    den[0] divided out."""
     c = math.gcd(*num, *den)
-    if den[_p_ord(den)] < 0:
+    if den[0] < 0:
         c = -c
     if c == 1:
-        return RatFunc(tuple(num), tuple(den))
-    return RatFunc(tuple(x // c for x in num), tuple(x // c for x in den))
+        return RatFunc(v, tuple(num), tuple(den))
+    return RatFunc(v, tuple(x // c for x in num), tuple(x // c for x in den))
 
 
 class RatFunc(NamedTuple):
-    """Canonical rational function; construct via rf_normalize or helpers."""
+    """Canonical rational function x**v * num/den; construct via
+    rf_normalize or helpers."""
 
+    v: int
     num: Poly
     den: Poly
 
@@ -310,7 +316,7 @@ class RatFunc(NamedTuple):
         return rf_div(o, self)
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(_p_neg(self.num), self.den)
+        return RatFunc(self.v, _p_neg(self.num), self.den)
 
     def __pos__(self) -> "RatFunc":
         return self
@@ -337,30 +343,30 @@ class RatFunc(NamedTuple):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return rf_sign(rf_sub(o, self)) > 0
+        return _rf_cmp(self, o) < 0
 
     def __le__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return rf_sign(rf_sub(o, self)) >= 0
+        return _rf_cmp(self, o) <= 0
 
     def __gt__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return rf_sign(rf_sub(self, o)) > 0
+        return _rf_cmp(self, o) > 0
 
     def __ge__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return rf_sign(rf_sub(self, o)) >= 0
+        return _rf_cmp(self, o) >= 0
 
 
-RF_ZERO = RatFunc(P_ZERO, P_ONE)
-RF_ONE = RatFunc(P_ONE, P_ONE)
-RF_X = RatFunc(P_X, P_ONE)
+RF_ZERO = RatFunc(0, P_ZERO, P_ONE)
+RF_ONE = RatFunc(0, P_ONE, P_ONE)
+RF_X = RatFunc(1, P_ONE, P_ONE)
 
 
 def _coerce(v) -> RatFunc | None:
@@ -375,34 +381,41 @@ def rf_const(c: Fraction) -> RatFunc:
     c = Fraction(c)
     if not c:
         return RF_ZERO
-    return RatFunc((c.numerator,), (c.denominator,))
+    return RatFunc(0, (c.numerator,), (c.denominator,))
 
 
 def x_pow(n: int) -> RatFunc:
     """The monomial x**n for any integer n; represents valuation class n."""
-    if n >= 0:
-        return RatFunc((0,) * n + (1,), P_ONE)
-    return RatFunc(P_ONE, (0,) * (-n) + (1,))
+    return RatFunc(n, P_ONE, P_ONE)
 
 
 def rf_normalize(num: Poly, den: Poly) -> RatFunc:
-    """Canonical form of num/den (int or Fraction coefficients); den must
-    be nonzero."""
+    """Canonical form of num/den, given as dense polynomials (int or
+    Fraction coefficients); den must be nonzero."""
     n, wn = _iview(num)
     d, wd = _iview(den)
     if not d:
         raise ZeroDenominatorError("zero denominator polynomial")
     if not n:
         return RF_ZERO
+    vn, n = _x_split(n)
+    vd, d = _x_split(d)
     n, d = _p_mul(n, (wd,)), _p_mul(d, (wn,))
     g = _cross_gcd(n, d)
     if g:
         n, d = _iexact_div(n, g), _iexact_div(d, g)
-    return _rf_canon(n, d)
+    return _rf_canon(vn - vd, n, d)
 
 
-def _rf_sum(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> RatFunc:
-    """n1/d1 + n2/d2 for canonical operands with nonzero numerators."""
+def _rf_sum(a: RatFunc, b: RatFunc) -> RatFunc:
+    """a + b for nonzero canonical operands: x**v times the sum of a and b
+    divided by x**v, v the lower valuation."""
+    if a.v > b.v:
+        a, b = b, a
+    v, n1, d1 = a
+    v2, n2, d2 = b
+    if v2 > v:
+        n2 = (0,) * (v2 - v) + n2
     if len(d1) == 1 and len(d2) == 1:
         # constant denominators: num and den stay coprime over Q[x], so
         # only the integer content can cancel
@@ -415,24 +428,27 @@ def _rf_sum(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> RatFunc:
             s = s // g * t
         if not num:
             return RF_ZERO
+        k, num = _x_split(num)
         c = math.gcd(*num, s)
         if c == 1:
-            return RatFunc(num, (s,))
-        return RatFunc(tuple(x // c for x in num), (s // c,))
+            return RatFunc(v + k, num, (s,))
+        return RatFunc(v + k, tuple(x // c for x in num), (s // c,))
     g = _cross_gcd(d1, d2)
     if g is None:
         num = _p_add(_p_mul(n1, d2), _p_mul(n2, d1))
         if not num:
             return RF_ZERO
-        return _rf_canon(num, _p_mul(d1, d2))
+        k, num = _x_split(num)
+        return _rf_canon(v + k, num, _p_mul(d1, d2))
     d1, d2 = _iexact_div(d1, g), _iexact_div(d2, g)
     t = _p_add(_p_mul(n1, d2), _p_mul(n2, d1))
     if not t:
         return RF_ZERO
+    k, t = _x_split(t)
     h = _cross_gcd(t, g)
     if h:
         t, g = _iexact_div(t, h), _iexact_div(g, h)
-    return _rf_canon(t, _p_mul(_p_mul(d1, d2), g))
+    return _rf_canon(v + k, t, _p_mul(_p_mul(d1, d2), g))
 
 
 def rf_add(a: RatFunc, b: RatFunc) -> RatFunc:
@@ -440,7 +456,7 @@ def rf_add(a: RatFunc, b: RatFunc) -> RatFunc:
         return a
     if not a.num:
         return b
-    return _rf_sum(a.num, a.den, b.num, b.den)
+    return _rf_sum(a, b)
 
 
 def rf_sub(a: RatFunc, b: RatFunc) -> RatFunc:
@@ -448,7 +464,7 @@ def rf_sub(a: RatFunc, b: RatFunc) -> RatFunc:
         return a
     if not a.num:
         return -b
-    return _rf_sum(a.num, a.den, _p_neg(b.num), b.den)
+    return _rf_sum(a, -b)
 
 
 def rf_mul(a: RatFunc, b: RatFunc) -> RatFunc:
@@ -458,15 +474,15 @@ def rf_mul(a: RatFunc, b: RatFunc) -> RatFunc:
         return a
     if a == RF_ONE:
         return b
-    n1, d1 = a
-    n2, d2 = b
+    v1, n1, d1 = a
+    v2, n2, d2 = b
     g = _cross_gcd(n1, d2)
     if g:
         n1, d2 = _iexact_div(n1, g), _iexact_div(d2, g)
     g = _cross_gcd(n2, d1)
     if g:
         n2, d1 = _iexact_div(n2, g), _iexact_div(d1, g)
-    return _rf_canon(_p_mul(n1, n2), _p_mul(d1, d2))
+    return _rf_canon(v1 + v2, _p_mul(n1, n2), _p_mul(d1, d2))
 
 
 def rf_div(a: RatFunc, b: RatFunc) -> RatFunc:
@@ -477,28 +493,44 @@ def rf_div(a: RatFunc, b: RatFunc) -> RatFunc:
 
 def rf_inv(a: RatFunc) -> RatFunc:
     """1/a: swapping num and den keeps them coprime and primitive, so only
-    the sign of the new den's trailing coefficient needs fixing."""
-    if not a.num:
+    the sign of the new den[0] needs fixing."""
+    v, num, den = a
+    if not num:
         raise ZeroDenominatorError("inverse of the zero rational function")
-    if a.num[_p_ord(a.num)] < 0:
-        return RatFunc(_p_neg(a.den), _p_neg(a.num))
-    return RatFunc(a.den, a.num)
+    if num[0] < 0:
+        return RatFunc(-v, _p_neg(den), _p_neg(num))
+    return RatFunc(-v, den, num)
 
 
 def rf_sign(f: RatFunc) -> int:
-    """Sign as x -> 0+: 0 for zero, else the sign of num's trailing
-    coefficient (den's is positive by canonical form)."""
+    """Sign as x -> 0+: 0 for zero, else the sign of num[0] (den[0] is
+    positive by canonical form)."""
     if not f.num:
         return 0
-    c = f.num[_p_ord(f.num)]
-    return 1 if c > 0 else -1
+    return 1 if f.num[0] > 0 else -1
+
+
+def _rf_cmp(a: RatFunc, b: RatFunc) -> int:
+    """The sign of a - b.  The lowest-order term of a - b decides it: it is
+    a's or -b's when the signs or valuations differ, and the difference of
+    the constant terms num[0]/den[0] when they tie; only when those are
+    equal too is a - b computed."""
+    sa, sb = rf_sign(a), rf_sign(b)
+    if sa != sb:
+        return 1 if sa > sb else -1
+    if not sa or a.v != b.v:
+        return sa if a.v < b.v else -sa
+    c = a.num[0] * b.den[0] - b.num[0] * a.den[0]
+    if c:
+        return 1 if c > 0 else -1
+    return rf_sign(_rf_sum(a, -b))
 
 
 def valuation(f: RatFunc) -> int:
     """Order of vanishing at 0; defined for nonzero f only."""
     if not f.num:
         raise DomainError("valuation of 0 (the class of 0 is {0})")
-    return _p_ord(f.num) - _p_ord(f.den)
+    return f.v
 
 
 def dominates(p: RatFunc, q: RatFunc) -> bool:
@@ -507,24 +539,27 @@ def dominates(p: RatFunc, q: RatFunc) -> bool:
         return bool(q.num)
     if not q.num:
         return False
-    return valuation(p) > valuation(q)
+    return p.v > q.v
 
 
 def same_class(p: RatFunc, q: RatFunc) -> bool:
     """The Archimedean-class relation p ~ q."""
     if not p.num or not q.num:
         return (not p.num) and (not q.num)
-    return valuation(p) == valuation(q)
+    return p.v == q.v
 
 
-def render_poly(p: Poly, compact: bool = False) -> str:
-    """Textual form "a0 + a1*x + a2*x^2"; compact drops the spaces."""
+def render_poly(p: Poly, compact: bool = False, shift: int = 0, t: int = 1) -> str:
+    """Textual form "a0 + a1*x + a2*x^2" of x**shift * p / t; compact drops
+    the spaces."""
     if not p:
         return "0"
     parts: list[str] = []
-    for k, c in enumerate(p):
+    for k, c in enumerate(p, shift):
         if not c:
             continue
+        if t != 1:
+            c = Fraction(c, t)
         mag = c if c > 0 else -c
         try:
             if k == 0:
@@ -543,19 +578,19 @@ def render_poly(p: Poly, compact: bool = False) -> str:
 
 
 def render_rf(f: RatFunc, compact: bool = False) -> str:
-    """Textual form "(num)/(den)" with num and den divided by den's
-    trailing coefficient, trimmed for single terms and a constant den."""
-    num, den = f.num, f.den
-    t = den[_p_ord(den)]
-    if t != 1:
-        num = tuple(Fraction(c, t) for c in num)
-        den = tuple(Fraction(c, t) for c in den)
-    num_s = render_poly(num, compact)
-    if len(den) == 1:
+    """Textual form "(num)/(den)" of x**v * num/den with num and den divided
+    by den[0] and x**v carried by the exponents of num (v > 0) or den
+    (v < 0), trimmed for single terms and a constant den.  Both ends of a
+    canonical num or den are nonzero, so it has one term when it has
+    length 1."""
+    v, num, den = f
+    t = den[0]
+    num_s = render_poly(num, compact, max(v, 0), t)
+    if len(den) == 1 and v >= 0:
         return num_s
-    if sum(1 for c in num if c) > 1:
+    if len(num) > 1:
         num_s = f"({num_s})"
-    den_s = render_poly(den, compact)
-    if sum(1 for c in den if c) > 1:
+    den_s = render_poly(den, compact, max(-v, 0), t)
+    if len(den) > 1:
         den_s = f"({den_s})"
     return f"{num_s}/{den_s}"

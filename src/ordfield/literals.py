@@ -15,6 +15,7 @@ back to an equal element.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError, ZeroDenominatorError, digit_limit
@@ -31,6 +32,13 @@ MAX_POWER_BITS = 1 << 20
 # The deepest nesting of parentheses and unary minus signs in a literal, and
 # of parentheses in a function name: far below the recursion limit.
 MAX_NESTING = 100
+
+# The one integer grammar of literals, function names and record fields.
+_INT = re.compile(r"-?[0-9]+")
+
+
+def _is_digit(ch: str) -> bool:
+    return "0" <= ch <= "9"
 
 
 class _Scanner:
@@ -61,7 +69,7 @@ class _Scanner:
         if self.pos < len(self.text) and self.text[self.pos] == "-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
             self.pos += 1
         if self.pos == digits:
             raise ParseError("expected an integer", start)
@@ -79,14 +87,14 @@ def parse_elem(field: Field, text: str):
 
 def parse_int(text: str, pos: int | None = None) -> int:
     """A decimal integer written on its own, such as the exponent in a
-    function name or a schedule depth in a claim file."""
+    function name or a schedule depth in a claim file: ASCII digits with an
+    optional leading '-', nothing else."""
+    if not _INT.fullmatch(text):
+        raise ParseError(f"expected an integer, got {text!r}", pos)
     try:
         return int(text)
     except ValueError:
-        limit = digit_limit()
-        if 0 < limit < len(text):
-            raise ParseError(f"integer longer than the {limit}-digit limit", pos) from None
-        raise ParseError(f"expected an integer, got {text!r}", pos) from None
+        raise ParseError(f"integer longer than the {digit_limit()}-digit limit", pos) from None
 
 
 def check_nesting(depth: int, pos: int | None = None) -> int:
@@ -141,13 +149,17 @@ def _power_bits(value, k: int) -> int:
     numerator or denominator.  For Q(x): each coefficient of p**|k| is at
     most ||p||_1**|k| (||p||_1 the sum of p's absolute coefficients), so the
     result's num and den each have at most |k|*deg(p) + 1 coefficients of
-    |k|*ceil(log2 ||p||_1) bits; the larger of the two products counts."""
+    |k|*ceil(log2 ||p||_1) bits; the larger of the two products counts.
+    deg(p) counts the x-power the normal form keeps apart (num's when the
+    valuation v > 0, den's when v < 0): x**k alone stays small, but a sum
+    such as 1 + x**k is dense again."""
     k = abs(k)
     if isinstance(value, Fraction):
         return k * max(value.numerator.bit_length(), value.denominator.bit_length())
+    v = value.v
     return max(
-        (k * (len(p) - 1) + 1) * max(1, k * (sum(map(abs, p)) - 1).bit_length())
-        for p in (value.num, value.den)
+        (k * (len(p) - 1 + s) + 1) * max(1, k * (sum(map(abs, p)) - 1).bit_length())
+        for p, s in ((value.num, max(v, 0)), (value.den, max(-v, 0)))
         if p
     )
 
@@ -171,7 +183,7 @@ def _atom(field: Field, sc: _Scanner, depth: int):
             raise ParseError("variable 'x' is not allowed in field q", sc.pos)
         sc.take()
         return RF_X
-    if ch.isdigit():
+    if _is_digit(ch):
         n = sc.take_int()
         return Fraction(n) if field is Field.Q else rf_const(Fraction(n))
     raise ParseError(f"expected {_ATOM_STARTS}, got {ch!r}", sc.pos)

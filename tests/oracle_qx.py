@@ -104,8 +104,16 @@ def canonical(num: tuple, den: tuple) -> tuple[tuple, tuple]:
     return p_scale(num, 1 / t), p_scale(den, 1 / t)
 
 
+def dense(f: RatFunc) -> tuple[tuple, tuple]:
+    """The int coefficients of f's num and den as dense polynomials, with
+    the x-power x**v written out as leading zeros of num (v > 0) or den
+    (v < 0)."""
+    return (0,) * max(f.v, 0) + f.num, (0,) * max(-f.v, 0) + f.den
+
+
 def _ratio(f: RatFunc) -> tuple[tuple, tuple]:
-    return tuple(map(Fraction, f.num)), tuple(map(Fraction, f.den))
+    num, den = dense(f)
+    return tuple(map(Fraction, num)), tuple(map(Fraction, den))
 
 
 def ratio_add(a: RatFunc, b: RatFunc) -> tuple[tuple, tuple]:
@@ -131,6 +139,13 @@ def ratio_div(a: RatFunc, b: RatFunc) -> tuple[tuple, tuple]:
 def ratio_inv(a: RatFunc) -> tuple[tuple, tuple]:
     n, d = _ratio(a)
     return d, n
+
+
+def sign(num: tuple, den: tuple) -> int:
+    """The sign of num/den as x -> 0+: that of the trailing nonzero
+    coefficient of the canonical num, whose den trails with 1."""
+    num, _ = canonical(num, den)
+    return next(((c > 0) - (c < 0) for c in num if c), 0)
 
 
 def render(num: tuple, den: tuple, compact: bool = False) -> str:

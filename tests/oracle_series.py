@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ordfield.laurent import RatFunc, _p_ord
+from ordfield.laurent import RatFunc
+from oracle_qx import dense
 
 TERMS = 32
 
@@ -30,12 +31,14 @@ class Series:
 
 def expand(f: RatFunc, terms: int = TERMS) -> Series:
     """Exact expansion of f at 0 to `terms` coefficients by long division."""
-    if not f.num:
+    if not f:
         return Series(0, terms, {})
-    on, od = _p_ord(f.num), _p_ord(f.den)
+    num, den = dense(f)
+    on = next(i for i, c in enumerate(num) if c)
+    od = next(i for i, c in enumerate(den) if c)
     v = on - od
-    num = list(f.num[on:])
-    den = list(f.den[od:])
+    num = list(num[on:])
+    den = list(den[od:])
     inv0 = Fraction(1, den[0])
     out: dict[int, Fraction] = {}
     cs: list[Fraction] = []

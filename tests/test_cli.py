@@ -623,6 +623,40 @@ _Q_CERT = "cert kind=verifier rule=const(1)\n"
             "zero raised to a negative power",
             id="eval-zero-negative-power",
         ),
+        # one integer grammar, -?[0-9]+, for every integer a claim file holds
+        pytest.param(
+            ("claim", "claim id=1_0" + _Q_CLAIM.removeprefix("claim") + _Q_CERT),
+            "expected an integer, got '1_0'",
+            id="claim-id-underscore",
+        ),
+        pytest.param(
+            (
+                "claim",
+                "claim id=10" + _Q_CLAIM.removeprefix("claim") + "cert claim=+10 " + _Q_CERT[5:],
+            ),
+            "expected an integer, got '+10'",
+            id="cert-claim-plus-sign",
+        ),
+        pytest.param(
+            ("claim", _Q_CLAIM + _Q_CERT + "schedule kind=delta depth=0_3\n"),
+            "expected an integer, got '0_3'",
+            id="schedule-depth-underscore",
+        ),
+        pytest.param(
+            ("claim", _Q_CLAIM + _Q_CERT + "schedule kind=delta depth=٣\n"),
+            "expected an integer, got '٣'",
+            id="schedule-depth-arabic-indic-digit",
+        ),
+        pytest.param(
+            ("claim", "claim field=q fn=pow:1_0 point=0 candidate=0\n" + _Q_CERT),
+            "expected an integer, got '1_0'",
+            id="fn-exponent-underscore",
+        ),
+        pytest.param(
+            ("eval", "--field", "q", "٣"),
+            "expected digit, 'x', '-' or '(', got '٣' (at position 0)",
+            id="eval-arabic-indic-digit",
+        ),
     ],
 )
 def test_refused_input_exits_2_with_one_line(argv, message, tmp_path, capsys):

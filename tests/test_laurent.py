@@ -3,7 +3,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ordfield.claims import Check, FalsifierCert, check_falsifier, check_verifier
+from ordfield.demos import demo_dlim
 from ordfield.errors import DomainError, ZeroDenominatorError
 from ordfield.fields import Field
 from ordfield.laurent import (
@@ -36,6 +40,7 @@ from conftest import accept_rf, rand_nonzero_ratfunc, rand_poly, rand_ratfunc, w
 from field_axioms import check_ordered_field_triple
 from oracle_series import expand, s_add, s_div, s_mul, s_sub, series_equal
 import oracle_qx
+from oracle_qx import dense
 
 
 def qx(text):
@@ -71,8 +76,7 @@ def test_rf_normalize_cancels_common_factor():
 def test_rf_normalize_scales_den_trailing_coefficient():
     # x/2 is stored as the primitive integer pair (x, 2)
     f = rf_normalize(poly([0, 2]), poly([4]))
-    assert f.num == (0, 1)
-    assert f.den == (2,)
+    assert dense(f) == ((0, 1), (2,))
 
 
 def test_rf_normalize_zero():
@@ -131,6 +135,88 @@ def test_order_positive_infinitesimal():
     assert RF_ZERO < RF_X < rf_const(F(1, 10**9))
 
 
+def test_x_pow_is_not_dense():
+    f = x_pow(10**6)
+    assert (f.v, f.num, f.den) == (10**6, (1,), (1,))
+    assert rf_inv(f) == x_pow(-(10**6)) and rf_inv(f).num == rf_inv(f).den == (1,)
+
+
+@st.composite
+def _qx_elems(draw, v=None):
+    """Zero, or x**v * n/d with n and d of degree <= 2, built from dense
+    coefficients; v is drawn from -70..70 unless given."""
+    if draw(st.integers(0, 9)) == 0:
+        return RF_ZERO
+    if v is None:
+        v = draw(st.integers(-70, 70))
+    unit = st.tuples(
+        st.integers(1, 9), st.sampled_from((1, -1)), st.lists(st.integers(-9, 9), max_size=2)
+    ).map(lambda t: (t[0] * t[1], *t[2]))
+    num, den = draw(unit), draw(unit)
+    f = rf_normalize((0,) * max(v, 0) + num, (0,) * max(-v, 0) + den)
+    assert valuation(f) == v
+    return f
+
+
+@st.composite
+def _qx_pairs(draw):
+    """(a, b) with b unrelated to a, of a's valuation, equal to a in its
+    lowest term, -a, or a itself."""
+    a = draw(_qx_elems())
+    v = a.v
+    mode = draw(st.sampled_from(("any", "same-valuation", "same-lowest-term", "negated", "equal")))
+    if mode == "any":
+        b = draw(_qx_elems())
+    elif mode == "same-valuation":
+        b = draw(_qx_elems(v))
+    elif mode == "same-lowest-term":
+        b = a + draw(_qx_elems(v + draw(st.integers(1, 3))))
+    elif mode == "negated":
+        b = -a
+    else:
+        b = a
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_qx_pairs())
+def test_order_matches_fraction_oracle(pair):
+    # the comparisons decide by sign, valuation and lowest terms where they
+    # can; the oracle always takes the sign of the whole difference
+    a, b = pair
+    s = oracle_qx.sign(*oracle_qx.ratio_sub(a, b))
+    assert (a < b) == (s < 0)
+    assert (a <= b) == (s <= 0)
+    assert (a > b) == (s > 0)
+    assert (a >= b) == (s >= 0)
+    assert (a == b) == (s == 0)
+
+
+def _dlim_qx_elem_len(delta_depth: int) -> int:
+    """The longest num or den among the deltas, probes and witnesses, their
+    values, distances and separations, of demo dlim --field qx."""
+    steps = demo_dlim.__wrapped__(Field.QX, eps_depth=2, delta_depth=delta_depth)
+    next(steps)
+    longest = 0
+    for step in steps:
+        if not isinstance(step, Check):
+            continue
+        if isinstance(step.cert, FalsifierCert):
+            report = check_falsifier(step.cert, step.schedule)
+        else:
+            report = check_verifier(step.cert, step.schedule, step.budget)
+        elems = [row.delta for row in report.rows]
+        elems += [e for p in report.probes for e in p if e is not None]
+        longest = max(longest, *(max(len(e.num), len(e.den)) for e in elems))
+    return longest
+
+
+def test_dlim_qx_elements_do_not_grow_with_depth():
+    # the delta schedule and its probes are x**m * 2**-k with m up to the
+    # depth: in normal form their size does not depend on m
+    assert _dlim_qx_elem_len(200) <= _dlim_qx_elem_len(20)
+
+
 def test_class_interval_stays_in_class(rng):
     # every sampled element of (p/2, 2p) shares p's class
     for _ in range(200):
@@ -187,10 +273,11 @@ def test_gcd_against_sympy(rng):
 
     for _ in range(60):
         a = rand_ratfunc(rng)
-        if not a or a.den == P_ONE:
+        num, den = dense(a)
+        if not a or den == P_ONE:
             continue
         # canonical form means sympy.gcd of num and den is constant
-        g = sympy.gcd(to_sympy(a.num).as_expr(), to_sympy(a.den).as_expr())
+        g = sympy.gcd(to_sympy(num).as_expr(), to_sympy(den).as_expr())
         assert g.is_number
 
 
@@ -251,16 +338,17 @@ def test_rf_normalize_fractional_coefficient_inputs():
 
 
 def assert_canonical(f):
-    from ordfield.laurent import _int_poly_gcd, _p_ord
+    from ordfield.laurent import _int_poly_gcd
 
+    assert type(f.v) is int
     assert all(type(c) is int for c in f.num + f.den)
     if not f.num:
-        assert f.den == (1,)
+        assert f == RF_ZERO and f.v == 0 and f.den == (1,)
         return
     # no high-order zeros
     assert f.num[-1] and f.den[-1]
-    # den's trailing nonzero coefficient is positive
-    assert f.den[_p_ord(f.den)] > 0
+    # neither num nor den is divisible by x, and den[0] is positive
+    assert f.num[0] and f.den[0] > 0
     # the integer content of num and den together is 1
     assert math.gcd(*f.num, *f.den) == 1
     # num and den are coprime over Q[x]
@@ -300,7 +388,7 @@ def _assert_matches_fraction_oracle(a, b):
         inv = rf_inv(a)
         assert_canonical(inv)
         assert render_rf(inv) == oracle_qx.render(*oracle_qx.ratio_inv(a))
-    assert render_rf(a) == oracle_qx.render(a.num, a.den)
+    assert render_rf(a) == oracle_qx.render(*dense(a))
 
 
 def test_int_carrier_matches_fraction_oracle_criterion_1_operands():

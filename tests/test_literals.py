@@ -113,6 +113,20 @@ def test_power_size_limit_boundary():
             parse_elem(Field.QX, text)
 
 
+def test_power_size_limit_counts_the_x_power(capsys):
+    # x^k is O(1) in normal form, but the estimate still counts k as its
+    # degree, since a sum such as 1 + x^k is dense again
+    assert main(["eval", "--field", "qx", "x^1048575"]) == 0
+    assert capsys.readouterr().out.startswith("value x^1048575\n")
+    for text, pos in (("x^1048576", 2), ("(x^2)^600000", 6)):
+        k = text.rpartition("^")[2]
+        assert main(["eval", "--field", "qx", text]) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"ordfield: power ^{k} would exceed the 1048576-bit size limit (at position {pos})\n",
+        )
+
+
 def _refused_fast(capsys, text):
     t0 = time.perf_counter()
     assert main(["eval", "--field", "q", "--", text]) == 2
