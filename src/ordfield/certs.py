@@ -54,13 +54,16 @@ DeltaRule = ConstRule | LinearCapRule
 
 
 def min_dyadic_depth(delta: Fraction) -> int:
-    """Minimal n with 2**-n < delta/2, found exactly from a bit-length
-    estimate plus an upward walk."""
-    half = delta / 2
-    n = half.denominator.bit_length() - half.numerator.bit_length() - 1
-    while pow2(-n) >= half:
-        n += 1
-    return n
+    """Minimal n with 2**-n < delta/2, for delta = p/q > 0.  The condition
+    is q * 2**m < p with m = 1 - n; with a, b the bit lengths of q, p it
+    holds at m = b - a - 1 and fails at m = b - a + 1, so one shifted-int
+    test at m = b - a decides between n = a - b + 1 and a - b + 2."""
+    p, q = delta.numerator, delta.denominator
+    if p <= 0:
+        raise DomainError(f"dyadic depth needs delta > 0, got {render_elem(delta)}")
+    m = p.bit_length() - q.bit_length()
+    below = q << m < p if m >= 0 else q < p << -m
+    return 1 - m if below else 2 - m
 
 
 @dataclass(frozen=True)

@@ -252,7 +252,8 @@ def check_verifier(
                     idx = levels[level] = range(start, len(probes))
                 indices.extend(idx)
             rows.append(_row(probes, indices, delta))
-        verdicts = tuple([ib and probes[i].dist < eps for i, ib in rows[ri].probes])
+        below = _below(eps)
+        verdicts = tuple([ib and below(probes[i].dist) for i, ib in rows[ri].probes])
         uses.append(Use(eps, ri, verdicts))
     return RefereeReport(cert, tuple(probes), tuple(rows), tuple(uses))
 
@@ -271,6 +272,7 @@ def check_falsifier(cert: FalsifierCert, delta_schedule) -> RefereeReport:
         rule = rule.pick(claim.candidate)
     if not delta_schedule:
         raise DomainError("delta schedule is empty")
+    below = _below(eps)
     probes: list[Probe] = []
     rows: list[Row] = []
     uses = []
@@ -280,30 +282,44 @@ def check_falsifier(cert: FalsifierCert, delta_schedule) -> RefereeReport:
         i = len(probes)
         probes.append(_probe(claim, claim.point + rule.witness_for(delta)))
         row = _row(probes, (i,), delta)
-        uses.append(Use(eps, len(rows), (row.probes[0][1] and probes[i].dist >= eps,)))
+        uses.append(Use(eps, len(rows), (row.probes[0][1] and not below(probes[i].dist),)))
         rows.append(row)
     return RefereeReport(cert, tuple(probes), tuple(rows), tuple(uses))
+
+
+def _below(bound):
+    """The predicate x < bound for x in bound's field.  A Fraction bound
+    n/d is read once, and x < n/d is x.numerator * d < n * x.denominator
+    (both denominators are positive), so no Fraction comparison runs; a
+    RatFunc bound keeps its own ordering."""
+    if isinstance(bound, Fraction):
+        n, d = bound.numerator, bound.denominator
+        return lambda x: x.numerator * d < n * x.denominator
+    return bound.__gt__
 
 
 def _row(probes: list[Probe], indices, delta) -> Row:
     """The row of delta over the probes at indices; sep = |w - point| is
     never negative, so 0 < sep is bool(sep)."""
-    in_ball = [
-        (i, probes[i].fw is not None and bool(probes[i].sep) and probes[i].sep < delta)
-        for i in indices
-    ]
+    below = _below(delta)
+    in_ball = []
+    for i in indices:
+        p = probes[i]
+        in_ball.append((i, p.fw is not None and bool(p.sep) and below(p.sep)))
     return Row(delta, tuple(in_ball))
 
 
 def _probe(claim: LimitClaim, w) -> Probe:
     """The probe at w; fn(w) and the distance are None when w is off fn's
-    domain, which fails every check."""
-    sep = abs(w - claim.point)
+    domain, which fails every check.  A zero point or candidate is falsy
+    in both fields, and subtracting it would only copy w or fn(w)."""
+    point, candidate = claim.point, claim.candidate
+    sep = abs(w - point) if point else abs(w)
     try:
         fw = evaluate(claim.fn, w)
     except DomainError:
         return Probe(w, None, None, sep)
-    return Probe(w, fw, abs(fw - claim.candidate), sep)
+    return Probe(w, fw, abs(fw - candidate) if candidate else abs(fw), sep)
 
 
 def _refuse_unprintable(depth: int) -> None:

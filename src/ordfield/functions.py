@@ -37,10 +37,10 @@ from .dyadic import (
     outer_constancy_radius_q,
     sqrt2_gap_radius,
 )
-from .errors import DomainError, ParseError, UnsupportedDerivativeError
+from .errors import DomainError, ParseError, ResourceError, UnsupportedDerivativeError
 from .fields import Field, field_one, field_zero, render_elem
 from .laurent import RF_ZERO, valuation, x_pow
-from .literals import parse_elem, parse_int
+from .literals import MAX_POWER_BITS, _power_bits, parse_elem, parse_int
 from .rationals import pow2
 
 
@@ -150,6 +150,10 @@ class Power(FieldFn):
         return cls(field, parse_int(args[0]))
 
     def eval_at(self, t):
+        if _power_bits(t, self.n) > MAX_POWER_BITS:
+            raise ResourceError(
+                f"power ^{self.n} would exceed the {MAX_POWER_BITS}-bit size limit"
+            )
         return t**self.n
 
     def derivative_at(self, a) -> DerivativeCert:
@@ -289,7 +293,11 @@ class Quotient(FieldFn):
 
 @dataclass(frozen=True)
 class DiffQuotient(FieldFn):
-    """h |-> (f(a+h) - f(a)) / h."""
+    """h |-> (f(a+h) - f(a)) / h.
+
+    f(a) is evaluated at the first h and kept on the instance outside its
+    fields, so equality, hashing and the name stay those of (f, a); a
+    DomainError at a is not kept, and fails every h."""
 
     f: FieldFn
     a: object
@@ -311,7 +319,11 @@ class DiffQuotient(FieldFn):
     def eval_at(self, h):
         if not h:
             raise DomainError("difference quotient needs h != 0")
-        return (evaluate(self.f, self.a + h) - evaluate(self.f, self.a)) / h
+        fa = self.__dict__.get("_fa")
+        if fa is None:
+            fa = evaluate(self.f, self.a)
+            object.__setattr__(self, "_fa", fa)
+        return (evaluate(self.f, self.a + h) - fa) / h
 
 
 _BY_TAG = {cls.TAG: cls for cls in FieldFn.__subclasses__()}

@@ -515,7 +515,8 @@ def _rf_cmp(a: RatFunc, b: RatFunc) -> int:
     a's or -b's when the signs or valuations differ, and the difference of
     the constant terms num[0]/den[0] when they tie; only when those are
     equal too is a - b computed."""
-    sa, sb = rf_sign(a), rf_sign(b)
+    sa = (1 if a.num[0] > 0 else -1) if a.num else 0
+    sb = (1 if b.num[0] > 0 else -1) if b.num else 0
     if sa != sb:
         return 1 if sa > sb else -1
     if not sa or a.v != b.v:

@@ -3,7 +3,9 @@
 These are the comparisons `ordfield.dyadic` made before it compared
 integers: every test squares `Fraction`s and compares them against a
 `Fraction` power of two, so a wrong shift or a swapped side in the
-integer versions shows as a different answer here.  The sandwiches come
+integer versions shows as a different answer here.  `min_dyadic_depth`
+is the walk over `Fraction` powers of two that `ordfield.certs` made
+before its one shifted-int test.  The sandwiches come
 from bisection and each constancy radius from its own loop, as before
 the library read them off one integer square root, so an off-by-one
 precision or a swapped cut in the shared radius routine shows too.
@@ -127,3 +129,13 @@ def sqrt2_gap_radius(c: Fraction) -> Fraction:
         if not below and hi < c:
             return c - hi
         p += 2
+
+
+def min_dyadic_depth(delta: Fraction) -> int:
+    """Minimal n with 2**-n < delta/2: a bit-length estimate, then a walk
+    up over Fraction powers of two."""
+    half = delta / 2
+    n = half.denominator.bit_length() - half.numerator.bit_length() - 1
+    while pow2(-n) >= half:
+        n += 1
+    return n

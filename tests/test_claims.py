@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ordfield.certs import (
     ConstRule,
@@ -41,6 +43,7 @@ from ordfield.functions import (
 from ordfield.laurent import RF_ONE, RF_X, RF_ZERO, rf_const, valuation, x_pow
 from ordfield.rationals import pow2
 
+import oracle_dyadic
 import oracle_referee
 from conftest import rand_nonzero_rat, rand_ratfunc
 from oracle_referee import probe_gen
@@ -65,6 +68,60 @@ def test_min_dyadic_depth():
     for d in (F(1), F(3, 7), F(1, 1000), F(513)):
         n = min_dyadic_depth(d)
         assert pow2(-n) < d / 2 <= pow2(-n + 1)
+    for d in (F(0), F(-1), F(-3, 7)):
+        with pytest.raises(DomainError, match="dyadic depth needs delta > 0"):
+            min_dyadic_depth(d)
+
+
+def test_min_dyadic_depth_matches_the_walk_oracle(rng):
+    # the shifted-int test against the Fraction walk it replaced: random
+    # deltas of up to 400 bits, and 2**k times 1, 3/2 and 1 +- 2**-20,
+    # where q * 2**m and p have equal bit lengths and differ in one bit
+    deltas = [abs(rand_nonzero_rat(rng, bits=rng.randint(1, 400))) for _ in range(2000)]
+    for k in range(-300, 301):
+        deltas += [pow2(k) * r for r in (F(1), F(3, 2), 1 + pow2(-20), 1 - pow2(-20))]
+    for d in deltas:
+        n = min_dyadic_depth(d)
+        assert n == oracle_dyadic.min_dyadic_depth(d), d
+        assert pow2(-n) < d / 2 <= pow2(-n + 1)
+
+
+def _rationals():
+    """Rationals of up to 80 bits a side, and dyadics past 2**-300."""
+    return st.builds(F, st.integers(-(2**80), 2**80), st.integers(1, 2**80)) | st.builds(
+        lambda n, k: F(n, 1 << k), st.integers(-(2**40), 2**40), st.integers(300, 340)
+    )
+
+
+@st.composite
+def _below_pairs(draw):
+    """(x, bound) with x unrelated to bound, equal to it, -bound, or
+    bound +- 2**-k, next to it."""
+    bound = draw(_rationals())
+    mode = draw(st.sampled_from(("any", "equal", "negated", "next")))
+    if mode == "any":
+        return draw(_rationals()), bound
+    if mode == "equal":
+        return F(bound.numerator, bound.denominator), bound
+    if mode == "negated":
+        return -bound, bound
+    return bound + draw(st.sampled_from((1, -1))) * pow2(-draw(st.integers(0, 340))), bound
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_below_pairs())
+@example((F(1, 4), F(1, 4)))  # sep == delta
+@example((F(-1, 2), F(1, 2)))
+@example((F(0), F(0)))
+@example((F(1, 2**301), F(3, 2**302)))
+def test_below_matches_fraction_order(pair):
+    # the referee's int predicate against Fraction's own < and >=: the
+    # in-ball and verifier tests read below(x), the falsifier not below(x)
+    x, bound = pair
+    below = claims._below(bound)
+    assert below(x) == (x < bound)
+    assert (not below(x)) == (x >= bound)
+
 
 
 def test_probe_gen_q():

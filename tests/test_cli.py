@@ -657,6 +657,22 @@ _Q_CERT = "cert kind=verifier rule=const(1)\n"
             "expected digit, 'x', '-' or '(', got '٣' (at position 0)",
             id="eval-arabic-indic-digit",
         ),
+        # refused before the work: each used to run on past a minute
+        pytest.param(
+            (
+                "claim",
+                "claim field=q fn=pow:100000000 point=0 candidate=0\n"
+                + _Q_CERT
+                + "schedule kind=eps depth=2\n",
+            ),
+            "power ^100000000 would exceed the 1048576-bit size limit",
+            id="fn-power-past-the-size-limit",
+        ),
+        pytest.param(
+            ("claim", _Q_CLAIM + "cert kind=verifier rule=const(0)\n"),
+            "dyadic depth needs delta > 0, got 0",
+            id="verifier-delta-zero",
+        ),
     ],
 )
 def test_refused_input_exits_2_with_one_line(argv, message, tmp_path, capsys):
@@ -665,10 +681,26 @@ def test_refused_input_exits_2_with_one_line(argv, message, tmp_path, capsys):
         path = tmp_path / "refused.claim"
         path.write_text(argv[1], encoding="utf-8")
         argv = ("claim", str(path))
+    start = time.perf_counter()
     assert main(list(argv)) == 2
+    assert time.perf_counter() - start < 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"ordfield: {message}\n"
+
+
+def test_claim_file_diffq_off_the_domain_at_a_fails_every_check(tmp_path, capsys):
+    # f(a) raises DomainError: each probe fails (exit 1), none is refused
+    path = tmp_path / "off.claim"
+    path.write_text(
+        "claim field=q fn=diffq(quotient(identity,identity),0) point=0 candidate=0\n"
+        + _Q_CERT
+        + "schedule kind=eps depth=2\n"
+    )
+    assert main(["claim", str(path)]) == 1
+    out = capsys.readouterr().out
+    checks = [line for line in out.splitlines() if line.startswith("check ")]
+    assert checks and all("verdict=fail" in line for line in checks)
 
 
 def test_claim_file_cert_binds_to_the_claim_it_names(tmp_path, capsys):

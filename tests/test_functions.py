@@ -1,7 +1,9 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 
+from ordfield import functions
 from ordfield.certs import ConstRule, LinearCapRule
 from ordfield.dyadic import class_index
 from ordfield.errors import DomainError, UnsupportedDerivativeError
@@ -205,3 +207,28 @@ def test_fn_name_examples():
 def test_variant_validation():
     with pytest.raises(Exception):
         Power(Field.Q, 0)
+
+
+def test_diff_quotient_evaluates_f_at_a_once(monkeypatch):
+    calls = []
+
+    def counted(fn, t):
+        calls.append(t)
+        return evaluate(fn, t)
+
+    monkeypatch.setattr(functions, "evaluate", counted)
+    a = F(1, 3)
+    dq = DiffQuotient(Power(Field.Q, 2), a)
+    assert not calls  # f(a) waits for the first h
+    hs = [pow2(-k) for k in range(1, 6)]
+    assert [dq.eval_at(h) for h in hs] == [2 * a + h for h in hs]
+    assert calls.count(a) == 1 and len(calls) == len(hs) + 1
+    # f(a) is kept outside the fields: equality, hash and name are (f, a)'s
+    fresh = DiffQuotient(Power(Field.Q, 2), a)
+    assert dq == fresh and hash(dq) == hash(fresh) and fn_name(dq) == fn_name(fresh)
+    assert [f.name for f in dataclasses.fields(dq)] == ["f", "a"]
+    # a DomainError at a is raised by every h, not by the construction
+    off = DiffQuotient(Quotient(Identity(Field.Q), Identity(Field.Q)), F(0))
+    for h in hs:
+        with pytest.raises(DomainError, match="quotient denominator vanishes at 0"):
+            off.eval_at(h)
