@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
-from .fields import render_elem, sign_of
+from .fields import Field, render_elem, sign_of
 from .laurent import RatFunc, valuation, x_pow
-from .literals import check_nesting
+from .literals import check_nesting, parse_elem
 from .rationals import pow2
 
 
@@ -131,32 +131,32 @@ class TwoSided:
 WitnessRule = QStepProbe | QXStepProbe | TwoSided
 
 
-def parse_rule(s: str, parse_value) -> DeltaRule:
-    """Parse a rendered delta-rule; parse_value maps literal text to a field
-    element."""
+def parse_rule(s: str, field: Field) -> DeltaRule:
+    """Parse a rendered delta-rule, its values in field."""
     name, args = split_call(s)
     if name == "const" and len(args) == 1:
-        return ConstRule(parse_value(args[0]))
+        return ConstRule(parse_elem(field, args[0]))
     if name == "linear_cap" and len(args) == 2:
-        return LinearCapRule(parse_value(args[0]), parse_value(args[1]))
+        return LinearCapRule(parse_elem(field, args[0]), parse_elem(field, args[1]))
     raise ParseError(f"unknown delta rule {s!r}")
 
 
-def parse_witness(s: str, parse_value) -> WitnessRule:
-    """Parse a rendered witness rule (recursively for two_sided)."""
+def parse_witness(s: str, field: Field) -> WitnessRule:
+    """Parse a rendered witness rule (recursively for two_sided), its values
+    in field."""
     name, args = split_call(s)
     if name == "qstep" and len(args) == 1:
-        return QStepProbe(parse_value(args[0]))
+        return QStepProbe(parse_elem(field, args[0]))
     if name == "qxstep" and len(args) == 2:
         sgn = {"+": 1, "-": -1}.get(args[1])
         if sgn is None:
             raise ParseError(f"bad probe sign {args[1]!r}")
-        return QXStepProbe(parse_value(args[0]), sgn)
+        return QXStepProbe(parse_elem(field, args[0]), sgn)
     if name == "two_sided" and len(args) == 3:
         return TwoSided(
-            parse_witness(args[0], parse_value),
-            parse_witness(args[1], parse_value),
-            parse_value(args[2]),
+            parse_witness(args[0], field),
+            parse_witness(args[1], field),
+            parse_elem(field, args[2]),
         )
     raise ParseError(f"unknown witness rule {s!r}")
 

@@ -25,14 +25,14 @@ from typing import NamedTuple
 
 from .certs import DeltaRule, TwoSided, WitnessRule, min_dyadic_depth, parse_rule, parse_witness
 from .errors import DomainError, ResourceError, digit_limit
-from .fields import Field, check_elem, field_zero, from_rat
+from .fields import Field, check_elem, field_zero, from_rat, render_elem
 from .functions import DiffQuotient, FieldFn, evaluate, fn_field
 from .laurent import rf_const, valuation, x_pow
+from .literals import parse_elem
 from .rationals import pow2
 
 DEFAULT_EPS_DEPTH = 128
-DEFAULT_DELTA_DEPTH_Q = 512
-DEFAULT_DELTA_DEPTH_QX = 64
+DEFAULT_DELTA_DEPTH = {Field.Q: 512, Field.QX: 64}
 DEFAULT_PROBE_BUDGET = 2
 
 _Q_PATTERNS = (Fraction(5, 7), Fraction(3, 4), Fraction(1), Fraction(7, 5))
@@ -74,8 +74,8 @@ class VerifierCert:
         return pairs
 
     @classmethod
-    def from_record(cls, claim: LimitClaim, kv: dict, need, parse_value) -> VerifierCert:
-        return cls(claim, parse_rule(need("rule"), parse_value), kv.get("note", ""))
+    def from_record(cls, claim: LimitClaim, kv: dict, need) -> VerifierCert:
+        return cls(claim, parse_rule(need("rule"), claim.field), kv.get("note", ""))
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,9 @@ class FalsifierCert:
         return [("eps", self.epsilon), ("witness", self.witness.render())]
 
     @classmethod
-    def from_record(cls, claim: LimitClaim, kv: dict, need, parse_value) -> FalsifierCert:
-        return cls(claim, parse_value(need("eps")), parse_witness(need("witness"), parse_value))
+    def from_record(cls, claim: LimitClaim, kv: dict, need) -> FalsifierCert:
+        fld = claim.field
+        return cls(claim, parse_elem(fld, need("eps")), parse_witness(need("witness"), fld))
 
 
 class CheckRecord(NamedTuple):
@@ -226,7 +227,8 @@ def check_verifier(
     levels.  Each distinct delta becomes one row, and its in-ball test is
     decided once per probe of the row: a ConstRule, or a LinearCapRule
     once its cap binds, gives the same delta for many epsilons.  Each
-    epsilon then only compares dist < eps on its row."""
+    epsilon then only compares dist < eps on its row.  A delta that is not
+    positive is refused before its probes are built."""
     claim = cert.claim
     fld = claim.field
     if not eps_schedule:
@@ -242,6 +244,8 @@ def check_verifier(
         delta = cert.rule.delta_for(eps)
         ri = row_of.get(delta)
         if ri is None:
+            if not delta > 0:
+                raise DomainError(f"verifier delta must be strictly positive, got {render_elem(delta)}")
             ri = row_of[delta] = len(rows)
             indices = []
             for level in probe_levels(fld, delta, probe_budget):
@@ -339,16 +343,12 @@ def default_eps_schedule(field: Field, depth: int = DEFAULT_EPS_DEPTH) -> list:
     return [from_rat(field, pow2(-k)) for k in range(depth + 1)]
 
 
-def default_delta_schedule(field: Field, depth: int | None = None) -> list:
+def default_delta_schedule(field: Field, depth: int) -> list:
     """Q: {2**-k : k = 0..depth}; QX: {x**m * 2**-k : m = 0..depth,
     k in {0, 64}}, stressing Archimedean depth and infinitesimal order."""
     if field is Field.Q:
-        if depth is None:
-            depth = DEFAULT_DELTA_DEPTH_Q
         _refuse_unprintable(depth)
         return [pow2(-k) for k in range(depth + 1)]
-    if depth is None:
-        depth = DEFAULT_DELTA_DEPTH_QX
     return [
         x_pow(m) * rf_const(pow2(-k))
         for m in range(depth + 1)

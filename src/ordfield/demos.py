@@ -23,8 +23,7 @@ from fractions import Fraction
 
 from .certs import ConstRule, LinearCapRule, QStepProbe, QXStepProbe, TwoSided
 from .claims import (
-    DEFAULT_DELTA_DEPTH_Q,
-    DEFAULT_DELTA_DEPTH_QX,
+    DEFAULT_DELTA_DEPTH,
     DEFAULT_EPS_DEPTH,
     DEFAULT_PROBE_BUDGET,
     Check,
@@ -162,7 +161,7 @@ def demo_dlim(
     lim f' = 0 verify, while lim f(t)/t = 0 (the value the property would
     force) is refuted at every challenged delta."""
     if delta_depth is None:
-        delta_depth = DEFAULT_DELTA_DEPTH_Q if field is Field.Q else DEFAULT_DELTA_DEPTH_QX
+        delta_depth = DEFAULT_DELTA_DEPTH[field]
     yield [
         ("field", field),
         ("eps-depth", eps_depth),
@@ -306,7 +305,7 @@ def demo_mvt(
 def demo_lhopital(
     candidate: Fraction | None = None,
     eps_depth: int = DEFAULT_EPS_DEPTH,
-    delta_depth: int = DEFAULT_DELTA_DEPTH_Q,
+    delta_depth: int = DEFAULT_DELTA_DEPTH[Field.Q],
 ):
     """Classical (punctured-neighborhood) L'Hopital fails for
     (f, g) = (StepQ, Identity): all hypotheses verify, yet lim f/g = 0 is
@@ -396,7 +395,7 @@ def demo_taylor(
     n: int = 2,
     candidate: Fraction | None = None,
     eps_depth: int = DEFAULT_EPS_DEPTH,
-    delta_depth: int = DEFAULT_DELTA_DEPTH_Q,
+    delta_depth: int = DEFAULT_DELTA_DEPTH[Field.Q],
 ):
     """Taylor's Theorem with Peano Remainder fails at order n >= 2 for the
     outer-square step function F: every derivative of F at 0 exists and is

@@ -126,10 +126,9 @@ def constancy_radius_q(t: Fraction) -> Fraction:
     return _sqrt2_gap(abs(t) * pow2(n), _HALF, 1) * pow2(-n)
 
 
-def is_outer(t: Fraction, n: int | None = None) -> bool:
-    """True when |t| sits in the outer part (3/2 * c_n, c_{n-1}) of its band."""
-    if n is None:
-        n = class_index(t)
+def is_outer(t: Fraction, n: int) -> bool:
+    """True when |t| sits in the outer part (3/2 * c_n, c_{n-1}) of its band
+    n = class_index(t)."""
     return cmp_to_scaled_cn(abs(t), n, OUTER_SCALE) == GREATER
 
 

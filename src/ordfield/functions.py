@@ -24,6 +24,7 @@ remainder claim fails from n = 2 on.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -316,13 +317,14 @@ class DiffQuotient(FieldFn):
     def from_args(cls, field: Field, args: list[str]) -> FieldFn:
         return cls(parse_fn(field, args[0]), parse_elem(field, args[1]))
 
+    @functools.cached_property
+    def _fa(self):
+        return evaluate(self.f, self.a)
+
     def eval_at(self, h):
         if not h:
             raise DomainError("difference quotient needs h != 0")
-        fa = self.__dict__.get("_fa")
-        if fa is None:
-            fa = evaluate(self.f, self.a)
-            object.__setattr__(self, "_fa", fa)
+        fa = self._fa
         return (evaluate(self.f, self.a + h) - fa) / h
 
 

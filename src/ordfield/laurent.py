@@ -52,7 +52,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DomainError, ZeroDenominatorError, print_limit_error
+from .errors import DomainError, ZeroDenominatorError
+from .rationals import render_rat
 
 Poly = tuple  # ascending degree, no trailing zeros; int coefficients in a RatFunc
 
@@ -289,12 +290,6 @@ class RatFunc(NamedTuple):
             return NotImplemented
         return rf_sub(self, o)
 
-    def __rsub__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return rf_sub(o, self)
-
     def __mul__(self, other):
         o = _coerce(other)
         if o is None:
@@ -309,17 +304,8 @@ class RatFunc(NamedTuple):
             return NotImplemented
         return rf_div(self, o)
 
-    def __rtruediv__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return rf_div(o, self)
-
     def __neg__(self) -> "RatFunc":
         return RatFunc(self.v, _p_neg(self.num), self.den)
-
-    def __pos__(self) -> "RatFunc":
-        return self
 
     def __abs__(self) -> "RatFunc":
         return -self if rf_sign(self) < 0 else self
@@ -434,21 +420,19 @@ def _rf_sum(a: RatFunc, b: RatFunc) -> RatFunc:
             return RatFunc(v + k, num, (s,))
         return RatFunc(v + k, tuple(x // c for x in num), (s // c,))
     g = _cross_gcd(d1, d2)
-    if g is None:
-        num = _p_add(_p_mul(n1, d2), _p_mul(n2, d1))
-        if not num:
-            return RF_ZERO
-        k, num = _x_split(num)
-        return _rf_canon(v + k, num, _p_mul(d1, d2))
-    d1, d2 = _iexact_div(d1, g), _iexact_div(d2, g)
+    if g:
+        d1, d2 = _iexact_div(d1, g), _iexact_div(d2, g)
     t = _p_add(_p_mul(n1, d2), _p_mul(n2, d1))
     if not t:
         return RF_ZERO
     k, t = _x_split(t)
-    h = _cross_gcd(t, g)
-    if h:
-        t, g = _iexact_div(t, h), _iexact_div(g, h)
-    return _rf_canon(v + k, t, _p_mul(_p_mul(d1, d2), g))
+    den = _p_mul(d1, d2)
+    if g:
+        h = _cross_gcd(t, g)
+        if h:
+            t, g = _iexact_div(t, h), _iexact_div(g, h)
+        den = _p_mul(den, g)
+    return _rf_canon(v + k, t, den)
 
 
 def rf_add(a: RatFunc, b: RatFunc) -> RatFunc:
@@ -561,15 +545,12 @@ def render_poly(p: Poly, compact: bool = False, shift: int = 0, t: int = 1) -> s
             continue
         if t != 1:
             c = Fraction(c, t)
-        mag = c if c > 0 else -c
-        try:
-            if k == 0:
-                body = str(mag)
-            else:
-                xs = "x" if k == 1 else f"x^{k}"
-                body = xs if mag == 1 else f"{mag}*{xs}"
-        except ValueError:
-            raise print_limit_error() from None
+        mag = abs(c)
+        if k == 0:
+            body = render_rat(mag)
+        else:
+            xs = "x" if k == 1 else f"x^{k}"
+            body = xs if mag == 1 else f"{render_rat(mag)}*{xs}"
         if not parts:
             parts.append(body if c > 0 else "-" + body)
         else:

@@ -19,8 +19,8 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError, ZeroDenominatorError, digit_limit
-from .fields import Field
-from .laurent import RF_X, rf_const
+from .fields import Field, from_rat
+from .laurent import RF_X
 
 _ATOM_STARTS = "digit, 'x', '-' or '('"
 
@@ -35,10 +35,6 @@ MAX_NESTING = 100
 
 # The one integer grammar of literals, function names and record fields.
 _INT = re.compile(r"-?[0-9]+")
-
-
-def _is_digit(ch: str) -> bool:
-    return "0" <= ch <= "9"
 
 
 class _Scanner:
@@ -66,14 +62,11 @@ class _Scanner:
     def take_int(self) -> int:
         self.skip_ws()
         start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
-            self.pos += 1
-        if self.pos == digits:
+        m = _INT.match(self.text, start)
+        if m is None:
             raise ParseError("expected an integer", start)
-        return parse_int(self.text[start : self.pos], start)
+        self.pos = m.end()
+        return parse_int(m.group(), start)
 
 
 def parse_elem(field: Field, text: str):
@@ -183,7 +176,6 @@ def _atom(field: Field, sc: _Scanner, depth: int):
             raise ParseError("variable 'x' is not allowed in field q", sc.pos)
         sc.take()
         return RF_X
-    if _is_digit(ch):
-        n = sc.take_int()
-        return Fraction(n) if field is Field.Q else rf_const(Fraction(n))
+    if "0" <= ch <= "9":
+        return from_rat(field, Fraction(sc.take_int()))
     raise ParseError(f"expected {_ATOM_STARTS}, got {ch!r}", sc.pos)

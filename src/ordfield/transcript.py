@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 
 from .claims import (
+    DEFAULT_DELTA_DEPTH,
     DEFAULT_EPS_DEPTH,
     Check,
     FalsifierCert,
@@ -93,7 +94,6 @@ class Transcript:
 
     def __init__(self):
         self.lines: list[str] = []
-        self._next_claim_id = 1
         self._claim_ids: dict[LimitClaim, int] = {}
 
     def add(self, kind: str, pairs: list[tuple[str, object]]) -> None:
@@ -105,8 +105,7 @@ class Transcript:
     def claim_id(self, claim: LimitClaim) -> int:
         cid = self._claim_ids.get(claim)
         if cid is None:
-            cid = self._next_claim_id
-            self._next_claim_id += 1
+            cid = len(self._claim_ids) + 1
             self._claim_ids[claim] = cid
             self.add(
                 "claim",
@@ -134,7 +133,7 @@ class Transcript:
             "summary",
             [
                 ("demo", demo),
-                ("claims", self._next_claim_id - 1),
+                ("claims", len(self._claim_ids)),
                 ("checks", checks),
                 ("exit", exit_code),
                 ("verdict", verdict),
@@ -227,8 +226,7 @@ def parse_claim_file(text: str) -> list[Check]:
             if ckind not in _CERT_KINDS:
                 raise ParseError(f"unknown cert kind {ckind!r}")
             need = functools.partial(_need, kv, line=line)
-            parse_value = functools.partial(parse_elem, claim.field)
-            certs.append(_CERT_KINDS[ckind].from_record(claim, kv, need, parse_value))
+            certs.append(_CERT_KINDS[ckind].from_record(claim, kv, need))
         elif kind == "schedule":
             if current is None:
                 raise ParseError("schedule record before any claim record")
@@ -254,7 +252,7 @@ def _schedule(skind: str, fld: Field, depths: dict[str, int], values: dict[str, 
         return [parse_elem(fld, v) for v in values[skind].split(",")]
     if skind == "eps":
         return default_eps_schedule(fld, depths.get("eps", DEFAULT_EPS_DEPTH))
-    return default_delta_schedule(fld, depths.get("delta"))
+    return default_delta_schedule(fld, depths.get("delta", DEFAULT_DELTA_DEPTH[fld]))
 
 
 def _field_of(name: str) -> Field:

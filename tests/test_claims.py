@@ -14,6 +14,7 @@ from ordfield.certs import (
 )
 from ordfield import claims
 from ordfield.claims import (
+    DEFAULT_DELTA_DEPTH,
     Check,
     FalsifierCert,
     LimitClaim,
@@ -256,9 +257,9 @@ def test_falsifier_soundness_reevaluation(rng):
 def test_schedules():
     eps = default_eps_schedule(Field.Q)
     assert len(eps) == 129 and eps[0] == 1 and eps[-1] == pow2(-128)
-    deltas = default_delta_schedule(Field.Q)
+    deltas = default_delta_schedule(Field.Q, DEFAULT_DELTA_DEPTH[Field.Q])
     assert len(deltas) == 513 and deltas[-1] == pow2(-512)
-    dx = default_delta_schedule(Field.QX)
+    dx = default_delta_schedule(Field.QX, DEFAULT_DELTA_DEPTH[Field.QX])
     assert len(dx) == 130
     assert x_pow(64) * rf_const(pow2(-64)) in dx
     epsx = default_eps_schedule(Field.QX, 8)

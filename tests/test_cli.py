@@ -1,4 +1,5 @@
 import argparse
+import shlex
 import subprocess
 import sys
 import time
@@ -17,7 +18,8 @@ from ordfield.functions import fn_name, parse_fn
 from ordfield.literals import MAX_NESTING
 from ordfield.transcript import Transcript
 
-FIXTURES = Path(__file__).resolve().parents[1] / "src" / "ordfield" / "fixtures"
+REPO = Path(__file__).resolve().parents[1]
+FIXTURES = REPO / "src" / "ordfield" / "fixtures"
 
 
 def run_cli(*args):
@@ -397,6 +399,8 @@ def test_eval_qx_zero_has_undefined_valuation(capsys):
         ("eval", "--field", "qx", "1 + 2^15000*x"),
         ("demo", "dlim", "--field", "q", "--delta-depth", "15000", "--eps-depth", "2"),
         ("demo", "taylor", "--n", "50"),
+        # den[0] != 1: each coefficient is a Fraction when it is printed
+        ("eval", "--field", "qx", "2^15000*x/3"),
     ],
 )
 def test_values_past_the_digit_limit_exit_2(argv, capsys):
@@ -537,7 +541,10 @@ def test_claim_file_default_schedules(tmp_path, capsys):
 
 _Q_CLAIM = "claim field=q fn=quotient(step_q,identity) point=0 candidate=0\n"
 _QX_CLAIM = "claim field=qx fn=diffq(step_qx,0) point=0 candidate=0\n"
+_QX_IDENTITY = "claim field=qx fn=identity point=0 candidate=0\n"
 _Q_CERT = "cert kind=verifier rule=const(1)\n"
+_EPS_2 = "schedule kind=eps depth=2\n"
+_NO_X_IN_Q = "variable 'x' is not allowed in field q (at position 0)"
 
 
 @pytest.mark.parametrize(
@@ -670,8 +677,51 @@ _Q_CERT = "cert kind=verifier rule=const(1)\n"
         ),
         pytest.param(
             ("claim", _Q_CLAIM + "cert kind=verifier rule=const(0)\n"),
-            "dyadic depth needs delta > 0, got 0",
+            "verifier delta must be strictly positive, got 0",
             id="verifier-delta-zero",
+        ),
+        # a non-positive verifier delta is refused alike in Q(x)
+        pytest.param(
+            ("claim", _QX_IDENTITY + "cert kind=verifier rule=const(0)\n" + _EPS_2),
+            "verifier delta must be strictly positive, got 0",
+            id="qx-verifier-delta-zero",
+        ),
+        pytest.param(
+            ("claim", _QX_IDENTITY + "cert kind=verifier rule=const(-1)\n" + _EPS_2),
+            "verifier delta must be strictly positive, got -1",
+            id="qx-verifier-delta-negative",
+        ),
+        pytest.param(
+            ("claim", _QX_IDENTITY + "cert kind=verifier rule=const(-1/x)\n" + _EPS_2),
+            "verifier delta must be strictly positive, got -1/x",
+            id="qx-verifier-delta-negative-infinite",
+        ),
+        pytest.param(
+            ("claim", _QX_IDENTITY + "cert kind=verifier rule=linear_cap(1,-1)\n" + _EPS_2),
+            "verifier delta must be strictly positive, got -1",
+            id="qx-verifier-linear-cap-negative-slope",
+        ),
+        # cert values are read in the field of their claim
+        pytest.param(
+            ("claim", _Q_CLAIM + "cert kind=falsifier eps=x witness=qstep(5/7)\n"),
+            _NO_X_IN_Q,
+            id="q-cert-eps-x",
+        ),
+        pytest.param(
+            ("claim", _Q_CLAIM + "cert kind=verifier rule=const(x)\n"),
+            _NO_X_IN_Q,
+            id="q-cert-rule-x",
+        ),
+        pytest.param(
+            ("claim", _Q_CLAIM + "cert kind=falsifier eps=1/2 witness=qstep(x)\n"),
+            _NO_X_IN_Q,
+            id="q-cert-witness-x",
+        ),
+        # the rule's name and arity are checked before its arguments
+        pytest.param(
+            ("claim", _Q_CLAIM + "cert kind=verifier rule=nosuch(x)\n"),
+            "unknown delta rule 'nosuch(x)'",
+            id="q-unknown-rule-ahead-of-its-literal",
         ),
     ],
 )
@@ -719,3 +769,15 @@ def test_claim_file_cert_binds_to_the_claim_it_names(tmp_path, capsys):
     path.write_text(claims + "cert claim=7 kind=falsifier eps=1/2 witness=qstep(5/7)\n")
     assert main(["claim", str(path)]) == 2
     assert capsys.readouterr() == ("", "ordfield: cert names unknown claim 7\n")
+
+
+def test_readme_cli_block_runs(monkeypatch, capsys):
+    # each `ordfield ...` line of README's CLI block, run from the repo root
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("ordfield ")]
+    assert len(lines) >= 8
+    monkeypatch.chdir(REPO)
+    for line in lines:
+        assert main(shlex.split(line, comments=True)[1:]) == 0, line
+        capsys.readouterr()

@@ -123,8 +123,8 @@ def test_constancy_radius_random(rng):
 
 
 def test_outer_band_and_radius(rng):
-    assert is_outer(F(13, 10))
-    assert not is_outer(F(1))
+    assert is_outer(F(13, 10), class_index(F(13, 10)))
+    assert not is_outer(F(1), class_index(F(1)))
     for _ in range(150):
         t = rand_nonzero_rat(rng, bits=16)
         n = class_index(t)
@@ -150,7 +150,7 @@ def test_sqrt2_gap_radius():
 def _agrees_with_fraction_oracle(t):
     n = class_index(t)
     assert n == oracle_dyadic.class_index(t), t
-    assert is_outer(t) == oracle_dyadic.is_outer(t), t
+    assert is_outer(t, n) == oracle_dyadic.is_outer(t), t
     a = abs(t)
     for m in (n - 1, n, n + 1):
         for scale in (F(1), OUTER_SCALE):
