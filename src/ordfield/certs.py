@@ -145,6 +145,10 @@ def parse_witness(s: str, field: Field) -> WitnessRule:
     """Parse a rendered witness rule (recursively for two_sided), its values
     in field."""
     name, args = split_call(s)
+    # each step probe is built for one field; two_sided checks its two sides
+    home = {"qstep": Field.Q, "qxstep": Field.QX}.get(name, field)
+    if home is not field:
+        raise ParseError(f"witness rule {s!r} lives in field {home.value}")
     if name == "qstep" and len(args) == 1:
         return QStepProbe(parse_elem(field, args[0]))
     if name == "qxstep" and len(args) == 2:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 from .certs import DeltaRule, TwoSided, WitnessRule, min_dyadic_depth, parse_rule, parse_witness
 from .errors import DomainError, ResourceError, digit_limit
 from .fields import Field, check_elem, field_zero, from_rat, render_elem
-from .functions import DiffQuotient, FieldFn, evaluate, fn_field
+from .functions import DiffQuotient, FieldFn, evaluate
 from .laurent import rf_const, valuation, x_pow
 from .literals import parse_elem
 from .rationals import pow2
@@ -54,7 +54,7 @@ class LimitClaim:
 
     @property
     def field(self) -> Field:
-        return fn_field(self.fn)
+        return self.fn.field
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,7 @@ class Check:
 
 def derivative_claim(fn: FieldFn, a, d) -> LimitClaim:
     """The claim f'(a) = d, phrased as lim_{h->0} (f(a+h)-f(a))/h = d."""
-    return LimitClaim(DiffQuotient(fn, a), field_zero(fn_field(fn)), d)
+    return LimitClaim(DiffQuotient(fn, a), field_zero(fn.field), d)
 
 
 def probe_levels(field: Field, delta, budget: int) -> range:

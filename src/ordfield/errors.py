@@ -28,14 +28,6 @@ def digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-def print_limit_error() -> ResourceError:
-    """The ResourceError for a value with an integer longer than the
-    interpreter's digit limit for int-to-text conversion; raise it where
-    that conversion's ValueError is caught."""
-    limit = digit_limit()
-    return ResourceError(f"value too long to print: an integer past the {limit}-digit limit")
-
-
 class IrrationalityError(OrdFieldError, ArithmeticError):
     """A comparison against one of the irrational cut points came back
     "equal".  This cannot happen for rational inputs; raising loudly is

@@ -5,7 +5,8 @@ Functions form a closed enumeration rather than opaque callables so that
 certificates and probe generators can introspect their structure and
 transcripts can serialize them.  Each descriptor class is one row of the
 function table: it owns its field, its evaluator, its constancy radius,
-its derivative certificate and its canonical name, and one tag registry
+its derivative certificate, its tag and the kinds of its arguments.
+`fn_name` and `parse_fn` alone own the name format, and one tag registry
 maps names back to classes for `parse_fn`.
 
 The step functions return the canonical representative of the band/class
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .certs import ConstRule, DeltaRule, LinearCapRule, split_call
@@ -59,22 +60,16 @@ class FieldFn:
     """Base of the function descriptors.
 
     A subclass sets TAG (its name in transcripts), `field` and `eval_at`.
-    One whose name carries ARITY arguments renders them in `name_args` and
-    parses them in `from_args`.  One that is locally constant off 0 gives
-    its ball radius in `radius_at`; one with a closed-form derivative gives
-    its certificate in `derivative_at`.  `envelope` holds the strict bounds
+    ARGS gives the kind ("fn", "int" or "elem") of each of its dataclass
+    fields other than `field`, in field order; `fn_name` writes them and
+    `parse_fn` reads them.  One that is locally constant off 0 gives its
+    ball radius in `radius_at`; one with a closed-form derivative gives its
+    certificate in `derivative_at`.  `envelope` holds the strict bounds
     (lower, upper) on |f(t)/t| of the step functions.
     """
 
-    ARITY = 0
+    ARGS: tuple[str, ...] = ()
     envelope = None
-
-    def name_args(self) -> tuple[str, ...]:
-        return ()
-
-    @classmethod
-    def from_args(cls, field: Field, args: list[str]) -> FieldFn:
-        return cls()
 
     def radius_at(self, t):
         raise DomainError(f"no constancy rule for {fn_name(self)}")
@@ -91,10 +86,6 @@ class Identity(FieldFn):
 
     TAG = "identity"
 
-    @classmethod
-    def from_args(cls, field: Field, args: list[str]) -> FieldFn:
-        return cls(field)
-
     def eval_at(self, t):
         return t
 
@@ -109,14 +100,7 @@ class Constant(FieldFn):
     value: object
 
     TAG = "constant"
-    ARITY = 1
-
-    def name_args(self) -> tuple[str, ...]:
-        return (render_elem(self.value),)
-
-    @classmethod
-    def from_args(cls, field: Field, args: list[str]) -> FieldFn:
-        return cls(field, parse_elem(field, args[0]))
+    ARGS = ("elem",)
 
     def eval_at(self, t):
         return self.value
@@ -137,18 +121,11 @@ class Power(FieldFn):
     n: int
 
     TAG = "pow"
-    ARITY = 1
+    ARGS = ("int",)
 
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("power exponent must be at least 1")
-
-    def name_args(self) -> tuple[str, ...]:
-        return (str(self.n),)
-
-    @classmethod
-    def from_args(cls, field: Field, args: list[str]) -> FieldFn:
-        return cls(field, parse_int(args[0]))
 
     def eval_at(self, t):
         if _power_bits(t, self.n) > MAX_POWER_BITS:
@@ -272,18 +249,11 @@ class Quotient(FieldFn):
     g: FieldFn
 
     TAG = "quotient"
-    ARITY = 2
+    ARGS = ("fn", "fn")
 
     @property
     def field(self) -> Field:
         return self.f.field
-
-    def name_args(self) -> tuple[str, ...]:
-        return (fn_name(self.f), fn_name(self.g))
-
-    @classmethod
-    def from_args(cls, field: Field, args: list[str]) -> FieldFn:
-        return cls(parse_fn(field, args[0]), parse_fn(field, args[1]))
 
     def eval_at(self, t):
         g = evaluate(self.g, t)
@@ -304,18 +274,11 @@ class DiffQuotient(FieldFn):
     a: object
 
     TAG = "diffq"
-    ARITY = 2
+    ARGS = ("fn", "elem")
 
     @property
     def field(self) -> Field:
         return self.f.field
-
-    def name_args(self) -> tuple[str, ...]:
-        return (fn_name(self.f), render_elem(self.a))
-
-    @classmethod
-    def from_args(cls, field: Field, args: list[str]) -> FieldFn:
-        return cls(parse_fn(field, args[0]), parse_elem(field, args[1]))
 
     @functools.cached_property
     def _fa(self):
@@ -329,12 +292,6 @@ class DiffQuotient(FieldFn):
 
 
 _BY_TAG = {cls.TAG: cls for cls in FieldFn.__subclasses__()}
-
-
-def fn_field(fn: FieldFn) -> Field:
-    if not isinstance(fn, FieldFn):
-        raise DomainError(f"not a FieldFn: {fn!r}")
-    return fn.field
 
 
 def evaluate(fn: FieldFn, t):
@@ -382,8 +339,11 @@ def derivative_certificate(fn: FieldFn, t) -> DerivativeCert:
 
 def fn_name(fn: FieldFn) -> str:
     """Canonical compact name used by the CLI and transcripts: the tag,
-    `tag:arg` for one argument, `tag(a,b)` for two."""
-    args = fn.name_args()
+    `tag:arg` for one argument, `tag(a,b)` for two.  The arguments are the
+    dataclass fields other than `field`, each written by its kind in ARGS."""
+    values = [getattr(fn, f.name) for f in fields(fn) if f.name != "field"]
+    write = {"fn": fn_name, "int": str, "elem": render_elem}
+    args = [write[kind](v) for kind, v in zip(fn.ARGS, values, strict=True)]
     if not args:
         return fn.TAG
     if len(args) == 1:
@@ -400,9 +360,13 @@ def parse_fn(field: Field, s: str) -> FieldFn:
     else:
         args = [arg] if colon else []
     cls = _BY_TAG.get(tag)
-    if cls is None or len(args) != cls.ARITY:
+    if cls is None or len(args) != len(cls.ARGS):
         raise ParseError(f"unknown function name {s!r}")
-    fn = cls.from_args(field, args)
+    read = {"fn": parse_fn, "int": lambda _, a: parse_int(a), "elem": parse_elem}
+    values = [read[kind](field, a) for kind, a in zip(cls.ARGS, args)]
+    if any(f.name == "field" for f in fields(cls)):
+        values.insert(0, field)
+    fn = cls(*values)
     if fn.field is not field:
         raise ParseError(f"function {s!r} lives in field {fn.field.value}")
     return fn

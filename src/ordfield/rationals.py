@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import print_limit_error
+from .errors import ResourceError, digit_limit
 
 
 def pow2(n: int) -> Fraction:
@@ -27,4 +27,7 @@ def render_rat(a: Fraction) -> str:
             return str(a.numerator)
         return f"{a.numerator}/{a.denominator}"
     except ValueError:
-        raise print_limit_error() from None
+        # str() of an int past the interpreter's int-to-text digit limit
+        raise ResourceError(
+            f"value too long to print: an integer past the {digit_limit()}-digit limit"
+        ) from None

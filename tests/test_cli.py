@@ -354,6 +354,30 @@ def test_cli_subprocess_dlim_deterministic():
     assert out1 == out2
 
 
+def test_cli_subprocess_closed_stdout_exits_0_quietly():
+    # the 1.3 MB transcript overruns the pipe, so the write meets the closed end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ordfield.cli", "demo", "dlim", "--field", "q"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"header ")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert err == b""
+
+
+@pytest.mark.parametrize("argv", [("eval", "--field", "z", "1"), ("demo", "dlim", "--field", "z")])
+def test_unknown_field_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(": error: argument --field: unknown field 'z' (use q or qx)\n")
+
+
 def test_exit_codes_are_exhaustive():
     # 0 = expected verdicts, 1 = verdict violation, 2 = usage/parse
     assert main(["demo", "dlim", "--field", "q", "--eps-depth", "2",
@@ -544,6 +568,8 @@ _QX_CLAIM = "claim field=qx fn=diffq(step_qx,0) point=0 candidate=0\n"
 _QX_IDENTITY = "claim field=qx fn=identity point=0 candidate=0\n"
 _Q_CERT = "cert kind=verifier rule=const(1)\n"
 _EPS_2 = "schedule kind=eps depth=2\n"
+_DELTA_2 = "schedule kind=delta depth=2\n"
+_Q_DIFFQ = "claim field=q fn=diffq(step_q,0) point=0 candidate=0\n"
 _NO_X_IN_Q = "variable 'x' is not allowed in field q (at position 0)"
 
 
@@ -722,6 +748,64 @@ _NO_X_IN_Q = "variable 'x' is not allowed in field q (at position 0)"
             ("claim", _Q_CLAIM + "cert kind=verifier rule=nosuch(x)\n"),
             "unknown delta rule 'nosuch(x)'",
             id="q-unknown-rule-ahead-of-its-literal",
+        ),
+        # a step probe fits only its own field, also inside two_sided
+        pytest.param(
+            ("claim", _QX_CLAIM + "cert kind=falsifier eps=x witness=qstep(1)\n" + _DELTA_2),
+            "witness rule 'qstep(1)' lives in field q",
+            id="qstep-witness-in-qx-claim",
+        ),
+        pytest.param(
+            ("claim", _Q_DIFFQ + "cert kind=falsifier eps=1/2 witness=qxstep(1,+)\n" + _DELTA_2),
+            "witness rule 'qxstep(1,+)' lives in field qx",
+            id="qxstep-witness-in-q-claim",
+        ),
+        pytest.param(
+            (
+                "claim",
+                _Q_DIFFQ
+                + "cert kind=falsifier eps=1/2 witness=two_sided(qstep(5/7),qxstep(1,+),0)\n"
+                + _DELTA_2,
+            ),
+            "witness rule 'qxstep(1,+)' lives in field qx",
+            id="two-sided-witness-with-a-qx-side-in-q-claim",
+        ),
+        # the function-name codec: the name and argument count first, then
+        # each argument by its kind, then the function's own checks
+        pytest.param(
+            ("claim", "claim field=q fn=pow point=0 candidate=0\n" + _Q_CERT),
+            "unknown function name 'pow'",
+            id="fn-pow-without-exponent",
+        ),
+        pytest.param(
+            ("claim", "claim field=q fn=identity:1 point=0 candidate=0\n" + _Q_CERT),
+            "unknown function name 'identity:1'",
+            id="fn-identity-with-an-argument",
+        ),
+        pytest.param(
+            ("claim", "claim field=q fn=quotient(step_q) point=0 candidate=0\n" + _Q_CERT),
+            "unknown function name 'quotient(step_q)'",
+            id="fn-quotient-one-argument",
+        ),
+        pytest.param(
+            ("claim", "claim field=q fn=pow:x point=0 candidate=0\n" + _Q_CERT),
+            "expected an integer, got 'x'",
+            id="fn-pow-exponent-not-an-integer",
+        ),
+        pytest.param(
+            ("claim", "claim field=q fn=constant:x point=0 candidate=0\n" + _Q_CERT),
+            _NO_X_IN_Q,
+            id="fn-constant-x-in-q",
+        ),
+        pytest.param(
+            ("claim", "claim field=q fn=diffq(step_q,x) point=0 candidate=0\n" + _Q_CERT),
+            _NO_X_IN_Q,
+            id="fn-diffq-point-x-in-q",
+        ),
+        pytest.param(
+            ("claim", "claim field=q fn=pow:0 point=0 candidate=0\n" + _Q_CERT),
+            "power exponent must be at least 1",
+            id="fn-pow-exponent-zero",
         ),
     ],
 )

@@ -20,7 +20,6 @@ from ordfield.functions import (
     StepQX,
     derivative_certificate,
     evaluate,
-    fn_field,
     fn_name,
     local_constancy,
     parse_fn,
@@ -194,7 +193,7 @@ def test_fn_name_roundtrip():
         DiffQuotient(StepQX(), x_pow(2)),
     ]
     for fn in fns:
-        assert parse_fn(fn_field(fn), fn_name(fn)) == fn
+        assert parse_fn(fn.field, fn_name(fn)) == fn
 
 
 def test_fn_name_examples():
