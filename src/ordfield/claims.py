@@ -218,24 +218,34 @@ def check_verifier(
     cert: VerifierCert,
     eps_schedule,
     probe_budget: int = DEFAULT_PROBE_BUDGET,
+    table: dict | None = None,
 ) -> RefereeReport:
     """Challenge the delta-rule on every epsilon in the schedule: every
     probe in the punctured delta(eps)-ball must satisfy |f(w) - L| < eps.
 
-    Each level's probes are built and evaluated once per report, kept by
-    their int level: deltas with the same dyadic depth or valuation share
-    levels.  Each distinct delta becomes one row, and its in-ball test is
-    decided once per probe of the row: a ConstRule, or a LinearCapRule
-    once its cap binds, gives the same delta for many epsilons.  Each
-    epsilon then only compares dist < eps on its row.  A delta that is not
-    positive is refused before its probes are built."""
+    table is the run's probe table: it maps (field, point, level) to that
+    level's probe points w, each with sep = |w - point|, so certificates
+    of one run that share a field and a point build each level once.  A
+    call without a table gets a fresh one of its own.  Each level's probes
+    are evaluated once per report, kept by their int level: deltas with
+    the same dyadic depth or valuation share levels.  Each distinct delta
+    becomes one row, whose in-ball tests are decided in one batch: a
+    ConstRule, or a LinearCapRule once its cap binds, gives the same delta
+    for many epsilons.  Each epsilon then decides dist < eps on its row in
+    one batch.  A delta that is not positive is refused before its probes
+    are built."""
     claim = cert.claim
-    fld = claim.field
+    fld, point = claim.field, claim.point
     if not eps_schedule:
         raise DomainError("epsilon schedule is empty")
+    if table is None:
+        table = {}
+    key, below = _order(point)
     probes: list[Probe] = []
+    keys: list[tuple] = []  # per probe: its (in-ball key, dist key)
     levels: dict[int, range] = {}  # level -> indices of its probes
     rows: list[Row] = []
+    row_dists: list[list] = []  # per row: the dist key of each probe in its ball, else None
     row_of: dict = {}  # delta -> index of its row
     uses = []
     for eps in eps_schedule:
@@ -252,13 +262,16 @@ def check_verifier(
                 idx = levels.get(level)
                 if idx is None:
                     start = len(probes)
-                    probes.extend(_probe(claim, w) for w in level_probes(fld, claim.point, level))
+                    for w, sep, sep_key in _level(table, key, fld, point, level):
+                        probe, ball_key, dist_key = _probe(claim, key, w, sep, sep_key)
+                        probes.append(probe)
+                        keys.append((ball_key, dist_key))
                     idx = levels[level] = range(start, len(probes))
                 indices.extend(idx)
-            rows.append(_row(probes, indices, delta))
-        below = _below(eps)
-        verdicts = tuple([ib and below(probes[i].dist) for i, ib in rows[ri].probes])
-        uses.append(Use(eps, ri, verdicts))
+            in_ball = below([keys[i][0] for i in indices], delta)
+            rows.append(Row(delta, tuple(zip(indices, in_ball))))
+            row_dists.append([keys[i][1] if ib else None for i, ib in zip(indices, in_ball)])
+        uses.append(Use(eps, ri, tuple(below(row_dists[ri], eps))))
     return RefereeReport(cert, tuple(probes), tuple(rows), tuple(uses))
 
 
@@ -266,8 +279,9 @@ def check_falsifier(cert: FalsifierCert, delta_schedule) -> RefereeReport:
     """Challenge the witness rule on every delta in the schedule: the
     produced point must sit inside the punctured ball and miss the
     candidate by at least epsilon.  Each delta is a row of one probe, its
-    witness."""
+    witness; the misses of all witnesses are decided in one batch."""
     claim = cert.claim
+    point = claim.point
     eps = cert.epsilon
     if not eps > 0:
         raise DomainError("falsifier epsilon must be strictly positive")
@@ -276,54 +290,89 @@ def check_falsifier(cert: FalsifierCert, delta_schedule) -> RefereeReport:
         rule = rule.pick(claim.candidate)
     if not delta_schedule:
         raise DomainError("delta schedule is empty")
-    below = _below(eps)
+    key, below = _order(eps)
     probes: list[Probe] = []
     rows: list[Row] = []
-    uses = []
+    dists = []  # per row: the dist key of its witness when in the ball, else None
     for delta in delta_schedule:
         if not delta > 0:
             raise DomainError("delta schedule must be strictly positive")
-        i = len(probes)
-        probes.append(_probe(claim, claim.point + rule.witness_for(delta)))
-        row = _row(probes, (i,), delta)
-        uses.append(Use(eps, len(rows), (row.probes[0][1] and not below(probes[i].dist),)))
-        rows.append(row)
+        w = point + rule.witness_for(delta)
+        probe, ball_key, dist_key = _probe(claim, key, w, *_sep(key, point, w))
+        (in_ball,) = below([ball_key], delta)
+        rows.append(Row(delta, ((len(probes), in_ball),)))
+        dists.append(dist_key if in_ball else None)
+        probes.append(probe)
+    uses = [
+        Use(eps, ri, (row.probes[0][1] and not near,))
+        for ri, (row, near) in enumerate(zip(rows, below(dists, eps)))
+    ]
     return RefereeReport(cert, tuple(probes), tuple(rows), tuple(uses))
 
 
-def _below(bound):
-    """The predicate x < bound for x in bound's field.  A Fraction bound
-    n/d is read once, and x < n/d is x.numerator * d < n * x.denominator
-    (both denominators are positive), so no Fraction comparison runs; a
-    RatFunc bound keeps its own ordering."""
-    if isinstance(bound, Fraction):
-        n, d = bound.numerator, bound.denominator
-        return lambda x: x.numerator * d < n * x.denominator
-    return bound.__gt__
+def _order(x):
+    """The order of x's field as (key, below), and the one place that
+    tells a Q value from a Q(x) one.  key(v) is what below reads of v: a
+    Fraction's int numerator and denominator, read once, or the RatFunc
+    itself.  below(keys, bound) decides k < bound for each key of a batch
+    in one pass, and is False for a None key: a probe off fn's domain, or
+    at the point itself.  For a Fraction bound n/d, k < n/d is
+    k[0] * d < n * k[1] (both denominators are positive), so no Fraction
+    comparison runs; a RatFunc keeps its own ordering."""
+    if isinstance(x, Fraction):
+        return _ints, _below_ints
+    return _itself, _below_elems
 
 
-def _row(probes: list[Probe], indices, delta) -> Row:
-    """The row of delta over the probes at indices; sep = |w - point| is
-    never negative, so 0 < sep is bool(sep)."""
-    below = _below(delta)
-    in_ball = []
-    for i in indices:
-        p = probes[i]
-        in_ball.append((i, p.fw is not None and bool(p.sep) and below(p.sep)))
-    return Row(delta, tuple(in_ball))
+def _ints(x: Fraction) -> tuple[int, int]:
+    return x.numerator, x.denominator
 
 
-def _probe(claim: LimitClaim, w) -> Probe:
-    """The probe at w; fn(w) and the distance are None when w is off fn's
-    domain, which fails every check.  A zero point or candidate is falsy
-    in both fields, and subtracting it would only copy w or fn(w)."""
-    point, candidate = claim.point, claim.candidate
+def _itself(x):
+    return x
+
+
+def _below_ints(keys, bound: Fraction) -> list[bool]:
+    n, d = bound.numerator, bound.denominator
+    return [k is not None and k[0] * d < n * k[1] for k in keys]
+
+
+def _below_elems(keys, bound) -> list[bool]:
+    return [k is not None and k < bound for k in keys]
+
+
+def _sep(key, point, w) -> tuple:
+    """sep = |w - point| and the key the in-ball test reads of it: None
+    when sep is 0, the centre of the punctured ball.  A zero point is
+    falsy in both fields, and subtracting it would only copy w."""
     sep = abs(w - point) if point else abs(w)
+    return sep, (key(sep) if sep else None)
+
+
+def _level(table: dict, key, field: Field, point, level: int) -> tuple:
+    """The probes of one level as (w, sep, key of sep) triples, read from
+    the run's table or built into it on first use.  level_probes is looked
+    up in this module each time a level is built."""
+    entry = table.get((field, point, level))
+    if entry is None:
+        entry = table[field, point, level] = tuple(
+            (w, *_sep(key, point, w)) for w in level_probes(field, point, level)
+        )
+    return entry
+
+
+def _probe(claim: LimitClaim, key, w, sep, sep_key) -> tuple[Probe, object, object]:
+    """The probe at w with its in-ball key and dist key.  fn(w), the
+    distance and both keys are None when w is off fn's domain, which
+    fails every check.  A zero candidate is falsy in both fields, and
+    subtracting it would only copy fn(w)."""
+    candidate = claim.candidate
     try:
         fw = evaluate(claim.fn, w)
     except DomainError:
-        return Probe(w, None, None, sep)
-    return Probe(w, fw, abs(fw - candidate) if candidate else abs(fw), sep)
+        return Probe(w, None, None, sep), None, None
+    dist = abs(fw - candidate) if candidate else abs(fw)
+    return Probe(w, fw, dist, sep), sep_key, key(dist)
 
 
 def _refuse_unprintable(depth: int) -> None:

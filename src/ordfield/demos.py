@@ -80,8 +80,11 @@ def run(name: str, header: list, steps) -> tuple[int, Transcript]:
     """A transcript of the header line, the records and reports of every
     step in order, and the summary line, with its exit code: 0 when every
     report and outcome passed, else 1.  Every step runs, so each failing
-    record is in the transcript."""
+    record is in the transcript.  The verifiers of the run share one probe
+    table, which builds each (field, point, level) of probes once and is
+    dropped when the run returns."""
     tr = Transcript()
+    table: dict = {}
     tr.header([("demo", name)] + header)
     verdict = True
     checks = 0
@@ -93,7 +96,7 @@ def run(name: str, header: list, steps) -> tuple[int, Transcript]:
             if isinstance(step.cert, FalsifierCert):
                 report = check_falsifier(step.cert, step.schedule)
             else:
-                report = check_verifier(step.cert, step.schedule, step.budget)
+                report = check_verifier(step.cert, step.schedule, step.budget, table)
             tr.add_report(report)
             checks += report.checks
             ok = report.passed

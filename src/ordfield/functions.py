@@ -352,15 +352,17 @@ def fn_name(fn: FieldFn) -> str:
 
 
 def parse_fn(field: Field, s: str) -> FieldFn:
-    """Inverse of fn_name for the given field."""
+    """Inverse of fn_name for the given field: only the form fn_name
+    writes parses, so a one-argument name in call form is refused."""
     s = s.strip()
     tag, colon, arg = s.partition(":")
-    if "(" in tag:
+    call = "(" in tag
+    if call:
         tag, args = split_call(s)
     else:
         args = [arg] if colon else []
     cls = _BY_TAG.get(tag)
-    if cls is None or len(args) != len(cls.ARGS):
+    if cls is None or len(args) != len(cls.ARGS) or call != (len(args) > 1):
         raise ParseError(f"unknown function name {s!r}")
     read = {"fn": parse_fn, "int": lambda _, a: parse_int(a), "elem": parse_elem}
     values = [read[kind](field, a) for kind, a in zip(cls.ARGS, args)]

@@ -116,12 +116,14 @@ def _below_pairs(draw):
 @example((F(0), F(0)))
 @example((F(1, 2**301), F(3, 2**302)))
 def test_below_matches_fraction_order(pair):
-    # the referee's int predicate against Fraction's own < and >=: the
-    # in-ball and verifier tests read below(x), the falsifier not below(x)
+    # the referee's batched int comparison against Fraction's own < and
+    # >=: the in-ball and verifier tests read below, the falsifier its
+    # negation; a None key (a probe off the domain) is never below
     x, bound = pair
-    below = claims._below(bound)
-    assert below(x) == (x < bound)
-    assert (not below(x)) == (x >= bound)
+    key, below = claims._order(bound)
+    got = below([key(x), None, key(bound)], bound)
+    assert got == [x < bound, False, False]
+    assert (not got[0]) == (x >= bound)
 
 
 
@@ -391,17 +393,24 @@ def test_referee_matches_oracle_when_the_cap_binds_partway():
 
 def test_referee_matches_oracle_off_the_domain():
     # every probe of quotient(identity,constant:0) raises DomainError, so
-    # every record is a fail with fw and dist undefined
-    claim = LimitClaim(Quotient(Identity(Field.Q), Constant(Field.Q, F(0))), F(0), F(0))
-    _assert_matches_oracle(
-        VerifierCert(claim, ConstRule(F(1, 2)), ""), default_eps_schedule(Field.Q, 4), 1
-    )
-    _assert_matches_oracle(
-        FalsifierCert(claim, F(1, 2), QStepProbe(F(5, 7))), default_delta_schedule(Field.Q, 4)
-    )
-    rep = check_verifier(VerifierCert(claim, ConstRule(F(1, 2)), ""), [F(1)], 0)
-    assert rep.records and not rep.passed
-    assert all(r.fw is None and r.dist is None and not r.ok for r in rep.records)
+    # every record is a fail with fw and dist undefined: in both fields the
+    # batched comparison reads the None key of such a probe as not below
+    # any bound, so it is in no ball
+    for field, zero, eps, delta, witness in (
+        (Field.Q, F(0), F(1, 2), F(1, 2), QStepProbe(F(5, 7))),
+        (Field.QX, RF_ZERO, RF_X, RF_ONE, QXStepProbe(RF_ONE, 1)),
+    ):
+        key, below = claims._order(eps)
+        assert below([None], eps) == below([None], delta) == [False]
+        claim = LimitClaim(Quotient(Identity(field), Constant(field, zero)), zero, zero)
+        verifier = VerifierCert(claim, ConstRule(delta), "")
+        falsifier = FalsifierCert(claim, eps, witness)
+        _assert_matches_oracle(verifier, default_eps_schedule(field, 4), 1)
+        _assert_matches_oracle(falsifier, default_delta_schedule(field, 2))
+        for rep in (check_verifier(verifier, [eps], 0), check_falsifier(falsifier, [delta])):
+            assert rep.records and not rep.passed
+            assert all(r.fw is None and r.dist is None and not r.ok for r in rep.records)
+            assert not any(in_ball for row in rep.rows for _, in_ball in row.probes)
 
 
 def test_referee_matches_oracle_when_the_distance_equals_epsilon():
@@ -519,3 +528,74 @@ def test_probes_outside_the_punctured_ball_fail(monkeypatch):
         assert rep.checks == 2 and not rep.passed
         assert all(r.dist >= r.eps and not r.ok for r in rep.records)
         _assert_matches_oracle(fals, [RF_ONE, RF_X])
+
+
+def _count_level_builds(monkeypatch) -> list:
+    keys = []
+
+    def counted(field, point, level):
+        keys.append((field, point, level))
+        return level_probes(field, point, level)
+
+    monkeypatch.setattr(claims, "level_probes", counted)
+    return keys
+
+
+def test_the_probe_table_lives_for_exactly_one_run(monkeypatch):
+    # one demo lhopital builds each (field, point, level) once, however many
+    # certificates share it, and a second run builds them all again
+    keys = _count_level_builds(monkeypatch)
+    first = demo_lhopital()
+    assert len(keys) == len(set(keys)) == 132
+    keys.clear()
+    second = demo_lhopital()
+    assert len(keys) == len(set(keys)) == 132
+    assert first[0] == second[0] == 0
+    assert first[1].render() == second[1].render()
+
+
+_SHARED_KEYS_CLAIM_FILE = """\
+claim id=1 field=q fn=step_q point=0 candidate=0
+claim id=2 field=q fn=identity point=0 candidate=0
+claim id=3 field=q fn=identity point=1/3 candidate=1/3
+claim id=4 field=q fn=constant:5 point=1/3 candidate=5
+claim id=5 field=qx fn=step_qx point=0 candidate=0
+claim id=6 field=qx fn=identity point=0 candidate=0
+cert claim=1 kind=verifier rule=linear_cap(1,1/2)
+cert claim=2 kind=verifier rule=linear_cap(1,1)
+cert claim=3 kind=verifier rule=linear_cap(1/8,1)
+cert claim=4 kind=verifier rule=const(1/4)
+cert claim=5 kind=verifier rule=linear_cap(1,x)
+cert claim=6 kind=verifier rule=linear_cap(1,1)
+schedule kind=eps depth=10
+"""
+
+
+def test_reports_sharing_probe_levels_match_each_certificate_alone(monkeypatch):
+    # two Q points and the Q(x) zero, each shared by two verifiers of one
+    # run: every report of the run equals its certificate refereed alone,
+    # with a table of its own, and the per-probe oracle's records
+    from ordfield import demos
+    from ordfield.transcript import parse_claim_file
+
+    seen = []
+
+    def recorded(cert, schedule, budget, table):
+        report = check_verifier(cert, schedule, budget, table)
+        seen.append((cert, schedule, budget, report))
+        return report
+
+    monkeypatch.setattr(demos, "check_verifier", recorded)
+    keys = _count_level_builds(monkeypatch)
+    steps = parse_claim_file(_SHARED_KEYS_CLAIM_FILE)
+    code, _ = demos.run("claim", [], steps)
+    assert code == 0 and len(seen) == len(steps) == 6
+    built = len(keys)
+    assert built == len(set(keys))
+    assert {(k[0], k[1]) for k in keys} == {(Field.Q, F(0)), (Field.Q, F(1, 3)), (Field.QX, RF_ZERO)}
+    keys.clear()
+    for cert, schedule, budget, report in seen:
+        assert report == check_verifier(cert, schedule, budget)
+    assert len(keys) > built  # alone, each certificate builds its own levels
+    for cert, schedule, budget, _ in seen:
+        _assert_matches_oracle(cert, schedule, budget)

@@ -787,6 +787,17 @@ _NO_X_IN_Q = "variable 'x' is not allowed in field q (at position 0)"
             "unknown function name 'quotient(step_q)'",
             id="fn-quotient-one-argument",
         ),
+        # a one-argument name has the one form fn_name writes, tag:arg
+        pytest.param(
+            ("claim", "claim field=q fn=pow(2) point=0 candidate=0\n" + _Q_CERT),
+            "unknown function name 'pow(2)'",
+            id="fn-pow-in-call-form",
+        ),
+        pytest.param(
+            ("claim", "claim field=q fn=constant(3) point=0 candidate=0\n" + _Q_CERT),
+            "unknown function name 'constant(3)'",
+            id="fn-constant-in-call-form",
+        ),
         pytest.param(
             ("claim", "claim field=q fn=pow:x point=0 candidate=0\n" + _Q_CERT),
             "expected an integer, got 'x'",
