@@ -12,7 +12,7 @@ from ordfield.certs import (
     TwoSided,
     min_dyadic_depth,
 )
-from ordfield import claims
+from ordfield import claims, demos
 from ordfield.claims import (
     DEFAULT_DELTA_DEPTH,
     Check,
@@ -43,6 +43,7 @@ from ordfield.functions import (
 )
 from ordfield.laurent import RF_ONE, RF_X, RF_ZERO, rf_const, valuation, x_pow
 from ordfield.rationals import pow2
+from ordfield.transcript import parse_claim_file
 
 import oracle_dyadic
 import oracle_referee
@@ -400,7 +401,7 @@ def test_referee_matches_oracle_off_the_domain():
         (Field.Q, F(0), F(1, 2), F(1, 2), QStepProbe(F(5, 7))),
         (Field.QX, RF_ZERO, RF_X, RF_ONE, QXStepProbe(RF_ONE, 1)),
     ):
-        key, below = claims._order(eps)
+        _, below = claims._order(eps)
         assert below([None], eps) == below([None], delta) == [False]
         claim = LimitClaim(Quotient(Identity(field), Constant(field, zero)), zero, zero)
         verifier = VerifierCert(claim, ConstRule(delta), "")
@@ -575,9 +576,6 @@ def test_reports_sharing_probe_levels_match_each_certificate_alone(monkeypatch):
     # two Q points and the Q(x) zero, each shared by two verifiers of one
     # run: every report of the run equals its certificate refereed alone,
     # with a table of its own, and the per-probe oracle's records
-    from ordfield import demos
-    from ordfield.transcript import parse_claim_file
-
     seen = []
 
     def recorded(cert, schedule, budget, table):
