@@ -33,9 +33,12 @@ def from_rat(field: Field, c: Fraction):
 
 
 def sign_of(e) -> int:
+    """The sign of a RatFunc, a Fraction or an int; a rational's is its
+    numerator's, which spares Fraction's comparison protocol."""
     if isinstance(e, RatFunc):
         return rf_sign(e)
-    return 1 if e > 0 else (-1 if e < 0 else 0)
+    n = e.numerator
+    return 1 if n > 0 else (-1 if n < 0 else 0)
 
 
 def check_elem(field: Field, e) -> None:

@@ -35,10 +35,14 @@ x**v1 * (n1/d1 + x**(v2 - v1) * n2/d2), so it shifts one numerator; only
 when v1 == v2 can the low terms of t cancel, and the factor of x they
 leave moves into v.  No side of a cross pair is ever divisible by x.
 Each path ends in one step that divides out the joint integer content
-and makes den[0] positive.  A sum whose two denominators are constants,
-the common case, takes a shorter integer path to the same form.  Division
-multiplies by the inverse, whose num and den are the operand's den and
-num.
+and makes den[0] positive.  A constant side of a cross pair shares no
+factor, so rf_mul skips its test, and a sum with a constant denominator
+takes a shorter path to the same form: with two, an integer one; with
+one, s, the numerator n1*s + n2*d1 over d1*s, where only the content can
+cancel.  Division multiplies by the inverse, whose num and den are the
+operand's den and num.  A comparison takes no gcd: when a and b tie in
+valuation, the sign of a - b is that of the lowest nonzero coefficient of
+n1*d2 - n2*d1.
 
 Rational coefficients and dense x-powers appear only at the edges: poly
 and rf_normalize accept dense Fraction coefficients, rf_const a Fraction,
@@ -64,7 +68,7 @@ P_ONE: Poly = (1,)
 def poly(coeffs) -> Poly:
     """Canonical polynomial from an iterable of rational coefficients
     (ascending); an input to rf_normalize."""
-    out = [Fraction(c) for c in coeffs]
+    out = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -93,16 +97,26 @@ def _p_neg(a: Poly) -> Poly:
     return tuple(-c for c in a)
 
 
+def _p_scale(a: Poly, k) -> Poly:
+    """a times the nonzero scalar k."""
+    return a if k == 1 else tuple([c * k for c in a])
+
+
 def _p_mul(a: Poly, b: Poly) -> Poly:
     """Product of two canonical polynomials; the product of their leading
     coefficients is nonzero, so no high-order zero needs trimming."""
     if not a or not b:
         return P_ZERO
-    if len(a) == 1:
+    if len(a) > len(b):
         a, b = b, a
-    if len(b) == 1:
-        k = b[0]
-        return a if k == 1 else tuple([c * k for c in a])
+    if len(a) == 1:
+        return _p_scale(b, a[0])
+    if len(a) == 2:
+        a0, a1 = a
+        if len(b) == 2:
+            b0, b1 = b
+            return (a0 * b0, a0 * b1 + a1 * b0, a1 * b1)
+        return (a0 * b[0], *[a0 * c + a1 * p for p, c in zip(b, b[1:])], a1 * b[-1])
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -116,11 +130,15 @@ def _p_mul(a: Poly, b: Poly) -> Poly:
 #   * a constant side shares no factor, with no test;
 #   * a linear side l shares one exactly when the other side vanishes at
 #     l's root, an integer evaluation that decides it either way;
+#   * a quadratic side q shares one with a exactly when it shares one with
+#     the pseudo-remainder r of a by q (Knuth, TAOCP Vol. 2, 4.6.1): q
+#     itself divides a when r is zero, a constant r leaves them coprime,
+#     and a linear r goes to the root test against q;
 #   * two equal sides are their own gcd;
-#   * any other pair goes through a mod-P filter: a gcd of degree 0 mod P
-#     certifies coprimality over Q as long as the leading coefficients
-#     survive mod P, since the leading coefficient of any true common
-#     factor divides them.
+#   * any other pair, both sides of degree 3 or more, goes through a mod-P
+#     filter: a gcd of degree 0 mod P certifies coprimality over Q as long
+#     as the leading coefficients survive mod P, since the leading
+#     coefficient of any true common factor divides them.
 # The exact primitive-PRS gcd over Z[x] runs only on the pair itself, and
 # only when the filter is inconclusive.  Neither side is divisible by x.
 _FILTER_P = (1 << 31) - 1
@@ -153,18 +171,31 @@ def _iprim(a: list) -> list:
 
 
 def _ipseudo_rem(a: list, b: list) -> list:
-    """Pseudo-remainder of a by b over Z (b nonzero, deg a >= deg b)."""
+    """Pseudo-remainder of a by b over Z (b nonzero, deg a >= deg b).
+
+    A step replaces r by lb*r - c*x**k*b, c the leading coefficient of r.
+    Below the deg b coefficients it changes, it only scales r by lb, so
+    those coefficients take the product of the factors when a step first
+    reaches them: a step costs O(deg b), not O(deg a).
+    """
     lb = b[-1]
+    m = len(b) - 1
     r = list(a)
-    while r and len(r) >= len(b):
-        c = r[-1]
-        k = len(r) - len(b)
-        r = [ri * lb for ri in r]
-        for j in range(len(b) - 1):
-            r[k + j] -= c * b[j]
-        r.pop()
+    lo = len(r)  # r[i] for i < lo is still to be multiplied by scale
+    scale = 1
+    while len(r) > m:
+        k = len(r) - 1 - m
+        for i in range(k, min(lo, len(r))):
+            r[i] *= scale
+        lo = k
+        c = r.pop()
+        for j in range(m):
+            r[k + j] = r[k + j] * lb - c * b[j]
+        scale *= lb
         while r and not r[-1]:
             r.pop()
+    for i in range(min(lo, len(r))):
+        r[i] *= scale
     return r
 
 
@@ -227,6 +258,20 @@ def _isurely_coprime(a: list, b: list) -> bool:
     return len(fa) == 1
 
 
+def _linear_gcd(a, b) -> list | None:
+    """Primitive b (up to sign) when the linear b divides a, else None: the
+    homogenized value of a at b's root, b1**deg(a) * a(-b0/b1)."""
+    b0, b1 = b
+    v, w = a[-1], b1
+    for c in a[-2::-1]:
+        v = c * w - b0 * v
+        w *= b1
+    if v:
+        return None
+    g = math.gcd(b0, b1)
+    return [b0 // g, b1 // g]
+
+
 def _cross_gcd(a, b) -> list | None:
     """Primitive gcd (up to sign) of two nonzero integer polynomials when
     it is not a constant, else None; the tests are those described above
@@ -236,15 +281,14 @@ def _cross_gcd(a, b) -> list | None:
     if len(a) == 2:
         a, b = b, a
     if len(b) == 2:
-        b0, b1 = b
-        v, w = a[-1], b1
-        for c in a[-2::-1]:
-            v = c * w - b0 * v
-            w *= b1
-        if v:
-            return None
-        g = math.gcd(b0, b1)
-        return [b0 // g, b1 // g]
+        return _linear_gcd(a, b)
+    if len(a) == 3:
+        a, b = b, a
+    if len(b) == 3:
+        r = _ipseudo_rem(a, b)
+        if not r:
+            return _iprim(b)
+        return _linear_gcd(b, r) if len(r) == 2 else None
     if a == b:
         return _iprim(a)
     if _isurely_coprime(a, b):
@@ -386,7 +430,7 @@ def rf_normalize(num: Poly, den: Poly) -> RatFunc:
         return RF_ZERO
     vn, n = _x_split(n)
     vd, d = _x_split(d)
-    n, d = _p_mul(n, (wd,)), _p_mul(d, (wn,))
+    n, d = _p_scale(n, wd), _p_scale(d, wn)
     g = _cross_gcd(n, d)
     if g:
         n, d = _iexact_div(n, g), _iexact_div(d, g)
@@ -410,7 +454,7 @@ def _rf_sum(a: RatFunc, b: RatFunc) -> RatFunc:
             num = _p_add(n1, n2)
         else:
             g = math.gcd(s, t)
-            num = _p_add(_p_mul(n1, (t // g,)), _p_mul(n2, (s // g,)))
+            num = _p_add(_p_scale(n1, t // g), _p_scale(n2, s // g))
             s = s // g * t
         if not num:
             return RF_ZERO
@@ -419,6 +463,15 @@ def _rf_sum(a: RatFunc, b: RatFunc) -> RatFunc:
         if c == 1:
             return RatFunc(v + k, num, (s,))
         return RatFunc(v + k, tuple(x // c for x in num), (s // c,))
+    if len(d1) == 1:
+        n1, d1, n2, d2 = n2, d2, n1, d1
+    if len(d2) == 1:
+        # one constant denominator s: t = n1*s + n2*d1 over d1*s, where t
+        # is n1*s modulo d1 and so coprime to it; only the integer content
+        # can cancel, and t is not zero
+        s = d2[0]
+        k, t = _x_split(_p_add(_p_scale(n1, s), _p_mul(n2, d1)))
+        return _rf_canon(v + k, t, _p_scale(d1, s))
     g = _cross_gcd(d1, d2)
     if g:
         d1, d2 = _iexact_div(d1, g), _iexact_div(d2, g)
@@ -460,12 +513,14 @@ def rf_mul(a: RatFunc, b: RatFunc) -> RatFunc:
         return b
     v1, n1, d1 = a
     v2, n2, d2 = b
-    g = _cross_gcd(n1, d2)
-    if g:
-        n1, d2 = _iexact_div(n1, g), _iexact_div(d2, g)
-    g = _cross_gcd(n2, d1)
-    if g:
-        n2, d1 = _iexact_div(n2, g), _iexact_div(d1, g)
+    if len(n1) > 1 and len(d2) > 1:
+        g = _cross_gcd(n1, d2)
+        if g:
+            n1, d2 = _iexact_div(n1, g), _iexact_div(d2, g)
+    if len(n2) > 1 and len(d1) > 1:
+        g = _cross_gcd(n2, d1)
+        if g:
+            n2, d1 = _iexact_div(n2, g), _iexact_div(d1, g)
     return _rf_canon(v1 + v2, _p_mul(n1, n2), _p_mul(d1, d2))
 
 
@@ -497,8 +552,10 @@ def rf_sign(f: RatFunc) -> int:
 def _rf_cmp(a: RatFunc, b: RatFunc) -> int:
     """The sign of a - b.  The lowest-order term of a - b decides it: it is
     a's or -b's when the signs or valuations differ, and the difference of
-    the constant terms num[0]/den[0] when they tie; only when those are
-    equal too is a - b computed."""
+    the constant terms num[0]/den[0] when they tie.  When those are equal
+    too, a - b is x**v * (n1*d2 - n2*d1) / (d1*d2), whose denominator has
+    a positive constant term, so the lowest nonzero coefficient of
+    n1*d2 - n2*d1 gives its sign, without a gcd."""
     sa = (1 if a.num[0] > 0 else -1) if a.num else 0
     sb = (1 if b.num[0] > 0 else -1) if b.num else 0
     if sa != sb:
@@ -508,7 +565,10 @@ def _rf_cmp(a: RatFunc, b: RatFunc) -> int:
     c = a.num[0] * b.den[0] - b.num[0] * a.den[0]
     if c:
         return 1 if c > 0 else -1
-    return rf_sign(_rf_sum(a, -b))
+    for c in _p_add(_p_mul(a.num, b.den), _p_neg(_p_mul(b.num, a.den))):
+        if c:
+            return 1 if c > 0 else -1
+    return 0
 
 
 def valuation(f: RatFunc) -> int:

@@ -35,6 +35,7 @@ from ordfield.laurent import (
     x_pow,
 )
 from ordfield.literals import parse_elem
+from ordfield import laurent
 
 from conftest import accept_rf, rand_nonzero_ratfunc, rand_poly, rand_ratfunc, wide_ratfuncs
 from field_axioms import check_ordered_field_triple
@@ -413,8 +414,10 @@ def _pm(*factors):
     return out
 
 
-# irreducible over Q: quadratic factors reach the mod-P filter and the
-# exact gcd, linear ones the root test
+# irreducible over Q: a quadratic side goes through one pseudo-remainder
+# and the root test, a linear one through the root test, and the factors
+# of a pair whose sides are both of degree 3 or more reach the mod-P filter
+# and the exact gcd
 P2, Q2, S2 = (1, 1, 1), (2, -1, 3), (5, 0, 1)
 L1, L2 = (1, 2), (3, -1)
 # primitive with a positive leading and a negative trailing coefficient,
@@ -453,6 +456,25 @@ CROSS_FACTOR_PAIRS = [
     ((_pm(P2, Q2), _pm(S2, L1)), (_pm(S2, L1), _pm(P2, Q2))),
 ]
 
+# pairs with a quadratic side, one for each outcome of its pseudo-remainder
+# r, as _cross_gcd meets them in the cross pair (n1, d2) of a * b
+QUADRATIC_CROSS_PAIRS = [
+    # r = 0: the quadratic P2 divides the cubic P2*L1
+    ((_pm(P2, L1), Q2), ((3, 1), P2)),
+    # r = 5, a constant: x*P2 + 5 and P2 are coprime
+    (((5, 1, 1, 1), L2), ((1,), P2)),
+    # r linear, sharing the root of L1 with L1*L2
+    ((_pm(L1, S2), (7, 1)), ((1,), _pm(L1, L2))),
+    # r linear, without a shared root: S2*L2 and L1*(3, 1)
+    ((_pm(S2, L2), (7, 1)), ((1,), _pm(L1, (3, 1)))),
+    # proportional denominators of a sum: d2 = 3*d1, not equal
+    (((0, 1, 2), P2), ((1,), _pm((3,), P2))),
+]
+# both sides of degree 3, sharing the factor L1 of the sums' denominators:
+# still decided by the mod-P filter and the exact gcd
+CUBIC_CROSS_PAIR = (((1,), _pm(P2, L1)), ((2,), _pm(Q2, L1)))
+CROSS_FACTOR_PAIRS += QUADRATIC_CROSS_PAIRS + [CUBIC_CROSS_PAIR]
+
 
 @pytest.mark.parametrize("pair", range(len(CROSS_FACTOR_PAIRS)))
 def test_cross_factor_paths_match_fraction_oracle(pair):
@@ -467,3 +489,62 @@ def test_cross_factor_paths_match_fraction_oracle(pair):
     a, b = operands
     _assert_matches_fraction_oracle(a, b)
     _assert_matches_fraction_oracle(b, a)
+
+
+def _cross_sides(pair):
+    """The cross pairs of rf_mul and the denominators of _rf_sum for one
+    operand pair, as _cross_gcd receives them."""
+    (_, n1, d1), (_, n2, d2) = (rf_normalize(num, den) for num, den in pair)
+    return [(list(n1), list(d2)), (list(n2), list(d1)), (list(d1), list(d2))]
+
+
+def test_quadratic_side_never_reaches_the_filter(monkeypatch):
+    calls = []
+    real = laurent._isurely_coprime
+
+    def counting(a, b):
+        calls.append((tuple(a), tuple(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(laurent, "_isurely_coprime", counting)
+    for pair in QUADRATIC_CROSS_PAIRS:
+        for a, b in _cross_sides(pair):
+            if 3 in (len(a), len(b)):
+                want = oracle_qx.poly_gcd(tuple(a), tuple(b))
+                got = laurent._cross_gcd(a, b)
+                assert (got is None) == (want == P_ONE)
+    assert calls == []
+    for a, b in _cross_sides(CUBIC_CROSS_PAIR)[2:]:
+        assert laurent._cross_gcd(a, b) == [1, 2]
+    assert len(calls) == 1
+
+
+@st.composite
+def _planted_pairs(draw):
+    """Two integer polynomials, neither divisible by x, of degree <= 4, with
+    a planted common factor of degree 0 to 2."""
+
+    def unit(max_deg):
+        deg = draw(st.integers(0, max_deg))
+        lo = draw(st.integers(-9, 9).filter(bool))
+        if not deg:
+            return (lo,)
+        mid = draw(st.lists(st.integers(-9, 9), min_size=deg - 1, max_size=deg - 1))
+        return (lo, *mid, draw(st.integers(-9, 9).filter(bool)))
+
+    g = unit(2)
+    top = 4 - (len(g) - 1)
+    return _pm(g, unit(top)), _pm(g, unit(top))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_planted_pairs())
+def test_cross_gcd_matches_monic_euclid(pair):
+    a, b = pair
+    want = oracle_qx.poly_gcd(a, b)
+    got = laurent._cross_gcd(list(a), list(b))
+    if len(want) == 1:
+        assert got is None
+    else:
+        assert len(got) == len(want)
+        assert tuple(F(c, got[-1]) for c in got) == want

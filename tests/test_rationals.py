@@ -1,8 +1,10 @@
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ordfield.fields import sign_of
 from ordfield.rationals import pow2, render_rat
 
 from field_axioms import check_ordered_field_triple
@@ -19,6 +21,18 @@ def test_render():
     assert render_rat(F(-1, 2)) == "-1/2"
     assert render_rat(F(7)) == "7"
     assert render_rat(F(24, 35)) == "24/35"
+
+
+HUGE = 10**400 + 7
+
+
+@pytest.mark.parametrize(
+    "e",
+    [0, 1, -1, HUGE, -HUGE, F(0), F(1), F(-1), F(HUGE, 3), F(-HUGE, 3), F(1, HUGE), F(-1, HUGE),
+     F(HUGE, HUGE + 2), F(-HUGE - 2, HUGE)],
+)
+def test_sign_of_matches_fraction_comparison(e):
+    assert sign_of(e) == (F(e) > 0) - (F(e) < 0)
 
 
 @given(st.fractions(), st.fractions(), st.fractions())
