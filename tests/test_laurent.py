@@ -457,7 +457,8 @@ CROSS_FACTOR_PAIRS = [
 ]
 
 # pairs with a quadratic side, one for each outcome of its pseudo-remainder
-# r, as _cross_gcd meets them in the cross pair (n1, d2) of a * b
+# r: the first four in the cross pair (n1, d2) of a * b, the last in the
+# denominators of a + b
 QUADRATIC_CROSS_PAIRS = [
     # r = 0: the quadratic P2 divides the cubic P2*L1
     ((_pm(P2, L1), Q2), ((3, 1), P2)),
@@ -514,8 +515,8 @@ def test_quadratic_side_never_reaches_the_filter(monkeypatch):
                 got = laurent._cross_gcd(a, b)
                 assert (got is None) == (want == P_ONE)
     assert calls == []
-    for a, b in _cross_sides(CUBIC_CROSS_PAIR)[2:]:
-        assert laurent._cross_gcd(a, b) == [1, 2]
+    d1, d2 = _cross_sides(CUBIC_CROSS_PAIR)[2]
+    assert laurent._cross_gcd(d1, d2) == [1, 2]
     assert len(calls) == 1
 
 
