@@ -36,11 +36,10 @@ when v1 == v2 can the low terms of t cancel, and the factor of x they
 leave moves into v.  No side of a cross pair is ever divisible by x.
 Each path ends in one step that divides out the joint integer content
 and makes den[0] positive.  A constant side of a cross pair shares no
-factor, so rf_mul skips its test, and a sum with a constant denominator
-takes a shorter path to the same form: with two, an integer one; with
-one, s, the numerator n1*s + n2*d1 over d1*s, where only the content can
-cancel.  Division multiplies by the inverse, whose num and den are the
-operand's den and num.  A comparison takes no gcd: when a and b tie in
+factor, so rf_mul and a sum skip its test, and a sum whose two
+denominators are constants takes a shorter integer path to the same form.
+Division multiplies by the inverse, whose num and den are the operand's
+den and num.  A comparison takes no gcd: when a and b tie in
 valuation, the sign of a - b is that of the lowest nonzero coefficient of
 n1*d2 - n2*d1.
 
@@ -133,12 +132,16 @@ def _p_mul(a: Poly, b: Poly) -> Poly:
 #   * a quadratic side q shares one with a exactly when it shares one with
 #     the pseudo-remainder r of a by q (Knuth, TAOCP Vol. 2, 4.6.1): q
 #     itself divides a when r is zero, a constant r leaves them coprime,
-#     and a linear r goes to the root test against q;
+#     and a linear r goes to the root test against q.  Each step of the
+#     remainder adds about the bits of q's largest coefficient to r's, so
+#     the rule takes a q whose coefficients lie below P, where a step
+#     costs no more than one of the filter's; a larger q goes to the
+#     filter;
 #   * two equal sides are their own gcd;
-#   * any other pair, both sides of degree 3 or more, goes through a mod-P
-#     filter: a gcd of degree 0 mod P certifies coprimality over Q as long
-#     as the leading coefficients survive mod P, since the leading
-#     coefficient of any true common factor divides them.
+#   * any other pair goes through a mod-P filter: a gcd of degree 0 mod P
+#     certifies coprimality over Q as long as the leading coefficients
+#     survive mod P, since the leading coefficient of any true common
+#     factor divides them.
 # The exact primitive-PRS gcd over Z[x] runs only on the pair itself, and
 # only when the filter is inconclusive.  Neither side is divisible by x.
 _FILTER_P = (1 << 31) - 1
@@ -284,7 +287,7 @@ def _cross_gcd(a, b) -> list | None:
         return _linear_gcd(a, b)
     if len(a) == 3:
         a, b = b, a
-    if len(b) == 3:
+    if len(b) == 3 and max(map(abs, b)) < _FILTER_P:
         r = _ipseudo_rem(a, b)
         if not r:
             return _iprim(b)
@@ -463,16 +466,7 @@ def _rf_sum(a: RatFunc, b: RatFunc) -> RatFunc:
         if c == 1:
             return RatFunc(v + k, num, (s,))
         return RatFunc(v + k, tuple(x // c for x in num), (s // c,))
-    if len(d1) == 1:
-        n1, d1, n2, d2 = n2, d2, n1, d1
-    if len(d2) == 1:
-        # one constant denominator s: t = n1*s + n2*d1 over d1*s, where t
-        # is n1*s modulo d1 and so coprime to it; only the integer content
-        # can cancel, and t is not zero
-        s = d2[0]
-        k, t = _x_split(_p_add(_p_scale(n1, s), _p_mul(n2, d1)))
-        return _rf_canon(v + k, t, _p_scale(d1, s))
-    g = _cross_gcd(d1, d2)
+    g = _cross_gcd(d1, d2) if len(d1) > 1 and len(d2) > 1 else None
     if g:
         d1, d2 = _iexact_div(d1, g), _iexact_div(d2, g)
     t = _p_add(_p_mul(n1, d2), _p_mul(n2, d1))

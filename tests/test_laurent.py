@@ -471,10 +471,18 @@ QUADRATIC_CROSS_PAIRS = [
     # proportional denominators of a sum: d2 = 3*d1, not equal
     (((0, 1, 2), P2), ((1,), _pm((3,), P2))),
 ]
-# both sides of degree 3, sharing the factor L1 of the sums' denominators:
-# still decided by the mod-P filter and the exact gcd
-CUBIC_CROSS_PAIR = (((1,), _pm(P2, L1)), ((2,), _pm(Q2, L1)))
-CROSS_FACTOR_PAIRS += QUADRATIC_CROSS_PAIRS + [CUBIC_CROSS_PAIR]
+# pairs still decided by the mod-P filter and the exact gcd: both sides of
+# degree 3, sharing the factor L1 of the sums' denominators, and a
+# quadratic side W2 with a coefficient past the filter's modulus, whose
+# pseudo-remainder would grow by that many bits a step; it divides the
+# cubic W2*L1 and is coprime to x*W2 + 5
+W2 = (1, 1, laurent._FILTER_P)
+FILTER_CROSS_PAIRS = [
+    (((1,), _pm(P2, L1)), ((2,), _pm(Q2, L1))),
+    ((_pm(W2, L1), Q2), ((3, 1), W2)),
+    (((5, 1, 1, laurent._FILTER_P), L2), ((1,), W2)),
+]
+CROSS_FACTOR_PAIRS += QUADRATIC_CROSS_PAIRS + FILTER_CROSS_PAIRS
 
 
 @pytest.mark.parametrize("pair", range(len(CROSS_FACTOR_PAIRS)))
@@ -499,7 +507,20 @@ def _cross_sides(pair):
     return [(list(n1), list(d2)), (list(n2), list(d1)), (list(d1), list(d2))]
 
 
-def test_quadratic_side_never_reaches_the_filter(monkeypatch):
+def _decide(pairs) -> int:
+    """_cross_gcd on each cross pair of the operand pairs whose sides both
+    have degree 2 or more, checked against the oracle; how many there were."""
+    n = 0
+    for pair in pairs:
+        for a, b in _cross_sides(pair):
+            if min(len(a), len(b)) >= 3:
+                want = oracle_qx.poly_gcd(tuple(a), tuple(b))
+                assert (laurent._cross_gcd(a, b) is None) == (want == P_ONE)
+                n += 1
+    return n
+
+
+def test_small_quadratic_side_never_reaches_the_filter(monkeypatch):
     calls = []
     real = laurent._isurely_coprime
 
@@ -508,16 +529,12 @@ def test_quadratic_side_never_reaches_the_filter(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(laurent, "_isurely_coprime", counting)
-    for pair in QUADRATIC_CROSS_PAIRS:
-        for a, b in _cross_sides(pair):
-            if 3 in (len(a), len(b)):
-                want = oracle_qx.poly_gcd(tuple(a), tuple(b))
-                got = laurent._cross_gcd(a, b)
-                assert (got is None) == (want == P_ONE)
+    assert _decide(QUADRATIC_CROSS_PAIRS) == 6
     assert calls == []
-    d1, d2 = _cross_sides(CUBIC_CROSS_PAIR)[2]
-    assert laurent._cross_gcd(d1, d2) == [1, 2]
-    assert len(calls) == 1
+    # the quadratic pair (Q2, W2) takes Q2's pseudo-remainder; the other
+    # three reach the filter, W2's lead vanishing mod P
+    assert _decide(FILTER_CROSS_PAIRS) == 4
+    assert len(calls) == 3
 
 
 @st.composite
