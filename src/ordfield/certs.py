@@ -12,21 +12,19 @@ for arbitrarily extreme challenges, including infinitesimal delta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
-from .fields import Field, render_elem, sign_of
+from .fields import Field, Value, render_elem, sign_of
 from .laurent import RatFunc, valuation, x_pow
 from .literals import check_nesting, parse_elem
 from .rationals import pow2
 
 
-@dataclass(frozen=True)
-class ConstRule:
+class ConstRule(Value):
     """delta(eps) = d0."""
 
-    d0: object
+    FIELDS = ("d0",)
 
     def delta_for(self, eps):
         return self.d0
@@ -35,12 +33,10 @@ class ConstRule:
         return f"const({render_elem(self.d0)})"
 
 
-@dataclass(frozen=True)
-class LinearCapRule:
+class LinearCapRule(Value):
     """delta(eps) = min(cap, slope * eps)."""
 
-    cap: object
-    slope: object
+    FIELDS = ("cap", "slope")
 
     def delta_for(self, eps):
         scaled = self.slope * eps
@@ -66,15 +62,14 @@ def min_dyadic_depth(delta: Fraction) -> int:
     return 1 - m if below else 2 - m
 
 
-@dataclass(frozen=True)
-class QStepProbe:
+class QStepProbe(Value):
     """w(delta) = r * 2**-n with n minimal such that 2**-n < delta/2.
 
     r is a fixed rational with 1/2 < r**2 < 2, so the probe's band index is
     known exactly (it is n) at every depth.
     """
 
-    r: Fraction
+    FIELDS = ("r",)
 
     def __post_init__(self):
         if not Fraction(1, 2) < self.r * self.r < 2:
@@ -87,12 +82,11 @@ class QStepProbe:
         return f"qstep({render_elem(self.r)})"
 
 
-@dataclass(frozen=True)
-class QXStepProbe:
+class QXStepProbe(Value):
     """w(delta) = sign * r * x**(v(delta)+1) with r a positive unit."""
 
-    r: RatFunc
-    sign: int = 1
+    FIELDS = ("r", "sign")
+    DEFAULTS = {"sign": 1}
 
     def __post_init__(self):
         if sign_of(self.r) <= 0 or valuation(self.r) != 0:
@@ -109,14 +103,11 @@ class QXStepProbe:
         return f"qxstep({render_elem(self.r)},{s})"
 
 
-@dataclass(frozen=True)
-class TwoSided:
+class TwoSided(Value):
     """Selector pair: use `pos` when the claim's candidate is <= midpoint,
     else `neg`."""
 
-    pos: "WitnessRule"
-    neg: "WitnessRule"
-    midpoint: object
+    FIELDS = ("pos", "neg", "midpoint")
 
     def pick(self, candidate) -> "WitnessRule":
         return self.pos if candidate <= self.midpoint else self.neg

@@ -19,13 +19,12 @@ its verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .certs import DeltaRule, TwoSided, WitnessRule, min_dyadic_depth, parse_rule, parse_witness
+from .certs import TwoSided, min_dyadic_depth, parse_rule, parse_witness
 from .errors import DomainError, ResourceError, digit_limit
-from .fields import Field, check_elem, field_zero, from_rat, render_elem
+from .fields import Field, Value, check_elem, field_zero, from_rat, render_elem
 from .functions import DiffQuotient, FieldFn, evaluate
 from .laurent import rf_const, valuation, x_pow
 from .literals import parse_elem
@@ -39,13 +38,10 @@ _Q_PATTERNS = (Fraction(5, 7), Fraction(3, 4), Fraction(1), Fraction(7, 5))
 _QX_PATTERNS = (Fraction(1, 2), Fraction(1), Fraction(2))
 
 
-@dataclass(frozen=True)
-class LimitClaim:
+class LimitClaim(Value):
     """The statement lim_{t -> point} fn(t) = candidate."""
 
-    fn: FieldFn
-    point: object
-    candidate: object
+    FIELDS = ("fn", "point", "candidate")
 
     def __post_init__(self):
         f = self.field
@@ -57,11 +53,9 @@ class LimitClaim:
         return self.fn.field
 
 
-@dataclass(frozen=True)
-class VerifierCert:
-    claim: LimitClaim
-    rule: DeltaRule
-    note: str = ""
+class VerifierCert(Value):
+    FIELDS = ("claim", "rule", "note")
+    DEFAULTS = {"note": ""}
 
     KIND = "verifier"
     TAG = "evidence"
@@ -78,11 +72,8 @@ class VerifierCert:
         return cls(claim, parse_rule(need("rule"), claim.field), kv.get("note", ""))
 
 
-@dataclass(frozen=True)
-class FalsifierCert:
-    claim: LimitClaim
-    epsilon: object
-    witness: WitnessRule
+class FalsifierCert(Value):
+    FIELDS = ("claim", "epsilon", "witness")
 
     KIND = "falsifier"
     TAG = "refutation-instances"
@@ -138,8 +129,7 @@ class Use(NamedTuple):
     verdicts: tuple[bool, ...]
 
 
-@dataclass(frozen=True)
-class RefereeReport:
+class RefereeReport(Value):
     """The checks of one certificate in the shape the referee does them:
     each distinct probe once, each distinct delta once as a row that
     decides which probes lie in its punctured ball, and one use per
@@ -147,10 +137,7 @@ class RefereeReport:
     in_ball and dist < eps, a falsifier verdict in_ball and dist >= eps.
     `records` spells the report out as one CheckRecord per check."""
 
-    cert: VerifierCert | FalsifierCert
-    probes: tuple[Probe, ...]
-    rows: tuple[Row, ...]
-    uses: tuple[Use, ...]
+    FIELDS = ("cert", "probes", "rows", "uses")
 
     @property
     def checks(self) -> int:
@@ -171,14 +158,12 @@ class RefereeReport:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Value):
     """Referee one certificate: a verifier on an epsilon schedule with a
     probe budget, or a falsifier on a delta schedule."""
 
-    cert: VerifierCert | FalsifierCert
-    schedule: list
-    budget: int = DEFAULT_PROBE_BUDGET
+    FIELDS = ("cert", "schedule", "budget")
+    DEFAULTS = {"budget": DEFAULT_PROBE_BUDGET}
 
 
 def derivative_claim(fn: FieldFn, a, d) -> LimitClaim:

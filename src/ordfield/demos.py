@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .certs import ConstRule, LinearCapRule, QStepProbe, QXStepProbe, TwoSided
@@ -38,7 +37,7 @@ from .claims import (
 )
 from .dyadic import below_sqrt2, sqrt2_bounds, sqrt2_gap_radius
 from .errors import DomainError
-from .fields import Field, field_one, field_zero
+from .fields import Field, Value, field_one, field_zero
 from .functions import (
     Constant,
     Identity,
@@ -66,14 +65,12 @@ DEMOS: list[str] = []  # the demo names in definition order, added by _demo
 MAX_MVT_POINTS = 48_517
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(Value):
     """A plain transcript record; an `outcome` other than None counts
     toward the verdict."""
 
-    kind: str
-    pairs: list
-    outcome: bool | None = None
+    FIELDS = ("kind", "pairs", "outcome")
+    DEFAULTS = {"outcome": None}
 
 
 def run(name: str, header: list, steps) -> tuple[int, Transcript]:

@@ -1,4 +1,5 @@
-"""Field tags and element helpers shared by the claim engine and CLI.
+"""Field tags and element helpers shared by the claim engine and CLI, and
+the base of its immutable value classes.
 
 Elements of Q are Fractions; elements of Q(x) are RatFuncs.  Both types
 carry the full operator protocol, so generic code only needs the tag for
@@ -18,6 +19,53 @@ from .rationals import render_rat
 class Field(enum.Enum):
     Q = "q"
     QX = "qx"
+
+
+class Value:
+    """Base of the immutable value classes.  A subclass names its
+    constructor arguments in FIELDS, in order, and gives the defaults of
+    trailing ones in DEFAULTS.  An instance keeps its arguments as one
+    tuple, which alone decides equality (same class, equal tuples) and the
+    hash; its attributes cannot be assigned or deleted.  `__post_init__`
+    checks a new instance."""
+
+    FIELDS: tuple[str, ...] = ()
+    DEFAULTS: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.FIELDS
+        if len(args) < len(names):
+            missing = [n for n in names[len(args) :] if n not in kwargs and n not in self.DEFAULTS]
+            if missing:
+                raise TypeError(f"{type(self).__name__}() is missing {missing}")
+            args += tuple(kwargs.pop(n, self.DEFAULTS.get(n)) for n in names[len(args) :])
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{type(self).__name__}() takes the arguments {names}")
+        d = self.__dict__
+        d["_values"] = args
+        d.update(zip(names, args))
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        args = ", ".join(f"{n}={v!r}" for n, v in zip(self.FIELDS, self._values))
+        return f"{type(self).__qualname__}({args})"
 
 
 def field_zero(field: Field):

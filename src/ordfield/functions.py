@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .certs import ConstRule, DeltaRule, LinearCapRule, split_call
+from .certs import ConstRule, LinearCapRule, split_call
 from .dyadic import (
     below_sqrt2,
     class_index,
@@ -40,28 +39,25 @@ from .dyadic import (
     sqrt2_gap_radius,
 )
 from .errors import DomainError, ParseError, ResourceError, UnsupportedDerivativeError
-from .fields import Field, field_one, field_zero, render_elem
+from .fields import Field, Value, field_one, field_zero, render_elem
 from .laurent import RF_ZERO, valuation, x_pow
 from .literals import MAX_POWER_BITS, _power_bits, parse_elem, parse_int
 from .rationals import pow2
 
 
-@dataclass(frozen=True)
-class DerivativeCert:
+class DerivativeCert(Value):
     """Closed-form derivative value plus the delta-rule certifying the
     difference-quotient limit claim."""
 
-    value: object
-    rule: DeltaRule
-    note: str
+    FIELDS = ("value", "rule", "note")
 
 
-class FieldFn:
+class FieldFn(Value):
     """Base of the function descriptors.
 
     A subclass sets TAG (its name in transcripts), `field` and `eval_at`.
-    ARGS gives the kind ("fn", "int" or "elem") of each of its dataclass
-    fields other than `field`, in field order; `fn_name` writes them and
+    ARGS gives the kind ("fn", "int" or "elem") of each of its FIELDS
+    other than `field`, in FIELDS order; `fn_name` writes them and
     `parse_fn` reads them.  One that is locally constant off 0 gives its
     ball radius in `radius_at`; one with a closed-form derivative gives its
     certificate in `derivative_at`.  `envelope` holds the strict bounds
@@ -80,10 +76,9 @@ class FieldFn:
         )
 
 
-@dataclass(frozen=True)
 class Identity(FieldFn):
-    field: Field = Field.Q
-
+    FIELDS = ("field",)
+    DEFAULTS = {"field": Field.Q}
     TAG = "identity"
 
     def eval_at(self, t):
@@ -94,11 +89,8 @@ class Identity(FieldFn):
         return DerivativeCert(one, ConstRule(one), "difference quotient is identically 1")
 
 
-@dataclass(frozen=True)
 class Constant(FieldFn):
-    field: Field
-    value: object
-
+    FIELDS = ("field", "value")
     TAG = "constant"
     ARGS = ("elem",)
 
@@ -113,13 +105,10 @@ class Constant(FieldFn):
         )
 
 
-@dataclass(frozen=True)
 class Power(FieldFn):
     """t**n for n >= 1."""
 
-    field: Field
-    n: int
-
+    FIELDS = ("field", "n")
     TAG = "pow"
     ARGS = ("int",)
 
@@ -150,7 +139,6 @@ class Power(FieldFn):
         )
 
 
-@dataclass(frozen=True)
 class StepQ(FieldFn):
     """Band representative 2**-n on I_n; 0 at 0."""
 
@@ -174,7 +162,6 @@ class StepQ(FieldFn):
         )
 
 
-@dataclass(frozen=True)
 class StepQX(FieldFn):
     """Class representative x**v(t); 0 at 0."""
 
@@ -196,7 +183,6 @@ class StepQX(FieldFn):
         return DerivativeCert(RF_ZERO, ConstRule(self.radius_at(t)), "constant on the class of t")
 
 
-@dataclass(frozen=True)
 class IndicatorCut(FieldFn):
     """Indicator of the cut set {q : q < 0 or q**2 < 2} = (-inf, sqrt 2)."""
 
@@ -215,7 +201,6 @@ class IndicatorCut(FieldFn):
         )
 
 
-@dataclass(frozen=True)
 class OuterSquareStep(FieldFn):
     """4**-m on the outer part (3/2 c_m, c_{m-1}) of each band, else 0."""
 
@@ -243,11 +228,8 @@ class OuterSquareStep(FieldFn):
         )
 
 
-@dataclass(frozen=True)
 class Quotient(FieldFn):
-    f: FieldFn
-    g: FieldFn
-
+    FIELDS = ("f", "g")
     TAG = "quotient"
     ARGS = ("fn", "fn")
 
@@ -262,7 +244,6 @@ class Quotient(FieldFn):
         return evaluate(self.f, t) / g
 
 
-@dataclass(frozen=True)
 class DiffQuotient(FieldFn):
     """h |-> (f(a+h) - f(a)) / h.
 
@@ -270,9 +251,7 @@ class DiffQuotient(FieldFn):
     fields, so equality, hashing and the name stay those of (f, a); a
     DomainError at a is not kept, and fails every h."""
 
-    f: FieldFn
-    a: object
-
+    FIELDS = ("f", "a")
     TAG = "diffq"
     ARGS = ("fn", "elem")
 
@@ -299,14 +278,10 @@ def evaluate(fn: FieldFn, t):
     return fn.eval_at(t)
 
 
-@dataclass(frozen=True)
-class RatioCheck:
+class RatioCheck(Value):
     """Transcript of the two strict envelope comparisons for |f(t)/t|."""
 
-    ratio: object
-    lower: object
-    upper: object
-    passed: bool
+    FIELDS = ("ratio", "lower", "upper", "passed")
 
 
 def ratio_bounds_check(fn: FieldFn, t) -> RatioCheck:
@@ -339,9 +314,9 @@ def derivative_certificate(fn: FieldFn, t) -> DerivativeCert:
 
 def fn_name(fn: FieldFn) -> str:
     """Canonical compact name used by the CLI and transcripts: the tag,
-    `tag:arg` for one argument, `tag(a,b)` for two.  The arguments are the
-    dataclass fields other than `field`, each written by its kind in ARGS."""
-    values = [getattr(fn, f.name) for f in fields(fn) if f.name != "field"]
+    `tag:arg` for one argument, `tag(a,b)` for two.  The arguments are its
+    FIELDS other than `field`, each written by its kind in ARGS."""
+    values = [getattr(fn, name) for name in fn.FIELDS if name != "field"]
     write = {"fn": fn_name, "int": str, "elem": render_elem}
     args = [write[kind](v) for kind, v in zip(fn.ARGS, values, strict=True)]
     if not args:
@@ -366,7 +341,7 @@ def parse_fn(field: Field, s: str) -> FieldFn:
         raise ParseError(f"unknown function name {s!r}")
     read = {"fn": parse_fn, "int": lambda _, a: parse_int(a), "elem": parse_elem}
     values = [read[kind](field, a) for kind, a in zip(cls.ARGS, args)]
-    if any(f.name == "field" for f in fields(cls)):
+    if "field" in cls.FIELDS:
         values.insert(0, field)
     fn = cls(*values)
     if fn.field is not field:

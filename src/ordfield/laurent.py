@@ -128,7 +128,8 @@ def _p_mul(a: Poly, b: Poly) -> Poly:
 # common factor in the cheapest way that decides it (_cross_gcd):
 #   * a constant side shares no factor, with no test;
 #   * a linear side l shares one exactly when the other side vanishes at
-#     l's root, an integer evaluation that decides it either way;
+#     l's root, an integer evaluation that decides it either way; when
+#     l's coefficients reach P, a nonzero value mod P decides it first;
 #   * a quadratic side q shares one with a exactly when it shares one with
 #     the pseudo-remainder r of a by q (Knuth, TAOCP Vol. 2, 4.6.1): q
 #     itself divides a when r is zero, a constant r leaves them coprime,
@@ -235,36 +236,49 @@ def _iexact_div(a: list, g: list) -> list:
 def _isurely_coprime(a: list, b: list) -> bool:
     """True certifies gcd(a, b) is constant over Q; False is inconclusive.
 
-    Inverse-free Euclid mod P: each elimination replaces fa by
-    lb*fa - c*x^k*fb (a unit multiple, so the gcd degree is preserved).
+    Euclid mod P with a monic divisor: each remainder is divided by its
+    leading coefficient once, so an elimination changes only the deg b
+    coefficients it reaches and costs O(deg b), not O(deg a).
     """
     P = _FILTER_P
     fa = [c % P for c in a]
     fb = [c % P for c in b]
     if not fa[-1] or not fb[-1]:
         return False
-    while fb:
-        if len(fa) < len(fb):
-            fa, fb = fb, fa
-            continue
-        lb = fb[-1]
-        c = fa[-1]
-        k = len(fa) - len(fb)
-        fa = [x * lb % P for x in fa]
-        for j in range(len(fb) - 1):
-            fa[k + j] = (fa[k + j] - c * fb[j]) % P
-        fa.pop()
+    if len(fa) < len(fb):
+        fa, fb = fb, fa
+    while len(fb) > 1:
+        inv = pow(fb[-1], -1, P)
+        fb = [c * inv % P for c in fb]
+        m = len(fb) - 1
+        while len(fa) > m:
+            c = fa.pop()
+            if c:
+                k = len(fa) - m
+                for j in range(m):
+                    fa[k + j] = (fa[k + j] - c * fb[j]) % P
         while fa and not fa[-1]:
             fa.pop()
         if not fa:
-            fa, fb = fb, []
-    return len(fa) == 1
+            return False
+        fa, fb = fb, fa
+    return True
 
 
 def _linear_gcd(a, b) -> list | None:
     """Primitive b (up to sign) when the linear b divides a, else None: the
-    homogenized value of a at b's root, b1**deg(a) * a(-b0/b1)."""
+    homogenized value of a at b's root, b1**deg(a) * a(-b0/b1), is 0.  It
+    grows by the bits of b at each step, so when b's coefficients reach P
+    it is first taken mod P, and a nonzero residue decides."""
     b0, b1 = b
+    if abs(b0) >= _FILTER_P or abs(b1) >= _FILTER_P:
+        P = _FILTER_P
+        v, w, m0, m1 = a[-1] % P, b1 % P, b0 % P, b1 % P
+        for c in a[-2::-1]:
+            v = (c * w - m0 * v) % P
+            w = w * m1 % P
+        if v:
+            return None
     v, w = a[-1], b1
     for c in a[-2::-1]:
         v = c * w - b0 * v

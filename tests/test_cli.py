@@ -1,4 +1,5 @@
 import argparse
+import os
 import shlex
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import ordfield
 from ordfield.claims import default_delta_schedule, default_eps_schedule
 from ordfield import demos
 from ordfield.cli import build_parser, main
@@ -20,6 +22,14 @@ from ordfield.transcript import Transcript
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "src" / "ordfield" / "fixtures"
+# a child process imports the same ordfield package as the tests
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        [str(Path(ordfield.__file__).resolve().parents[1])]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ),
+}
 
 
 def run_cli(*args):
@@ -27,6 +37,7 @@ def run_cli(*args):
         [sys.executable, "-m", "ordfield.cli", *args],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -360,6 +371,7 @@ def test_cli_subprocess_closed_stdout_exits_0_quietly():
         [sys.executable, "-m", "ordfield.cli", "demo", "dlim", "--field", "q"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=CHILD_ENV,
     )
     assert proc.stdout.readline().startswith(b"header ")
     proc.stdout.close()

@@ -1,8 +1,9 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module,
+and no module imports `dataclasses`.
 
 A name imported and never read is dead weight that a deletion elsewhere
-tends to leave behind.  The package's `__init__.py` is left out: it
-imports names for callers outside it.
+tends to leave behind.  The package's `__init__.py` is left out of that
+check: it imports names for callers outside it.
 """
 
 import ast
@@ -61,3 +62,21 @@ def test_a_dead_import_is_found():
     )
     used = used_names(tree)
     assert {n for n in imported_names(tree) if n not in used} == {"os", "c"}
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """The top-level name of each module the tree imports absolutely."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_dataclasses(path):
+    # the value classes share fields.Value; dataclasses costs its class
+    # set-up at every import of the package
+    assert "dataclasses" not in imported_modules(ast.parse(path.read_text(encoding="utf-8")))

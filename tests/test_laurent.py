@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -566,3 +567,41 @@ def test_cross_gcd_matches_monic_euclid(pair):
     else:
         assert len(got) == len(want)
         assert tuple(F(c, got[-1]) for c in got) == want
+
+
+# a long numerator against a side with coefficients past the filter's
+# modulus: the root test of a linear side and the filter both stay linear
+# in the numerator's degree, where each used to grow with its square
+LONG_OVER_WIDE = [
+    ("(1+x^3000)/(10^500*x+1)", (1,) + (0,) * 2999 + (1,), (1, 10**500)),
+    ("(5+x^20000)/(10^100*x^2+x+1)", (5,) + (0,) * 19999 + (1,), (1, 1, 10**100)),
+]
+
+
+@pytest.mark.parametrize("text, num, den", LONG_OVER_WIDE, ids=["linear", "quadratic"])
+def test_long_numerator_over_wide_side_is_fast(text, num, den):
+    t0 = time.perf_counter()
+    f = parse_elem(Field.QX, text)
+    elapsed = time.perf_counter() - t0
+    assert f == laurent.RatFunc(0, num, den)
+    assert elapsed < 2.0, f"{text} took {elapsed:.2f}s"
+
+
+def test_wide_linear_root_test_falls_back_when_the_residue_vanishes():
+    P = laurent._FILTER_P
+    b = [3, 10**20]
+    # b divides a: the residue vanishes and the exact test finds b
+    assert laurent._linear_gcd(list(_pm(b, P2)), b) == b
+    # a = (3 + P) + 10^20 x has the value P * 10^20 at b's root, zero mod P
+    # but not zero: the exact test decides
+    assert laurent._linear_gcd([3 + P, 10**20], b) is None
+    assert laurent._linear_gcd([4, 10**20], b) is None
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_planted_pairs())
+def test_filter_never_certifies_a_shared_factor(pair):
+    a, b = pair
+    want = oracle_qx.poly_gcd(a, b)
+    if laurent._isurely_coprime(list(a), list(b)):
+        assert want == P_ONE
