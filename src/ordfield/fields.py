@@ -23,7 +23,7 @@ class Field(enum.Enum):
 
 class Value:
     """Base of the immutable value classes.  A subclass names its
-    constructor arguments in FIELDS, in order, and gives the defaults of
+    positional arguments in FIELDS, in order, and gives the defaults of
     trailing ones in DEFAULTS.  An instance keeps its arguments as one
     tuple, which alone decides equality (same class, equal tuples) and the
     hash; its attributes cannot be assigned or deleted.  `__post_init__`
@@ -32,14 +32,14 @@ class Value:
     FIELDS: tuple[str, ...] = ()
     DEFAULTS: dict = {}
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args):
         names = self.FIELDS
         if len(args) < len(names):
-            missing = [n for n in names[len(args) :] if n not in kwargs and n not in self.DEFAULTS]
-            if missing:
-                raise TypeError(f"{type(self).__name__}() is missing {missing}")
-            args += tuple(kwargs.pop(n, self.DEFAULTS.get(n)) for n in names[len(args) :])
-        if kwargs or len(args) != len(names):
+            try:
+                args += tuple(self.DEFAULTS[n] for n in names[len(args) :])
+            except KeyError as e:
+                raise TypeError(f"{type(self).__name__}() needs the argument {e}") from None
+        elif len(args) > len(names):
             raise TypeError(f"{type(self).__name__}() takes the arguments {names}")
         d = self.__dict__
         d["_values"] = args

@@ -104,20 +104,16 @@ def test_fieldless_functions_are_pairwise_unequal():
     assert len(set(fns)) == len(fns)
 
 
-def test_defaults_keywords_and_arity():
-    r = QXStepProbe(RF_ONE)
-    assert r == QXStepProbe(RF_ONE, 1) == QXStepProbe(r=RF_ONE, sign=1)
-    assert r != QXStepProbe(RF_ONE, sign=-1)
+def test_defaults_and_arity():
+    assert QXStepProbe(RF_ONE) == QXStepProbe(RF_ONE, 1) != QXStepProbe(RF_ONE, -1)
     assert Identity() == Identity(Field.Q) and Check(VERIFIER, ()).budget == 2
-    assert Record("k", ()).outcome is None
-    with pytest.raises(TypeError, match="missing"):
+    assert Record("k", ()).outcome is None and VERIFIER.note == ""
+    with pytest.raises(TypeError, match="needs the argument 'd0'"):
         ConstRule()
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="needs the argument 'schedule'"):
+        Check(VERIFIER)
+    with pytest.raises(TypeError, match="takes the arguments"):
         ConstRule(F(1), F(2))
-    with pytest.raises(TypeError):
-        ConstRule(F(1), d0=F(1))
-    with pytest.raises(TypeError):
-        ConstRule(d1=F(1))
 
 
 def test_post_init_checks_run():
