@@ -21,6 +21,9 @@ class Field(enum.Enum):
     QX = "qx"
 
 
+_set = object.__setattr__
+
+
 class Value:
     """Base of the immutable value classes.  A subclass names its
     positional arguments in FIELDS, in order, and gives the defaults of
@@ -34,16 +37,18 @@ class Value:
 
     def __init__(self, *args):
         names = self.FIELDS
-        if len(args) < len(names):
+        if len(args) != len(names):
             try:
                 args += tuple(self.DEFAULTS[n] for n in names[len(args) :])
             except KeyError as e:
                 raise TypeError(f"{type(self).__name__}() needs the argument {e}") from None
-        elif len(args) > len(names):
-            raise TypeError(f"{type(self).__name__}() takes the arguments {names}")
-        d = self.__dict__
-        d["_values"] = args
-        d.update(zip(names, args))
+            if len(args) != len(names):
+                raise TypeError(f"{type(self).__name__}() takes the arguments {names}")
+        # set through object.__setattr__, the attributes stay in the
+        # instance's compact layout, which reads faster than a __dict__
+        _set(self, "_values", args)
+        for name, value in zip(names, args):
+            _set(self, name, value)
         self.__post_init__()
 
     def __post_init__(self):

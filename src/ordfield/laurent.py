@@ -268,10 +268,11 @@ def _isurely_coprime(a: list, b: list) -> bool:
 def _linear_gcd(a, b) -> list | None:
     """Primitive b (up to sign) when the linear b divides a, else None: the
     homogenized value of a at b's root, b1**deg(a) * a(-b0/b1), is 0.  It
-    grows by the bits of b at each step, so when b's coefficients reach P
-    it is first taken mod P, and a nonzero residue decides."""
+    grows by the bits of b at each step, so when a is long and b's
+    coefficients reach P it is first taken mod P, and a nonzero residue
+    decides."""
     b0, b1 = b
-    if abs(b0) >= _FILTER_P or abs(b1) >= _FILTER_P:
+    if len(a) > 4 and (abs(b0) >= _FILTER_P or abs(b1) >= _FILTER_P):
         P = _FILTER_P
         v, w, m0, m1 = a[-1] % P, b1 % P, b0 % P, b1 % P
         for c in a[-2::-1]:

@@ -590,12 +590,13 @@ def test_long_numerator_over_wide_side_is_fast(text, num, den):
 def test_wide_linear_root_test_falls_back_when_the_residue_vanishes():
     P = laurent._FILTER_P
     b = [3, 10**20]
+    a = _pm(b, (1, 1, 1, 1))
     # b divides a: the residue vanishes and the exact test finds b
-    assert laurent._linear_gcd(list(_pm(b, P2)), b) == b
-    # a = (3 + P) + 10^20 x has the value P * 10^20 at b's root, zero mod P
-    # but not zero: the exact test decides
-    assert laurent._linear_gcd([3 + P, 10**20], b) is None
-    assert laurent._linear_gcd([4, 10**20], b) is None
+    assert laurent._linear_gcd(list(a), b) == b
+    # a + P has the value P * (10^20)^4 at b's root, zero mod P but not
+    # zero, so the exact test decides; a + 4 is decided mod P
+    assert laurent._linear_gcd(list(_p_add(a, (P,))), b) is None
+    assert laurent._linear_gcd(list(_p_add(a, (4,))), b) is None
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
