@@ -22,10 +22,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .certs import TwoSided, min_dyadic_depth, parse_rule, parse_witness
+from .certs import TwoSided, min_dyadic_depth
 from .errors import DomainError, ResourceError, digit_limit
 from .fields import Field, Value, check_elem, field_zero, from_rat, render_elem
-from .functions import DiffQuotient, FieldFn, evaluate
+from .functions import DiffQuotient, FieldFn, evaluate, parse_name, render_name
 from .laurent import rf_const, valuation, x_pow
 from .literals import parse_elem
 from .rationals import pow2
@@ -62,14 +62,14 @@ class VerifierCert(Value):
     SCHEDULE = "eps"
 
     def record_pairs(self) -> list:
-        pairs = [("rule", self.rule.render())]
+        pairs = [("rule", render_name(self.rule))]
         if self.note:
             pairs.append(("note", self.note))
         return pairs
 
     @classmethod
     def from_record(cls, claim: LimitClaim, kv: dict, need) -> VerifierCert:
-        return cls(claim, parse_rule(need("rule"), claim.field), kv.get("note", ""))
+        return cls(claim, parse_name(claim.field, need("rule"), "delta rule"), kv.get("note", ""))
 
 
 class FalsifierCert(Value):
@@ -80,12 +80,13 @@ class FalsifierCert(Value):
     SCHEDULE = "delta"
 
     def record_pairs(self) -> list:
-        return [("eps", self.epsilon), ("witness", self.witness.render())]
+        return [("eps", self.epsilon), ("witness", render_name(self.witness))]
 
     @classmethod
     def from_record(cls, claim: LimitClaim, kv: dict, need) -> FalsifierCert:
         fld = claim.field
-        return cls(claim, parse_elem(fld, need("eps")), parse_witness(need("witness"), fld))
+        eps = parse_elem(fld, need("eps"))
+        return cls(claim, eps, parse_name(fld, need("witness"), "witness rule"))
 
 
 class CheckRecord(NamedTuple):

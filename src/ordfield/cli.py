@@ -12,7 +12,6 @@ PATH is given; identical invocations produce byte-identical transcripts.
 from __future__ import annotations
 
 import argparse
-import inspect
 import os
 import sys
 
@@ -71,10 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _lookup_demo(name: str):
-    """The demo `name` and the flags it takes, its keyword parameters.  It
-    is looked up when called, so a rebound demo_<name> is the one run."""
-    demo = getattr(demos, f"demo_{name}")
-    return demo, inspect.signature(demo).parameters
+    """The demo `name` and the flags it takes, the parameter names of the
+    function it wraps.  It is looked up when called, so a rebound
+    demo_<name> is the one run."""
+    demo = fn = getattr(demos, f"demo_{name}")
+    while hasattr(fn, "__wrapped__"):
+        fn = fn.__wrapped__
+    code = fn.__code__
+    return demo, code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
 
 
 def _run_demo(args) -> tuple[int, Transcript]:

@@ -6,8 +6,11 @@ certificates and probe generators can introspect their structure and
 transcripts can serialize them.  Each descriptor class is one row of the
 function table: it owns its field, its evaluator, its constancy radius,
 its derivative certificate, its tag and the kinds of its arguments.
-`fn_name` and `parse_fn` alone own the name format, and one tag registry
-maps names back to classes for `parse_fn`.
+
+This module owns the name format of functions and of the certificate
+rules in `certs` alike: `render_name` writes every name and `parse_name`
+reads it back, looking its tag up in one of the three family tables of
+FAMILIES (function names, delta rules, witness rules).
 
 The step functions return the canonical representative of the band/class
 of their argument (2**-n for the dyadic band I_n in Q, x**v for valuation
@@ -29,7 +32,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .certs import ConstRule, LinearCapRule, split_call
+from .certs import ConstRule, LinearCapRule, QStepProbe, QXStepProbe, TwoSided
 from .dyadic import (
     below_sqrt2,
     class_index,
@@ -41,7 +44,7 @@ from .dyadic import (
 from .errors import DomainError, ParseError, ResourceError, UnsupportedDerivativeError
 from .fields import Field, Value, field_one, field_zero, render_elem
 from .laurent import RF_ZERO, valuation, x_pow
-from .literals import MAX_POWER_BITS, _power_bits, parse_elem, parse_int
+from .literals import MAX_POWER_BITS, _power_bits, check_nesting, parse_elem, parse_int
 from .rationals import pow2
 
 
@@ -57,22 +60,23 @@ class FieldFn(Value):
 
     A subclass sets TAG (its name in transcripts), `field` and `eval_at`.
     ARGS gives the kind ("fn", "int" or "elem") of each of its FIELDS
-    other than `field`, in FIELDS order; `fn_name` writes them and
-    `parse_fn` reads them.  One that is locally constant off 0 gives its
+    other than `field`, in FIELDS order; `render_name` writes them and
+    `parse_name` reads them.  One that is locally constant off 0 gives its
     ball radius in `radius_at`; one with a closed-form derivative gives its
     certificate in `derivative_at`.  `envelope` holds the strict bounds
     (lower, upper) on |f(t)/t| of the step functions.
     """
 
     ARGS: tuple[str, ...] = ()
+    COLON = True  # one argument is written tag:a, where a rule writes tag(a)
     envelope = None
 
     def radius_at(self, t):
-        raise DomainError(f"no constancy rule for {fn_name(self)}")
+        raise DomainError(f"no constancy rule for {render_name(self)}")
 
     def derivative_at(self, t) -> DerivativeCert:
         raise UnsupportedDerivativeError(
-            f"no closed-form derivative for {fn_name(self)} at {render_elem(t)}"
+            f"no closed-form derivative for {render_name(self)} at {render_elem(t)}"
         )
 
 
@@ -270,7 +274,12 @@ class DiffQuotient(FieldFn):
         return (evaluate(self.f, self.a + h) - fa) / h
 
 
-_BY_TAG = {cls.TAG: cls for cls in FieldFn.__subclasses__()}
+# the three families of names: each maps a tag to its class
+FAMILIES = {
+    "function name": {cls.TAG: cls for cls in FieldFn.__subclasses__()},
+    "delta rule": {cls.TAG: cls for cls in (ConstRule, LinearCapRule)},
+    "witness rule": {cls.TAG: cls for cls in (QStepProbe, QXStepProbe, TwoSided)},
+}
 
 
 def evaluate(fn: FieldFn, t):
@@ -312,38 +321,87 @@ def derivative_certificate(fn: FieldFn, t) -> DerivativeCert:
     return fn.derivative_at(t)
 
 
-def fn_name(fn: FieldFn) -> str:
-    """Canonical compact name used by the CLI and transcripts: the tag,
-    `tag:arg` for one argument, `tag(a,b)` for two.  The arguments are its
-    FIELDS other than `field`, each written by its kind in ARGS."""
-    values = [getattr(fn, name) for name in fn.FIELDS if name != "field"]
-    write = {"fn": fn_name, "int": str, "elem": render_elem}
-    args = [write[kind](v) for kind, v in zip(fn.ARGS, values, strict=True)]
+def render_name(obj) -> str:
+    """The name of a function, delta rule or witness rule, as transcripts
+    and claim files write it: the bare tag with no arguments, else the
+    arguments written by their kinds in ARGS, `tag(a,b)`.  One argument
+    is written `tag:a` by a class that sets COLON (the functions) and
+    `tag(a)` by the others (the rules).  The arguments are its FIELDS
+    other than `field`."""
+    values = [getattr(obj, name) for name in obj.FIELDS if name != "field"]
+    write = {"fn": render_name, "witness": render_name, "int": str, "elem": render_elem}
+    write["sign"] = lambda sign: "+" if sign > 0 else "-"
+    args = [write[kind](v) for kind, v in zip(obj.ARGS, values, strict=True)]
     if not args:
-        return fn.TAG
-    if len(args) == 1:
-        return f"{fn.TAG}:{args[0]}"
-    return f"{fn.TAG}({','.join(args)})"
+        return obj.TAG
+    if len(args) == 1 and getattr(obj, "COLON", False):
+        return f"{obj.TAG}:{args[0]}"
+    return f"{obj.TAG}({','.join(args)})"
 
 
-def parse_fn(field: Field, s: str) -> FieldFn:
-    """Inverse of fn_name for the given field: only the form fn_name
-    writes parses, so a one-argument name in call form is refused."""
+def _parse_sign(s: str) -> int:
+    sign = {"+": 1, "-": -1}.get(s)
+    if sign is None:
+        raise ParseError(f"bad probe sign {s!r}")
+    return sign
+
+
+def parse_name(field: Field, s: str, family: str):
+    """Inverse of render_name: the member of `family` (a key of FAMILIES)
+    that s names, its values read in field.  Only the form render_name
+    writes parses.  The tag, the home field of a class that has one and
+    the argument count and form are checked before any argument is read,
+    the arguments then left to right by kind."""
     s = s.strip()
     tag, colon, arg = s.partition(":")
     call = "(" in tag
     if call:
-        tag, args = split_call(s)
+        tag, args = _split_call(s)
     else:
         args = [arg] if colon else []
-    cls = _BY_TAG.get(tag)
-    if cls is None or len(args) != len(cls.ARGS) or call != (len(args) > 1):
-        raise ParseError(f"unknown function name {s!r}")
-    read = {"fn": parse_fn, "int": lambda _, a: parse_int(a), "elem": parse_elem}
-    values = [read[kind](field, a) for kind, a in zip(cls.ARGS, args)]
+    cls = FAMILIES[family].get(tag)
+    if cls is None:
+        raise ParseError(f"unknown {family} {s!r}")
+    home = getattr(cls, "field", field)
+    if isinstance(home, Field) and home is not field:
+        raise ParseError(f"{family} {s!r} lives in field {home.value}")
+    n = len(cls.ARGS)
+    if len(args) != n or call != (n > 1 or n == 1 and not getattr(cls, "COLON", False)):
+        raise ParseError(f"unknown {family} {s!r}")
+    read = {
+        "fn": lambda a: parse_name(field, a, "function name"),
+        "witness": lambda a: parse_name(field, a, "witness rule"),
+        "int": parse_int,
+        "elem": lambda a: parse_elem(field, a),
+        "sign": _parse_sign,
+    }
+    values = [read[kind](a) for kind, a in zip(cls.ARGS, args)]
     if "field" in cls.FIELDS:
         values.insert(0, field)
-    fn = cls(*values)
-    if fn.field is not field:
-        raise ParseError(f"function {s!r} lives in field {fn.field.value}")
-    return fn
+    return cls(*values)
+
+
+def _split_call(s: str) -> tuple[str, list[str]]:
+    """Split `name(a,b,...)` into its name and its top-level arguments,
+    every one of them, an empty last one too; commas inside nested
+    parentheses stay with their argument."""
+    if not s.endswith(")"):
+        raise ParseError(f"expected name(args) form, got {s!r}")
+    name, _, body = s.partition("(")
+    body = body[:-1]
+    args: list[str] = []
+    depth = 0
+    cur = []
+    for ch in body:
+        if ch == "," and depth == 0:
+            args.append("".join(cur))
+            cur = []
+            continue
+        if ch == "(":
+            depth += 1
+            check_nesting(depth + 1)  # the call's own parenthesis is one more
+        elif ch == ")":
+            depth -= 1
+        cur.append(ch)
+    args.append("".join(cur))
+    return name.strip(), [a.strip() for a in args]

@@ -38,7 +38,7 @@ from .claims import (
 )
 from .errors import ParseError
 from .fields import Field, render_elem
-from .functions import fn_name, parse_fn
+from .functions import parse_name, render_name
 from .literals import parse_elem, parse_int
 
 TOOL = "ordfield"
@@ -112,7 +112,7 @@ class Transcript:
                 [
                     ("id", cid),
                     ("field", claim.field),
-                    ("fn", fn_name(claim.fn)),
+                    ("fn", render_name(claim.fn)),
                     ("point", claim.point),
                     ("candidate", claim.candidate),
                 ],
@@ -202,7 +202,7 @@ def parse_claim_file(text: str) -> list[Check]:
         kind, kv = parse_kv_line(line)
         if kind == "claim":
             fld = _field_of(kv.get("field", ""))
-            fn = parse_fn(fld, _need(kv, "fn", line))
+            fn = parse_name(fld, _need(kv, "fn", line), "function name")
             current = LimitClaim(
                 fn,
                 parse_elem(fld, _need(kv, "point", line)),

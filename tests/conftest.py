@@ -1,10 +1,22 @@
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ordfield
 from ordfield.laurent import RatFunc, poly, rf_normalize, valuation
 from ordfield.rationals import pow2
+
+# a child process imports the same ordfield package as the tests
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        [str(Path(ordfield.__file__).resolve().parents[1])]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ),
+}
 
 
 @pytest.fixture

@@ -27,7 +27,7 @@ from ordfield.functions import (
     derivative_certificate,
     evaluate,
     local_constancy,
-    parse_fn,
+    parse_name,
     ratio_bounds_check,
 )
 from ordfield.laurent import (
@@ -212,7 +212,7 @@ def test_criterion_6_dlim_qx(dlim_qx_run):
     # infinitesimal challenges up to x^64 * 2^-64 are present
     assert f"delta=1/{2**64}*x^64 " in text
     # every refutation record is exact: recompute each one from its line
-    fn = parse_fn(Field.QX, "diffq(step_qx,0)")
+    fn = parse_name(Field.QX, "diffq(step_qx,0)", "function name")
     n_refutations = 0
     for line in text.splitlines():
         if not line.startswith("check ") or "kind=falsifier" not in line:

@@ -1,5 +1,4 @@
 import argparse
-import os
 import shlex
 import subprocess
 import sys
@@ -9,27 +8,20 @@ from pathlib import Path
 
 import pytest
 
-import ordfield
 from ordfield.claims import default_delta_schedule, default_eps_schedule
 from ordfield import demos
 from ordfield.cli import build_parser, main
 from ordfield.demos import MAX_MVT_POINTS, demo_dlim, demo_lhopital, demo_mvt, demo_taylor
 from ordfield.errors import DomainError, OrdFieldError, ResourceError
 from ordfield.fields import Field, render_elem
-from ordfield.functions import fn_name, parse_fn
+from ordfield.functions import parse_name, render_name
 from ordfield.literals import MAX_NESTING
 from ordfield.transcript import Transcript
 
+from conftest import CHILD_ENV
+
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "src" / "ordfield" / "fixtures"
-# a child process imports the same ordfield package as the tests
-CHILD_ENV = {
-    **os.environ,
-    "PYTHONPATH": os.pathsep.join(
-        [str(Path(ordfield.__file__).resolve().parents[1])]
-        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    ),
-}
 
 
 def run_cli(*args):
@@ -89,7 +81,7 @@ def _nested_quotient(depth):
 
 def test_claim_fn_nesting_cap(tmp_path, capsys):
     name = _nested_quotient(MAX_NESTING)
-    assert fn_name(parse_fn(Field.Q, name)) == name
+    assert render_name(parse_name(Field.Q, name, "function name")) == name
     for depth in (MAX_NESTING + 1, 3000):
         path = tmp_path / "deep.claim"
         path.write_text(
@@ -600,7 +592,7 @@ _NO_X_IN_Q = "variable 'x' is not allowed in field q (at position 0)"
         ),
         pytest.param(
             ("claim", _Q_CLAIM + "cert kind=verifier rule=const\n"),
-            "expected name(args) form, got 'const'",
+            "unknown delta rule 'const'",
             id="const-no-parens",
         ),
         pytest.param(
@@ -650,7 +642,7 @@ _NO_X_IN_Q = "variable 'x' is not allowed in field q (at position 0)"
         ),
         pytest.param(
             ("claim", "claim field=q fn=step_qx point=0 candidate=0\n" + _Q_CERT),
-            "function 'step_qx' lives in field qx",
+            "function name 'step_qx' lives in field qx",
             id="qx-fn-in-q-claim",
         ),
         pytest.param(
@@ -799,7 +791,7 @@ _NO_X_IN_Q = "variable 'x' is not allowed in field q (at position 0)"
             "unknown function name 'quotient(step_q)'",
             id="fn-quotient-one-argument",
         ),
-        # a one-argument name has the one form fn_name writes, tag:arg
+        # a one-argument name has the one form render_name writes, tag:arg
         pytest.param(
             ("claim", "claim field=q fn=pow(2) point=0 candidate=0\n" + _Q_CERT),
             "unknown function name 'pow(2)'",
@@ -829,6 +821,25 @@ _NO_X_IN_Q = "variable 'x' is not allowed in field q (at position 0)"
             ("claim", "claim field=q fn=pow:0 point=0 candidate=0\n" + _Q_CERT),
             "power exponent must be at least 1",
             id="fn-pow-exponent-zero",
+        ),
+        # an empty last argument is an argument: each name has one too many
+        pytest.param(
+            ("claim", _Q_CLAIM + "cert kind=falsifier eps=1/2 witness=qstep(5/7,)\n"),
+            "unknown witness rule 'qstep(5/7,)'",
+            id="witness-trailing-comma",
+        ),
+        pytest.param(
+            (
+                "claim",
+                "claim field=q fn=quotient(step_q,identity,) point=0 candidate=0\n" + _Q_CERT,
+            ),
+            "unknown function name 'quotient(step_q,identity,)'",
+            id="fn-trailing-comma",
+        ),
+        pytest.param(
+            ("claim", _Q_CLAIM + "cert kind=verifier rule=linear_cap(1,1,)\n"),
+            "unknown delta rule 'linear_cap(1,1,)'",
+            id="rule-trailing-comma",
         ),
     ],
 )

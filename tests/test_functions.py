@@ -1,13 +1,18 @@
+import importlib
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from ordfield import functions
-from ordfield.certs import ConstRule, LinearCapRule
+from ordfield.certs import ConstRule, LinearCapRule, QStepProbe, QXStepProbe, TwoSided
+from ordfield.claims import FalsifierCert, VerifierCert
 from ordfield.dyadic import class_index
-from ordfield.errors import DomainError, UnsupportedDerivativeError
+from ordfield.errors import DomainError, ParseError, UnsupportedDerivativeError
 from ordfield.fields import Field
 from ordfield.functions import (
+    FAMILIES,
     Constant,
     DiffQuotient,
     Identity,
@@ -19,10 +24,10 @@ from ordfield.functions import (
     StepQX,
     derivative_certificate,
     evaluate,
-    fn_name,
     local_constancy,
-    parse_fn,
+    parse_name,
     ratio_bounds_check,
+    render_name,
 )
 from ordfield.laurent import RF_ONE, RF_X, RF_ZERO, rf_const, x_pow
 from ordfield.literals import parse_elem
@@ -173,33 +178,96 @@ def test_outer_square_step_is_o_of_t_but_not_o_of_t_squared(rng):
         assert evaluate(f, w) / w**2 == F(100, 169) >= F(1, 2)
 
 
-def test_fn_name_roundtrip():
-    fns = [
-        Identity(Field.Q),
-        Constant(Field.Q, F(-7, 5)),
-        Constant(Field.QX, qx("x/(1-x)")),
-        Power(Field.Q, 4),
-        StepQ(),
-        StepQX(),
-        IndicatorCut(),
-        Power(Field.QX, 3),
-        Identity(Field.QX),
-        OuterSquareStep(),
-        Quotient(StepQ(), Identity(Field.Q)),
-        DiffQuotient(OuterSquareStep(), F(1, 2)),
-        DiffQuotient(Constant(Field.QX, qx("1/(1+x)")), qx("x/(1-x)")),
-        Quotient(OuterSquareStep(), Power(Field.Q, 2)),
-        DiffQuotient(StepQX(), x_pow(2)),
+SRC = Path(__file__).resolve().parents[1] / "src" / "ordfield"
+
+
+def _tagged_classes() -> set[type]:
+    """Every class defined in a module of the package that has a TAG."""
+    out = set()
+    for path in SRC.glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        mod = importlib.import_module(f"ordfield.{path.stem}")
+        out.update(
+            c
+            for c in vars(mod).values()
+            if isinstance(c, type) and c.__module__ == mod.__name__ and hasattr(c, "TAG")
+        )
+    return out
+
+
+def _family_of(cls: type) -> list[str]:
+    return [family for family, table in FAMILIES.items() if table.get(cls.TAG) is cls]
+
+
+def test_every_named_class_round_trips_in_each_field():
+    # a certificate's TAG names its report, not a class: it is no name
+    tagged = _tagged_classes()
+    assert {c for c in tagged if hasattr(c, "KIND")} == {VerifierCert, FalsifierCert}
+    named = {c for c in tagged if not hasattr(c, "KIND")}
+    # every named class is in exactly one family table, and every class
+    # of a table is named
+    assert all(len(_family_of(c)) == 1 for c in named)
+    assert named == {c for table in FAMILIES.values() for c in table.values()}
+    examples = [
+        # functions
+        (Field.Q, Identity(Field.Q)),
+        (Field.Q, Constant(Field.Q, F(-7, 5))),
+        (Field.QX, Constant(Field.QX, qx("x/(1-x)"))),
+        (Field.Q, Power(Field.Q, 4)),
+        (Field.Q, StepQ()),
+        (Field.QX, StepQX()),
+        (Field.Q, IndicatorCut()),
+        (Field.QX, Power(Field.QX, 3)),
+        (Field.QX, Identity(Field.QX)),
+        (Field.Q, OuterSquareStep()),
+        (Field.Q, Quotient(StepQ(), Identity(Field.Q))),
+        (Field.Q, DiffQuotient(OuterSquareStep(), F(1, 2))),
+        (Field.QX, DiffQuotient(Constant(Field.QX, qx("1/(1+x)")), qx("x/(1-x)"))),
+        (Field.Q, Quotient(OuterSquareStep(), Power(Field.Q, 2))),
+        (Field.QX, DiffQuotient(StepQX(), x_pow(2))),
+        (Field.QX, Quotient(StepQX(), Identity(Field.QX))),
+        # delta rules
+        (Field.Q, ConstRule(F(1, 4))),
+        (Field.Q, LinearCapRule(F(1), F(1, 2))),
+        (Field.QX, LinearCapRule(RF_ONE, RF_X)),
+        (Field.QX, ConstRule(qx("x/2"))),
+        # witness rules
+        (Field.Q, QStepProbe(F(5, 7))),
+        (Field.Q, TwoSided(QStepProbe(F(5, 7)), QStepProbe(F(-5, 7)), F(0))),
+        (Field.QX, QXStepProbe(RF_ONE, -1)),
+        (Field.QX, TwoSided(QXStepProbe(RF_ONE), QXStepProbe(RF_ONE, -1), RF_ZERO)),
     ]
-    for fn in fns:
-        assert parse_fn(fn.field, fn_name(fn)) == fn
+    fields = {c: set() for c in named}
+    for field, obj in examples:
+        [family] = _family_of(type(obj))
+        assert parse_name(field, render_name(obj), family) == obj
+        fields[type(obj)].add(field)
+    # a class with a home field lives there, every other one in both
+    for cls, seen in fields.items():
+        home = getattr(cls, "field", None)
+        assert seen == ({home} if isinstance(home, Field) else {Field.Q, Field.QX}), cls
+    # a function writes one argument tag:a, a rule tag(a); neither reads
+    # the other's form
+    for family, name in [
+        ("delta rule", "const:1"),
+        ("witness rule", "qstep:5/7"),
+        ("function name", "pow(2)"),
+    ]:
+        with pytest.raises(ParseError, match=f"^unknown {family} '{re.escape(name)}'$"):
+            parse_name(Field.Q, name, family)
 
 
 def test_fn_name_examples():
-    assert fn_name(StepQ()) == "step_q"
-    assert fn_name(Quotient(StepQ(), Identity(Field.Q))) == "quotient(step_q,identity)"
-    assert fn_name(Power(Field.Q, 2)) == "pow:2"
-    assert fn_name(DiffQuotient(StepQ(), F(0))) == "diffq(step_q,0)"
+    assert render_name(StepQ()) == "step_q"
+    assert render_name(Quotient(StepQ(), Identity(Field.Q))) == "quotient(step_q,identity)"
+    assert render_name(Power(Field.Q, 2)) == "pow:2"
+    assert render_name(DiffQuotient(StepQ(), F(0))) == "diffq(step_q,0)"
+    assert render_name(ConstRule(F(1, 2))) == "const(1/2)"
+    assert render_name(LinearCapRule(F(1), F(1, 2))) == "linear_cap(1,1/2)"
+    assert render_name(QXStepProbe(RF_ONE, -1)) == "qxstep(1,-)"
+    two_sided = TwoSided(QStepProbe(F(5, 7)), QStepProbe(F(-5, 7)), F(0))
+    assert render_name(two_sided) == "two_sided(qstep(5/7),qstep(-5/7),0)"
 
 
 def test_variant_validation():
@@ -223,7 +291,7 @@ def test_diff_quotient_evaluates_f_at_a_once(monkeypatch):
     assert calls.count(a) == 1 and len(calls) == len(hs) + 1
     # f(a) is kept outside the fields: equality, hash and name are (f, a)'s
     fresh = DiffQuotient(Power(Field.Q, 2), a)
-    assert dq == fresh and hash(dq) == hash(fresh) and fn_name(dq) == fn_name(fresh)
+    assert dq == fresh and hash(dq) == hash(fresh) and render_name(dq) == render_name(fresh)
     assert DiffQuotient.FIELDS == ("f", "a")
     # a DomainError at a is raised by every h, not by the construction
     off = DiffQuotient(Quotient(Identity(Field.Q), Identity(Field.Q)), F(0))

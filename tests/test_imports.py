@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module,
-and no module imports `dataclasses`.
+no module imports `dataclasses`, and importing the CLI leaves `inspect`
+out.
 
 A name imported and never read is dead weight that a deletion elsewhere
 tends to leave behind.  The package's `__init__.py` is left out of that
@@ -7,9 +8,13 @@ check: it imports names for callers outside it.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import CHILD_ENV
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ordfield"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -80,3 +85,13 @@ def test_no_dataclasses(path):
     # the value classes share fields.Value; dataclasses costs its class
     # set-up at every import of the package
     assert "dataclasses" not in imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def test_cli_import_leaves_inspect_out():
+    # `inspect` cost a cold import of ordfield.cli several milliseconds
+    # only to read the demo signatures
+    code = "import sys, ordfield.cli; print('inspect' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV, check=True
+    ).stdout
+    assert out == "False\n"

@@ -3,15 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ordfield.certs import (
-    ConstRule,
-    LinearCapRule,
-    QStepProbe,
-    QXStepProbe,
-    TwoSided,
-    parse_rule,
-    parse_witness,
-)
+from ordfield.certs import ConstRule, LinearCapRule, QStepProbe, QXStepProbe
 from ordfield import transcript
 from ordfield.claims import (
     Check,
@@ -57,24 +49,6 @@ def test_kv_line_note_last():
         kv_line("cert", [("note", "early"), ("claim", 2)])
     with pytest.raises(ValueError):
         kv_line("cert", [("w", "a space")])
-
-
-def test_rule_render_parse_roundtrip():
-    for rule in (ConstRule(F(1, 4)), LinearCapRule(F(1), F(1, 2))):
-        assert parse_rule(rule.render(), Field.Q) == rule
-    assert parse_rule(LinearCapRule(RF_ONE, RF_X).render(), Field.QX) == LinearCapRule(
-        RF_ONE, RF_X
-    )
-
-
-def test_witness_render_parse_roundtrip():
-    for w in (
-        QStepProbe(F(5, 7)),
-        TwoSided(QStepProbe(F(5, 7)), QStepProbe(F(-5, 7)), F(0)),
-    ):
-        assert parse_witness(w.render(), Field.Q) == w
-    wx = QXStepProbe(RF_ONE, -1)
-    assert parse_witness(wx.render(), Field.QX) == wx
 
 
 def test_transcript_claim_ids_deduplicate():
