@@ -200,6 +200,28 @@ def _family_of(cls: type) -> list[str]:
     return [family for family, table in FAMILIES.items() if table.get(cls.TAG) is cls]
 
 
+def test_fn_name_roundtrip():
+    fns = [
+        Identity(Field.Q),
+        Constant(Field.Q, F(-7, 5)),
+        Constant(Field.QX, qx("x/(1-x)")),
+        Power(Field.Q, 4),
+        StepQ(),
+        StepQX(),
+        IndicatorCut(),
+        Power(Field.QX, 3),
+        Identity(Field.QX),
+        OuterSquareStep(),
+        Quotient(StepQ(), Identity(Field.Q)),
+        DiffQuotient(OuterSquareStep(), F(1, 2)),
+        DiffQuotient(Constant(Field.QX, qx("1/(1+x)")), qx("x/(1-x)")),
+        Quotient(OuterSquareStep(), Power(Field.Q, 2)),
+        DiffQuotient(StepQX(), x_pow(2)),
+    ]
+    for fn in fns:
+        assert parse_name(fn.field, render_name(fn), "function name") == fn
+
+
 def test_every_named_class_round_trips_in_each_field():
     # a certificate's TAG names its report, not a class: it is no name
     tagged = _tagged_classes()

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ordfield.certs import ConstRule, LinearCapRule, QStepProbe, QXStepProbe
+from ordfield.certs import ConstRule, LinearCapRule, QStepProbe, QXStepProbe, TwoSided
 from ordfield import transcript
 from ordfield.claims import (
     Check,
@@ -23,7 +23,7 @@ from ordfield.claims import (
 from ordfield.demos import demo_dlim, demo_lhopital, demo_mvt, demo_taylor
 from ordfield.errors import ParseError
 from ordfield.fields import Field
-from ordfield.functions import Quotient, Identity, StepQ
+from ordfield.functions import Quotient, Identity, StepQ, parse_name, render_name
 from ordfield.laurent import RF_ONE, RF_X, RF_ZERO, rf_const, x_pow
 from ordfield.literals import parse_elem
 from ordfield.transcript import (
@@ -49,6 +49,23 @@ def test_kv_line_note_last():
         kv_line("cert", [("note", "early"), ("claim", 2)])
     with pytest.raises(ValueError):
         kv_line("cert", [("w", "a space")])
+
+
+def test_rule_render_parse_roundtrip():
+    for rule in (ConstRule(F(1, 4)), LinearCapRule(F(1), F(1, 2))):
+        assert parse_name(Field.Q, render_name(rule), "delta rule") == rule
+    rule = LinearCapRule(RF_ONE, RF_X)
+    assert parse_name(Field.QX, render_name(rule), "delta rule") == rule
+
+
+def test_witness_render_parse_roundtrip():
+    for w in (
+        QStepProbe(F(5, 7)),
+        TwoSided(QStepProbe(F(5, 7)), QStepProbe(F(-5, 7)), F(0)),
+    ):
+        assert parse_name(Field.Q, render_name(w), "witness rule") == w
+    wx = QXStepProbe(RF_ONE, -1)
+    assert parse_name(Field.QX, render_name(wx), "witness rule") == wx
 
 
 def test_transcript_claim_ids_deduplicate():
