@@ -110,5 +110,9 @@ class TwoSided(Value):
     TAG = "two_sided"
     ARGS = ("witness", "witness", "elem")
 
+    def __post_init__(self):
+        if isinstance(self.pos, TwoSided) or isinstance(self.neg, TwoSided):
+            raise DomainError("witness rule two_sided takes no two_sided side")
+
     def pick(self, candidate):
         return self.pos if candidate <= self.midpoint else self.neg

@@ -7,6 +7,8 @@
 Exit codes: 0 = all verdicts as expected, 1 = a verdict violation,
 2 = usage or parse error.  Transcripts go to stdout unless --transcript
 PATH is given; identical invocations produce byte-identical transcripts.
+A run that exits 2 writes no transcript: records wait in a spool until
+the run returns.
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ from .errors import DomainError, OrdFieldError, ParseError
 from .fields import Field, render_elem, sign_of
 from .laurent import RatFunc, valuation
 from .literals import parse_elem
-from .transcript import Transcript, VERSION, parse_claim_file
+from .transcript import VERSION, parse_claim_file
 
 USAGE_ERROR = 2
+# a spool past this many characters moves to a temporary file
+SPILL_CHARS = 1 << 20
 
 # the arguments of `demo` that are not demo flags
 _NOT_DEMO_FLAGS = ("command", "name", "transcript")
@@ -80,7 +84,40 @@ def _lookup_demo(name: str):
     return demo, code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
 
 
-def _run_demo(args) -> tuple[int, Transcript]:
+class _Spool:
+    """A text sink that keeps what it is given until `copy_to`: in memory
+    up to SPILL_CHARS at a time, the rest in an anonymous temporary file."""
+
+    def __init__(self):
+        self.chunks: list[str] = []
+        self.size = 0
+        self.file = None
+
+    def write(self, text: str) -> None:
+        self.chunks.append(text)
+        self.size += len(text)
+        if self.size > SPILL_CHARS:
+            if self.file is None:
+                import tempfile
+
+                self.file = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+            self.file.writelines(self.chunks)
+            self.chunks, self.size = [], 0
+
+    def copy_to(self, dst) -> None:
+        if self.file is not None:
+            import shutil
+
+            self.file.seek(0)
+            shutil.copyfileobj(self.file, dst)
+        dst.writelines(self.chunks)
+
+    def close(self) -> None:
+        if self.file is not None:
+            self.file.close()
+
+
+def _run_demo(args, out) -> int:
     demo, takes = _lookup_demo(args.name)
     given = {k: v for k, v in vars(args).items() if k not in _NOT_DEMO_FLAGS and v is not None}
     refused = [k for k in given if k not in takes]
@@ -89,7 +126,7 @@ def _run_demo(args) -> tuple[int, Transcript]:
         raise DomainError(f"demo {args.name} does not take {flags}")
     if "candidate" in given:
         given["candidate"] = parse_elem(Field.Q, given["candidate"])
-    return demo(**given)
+    return demo(**given, out=out)
 
 
 def _run_eval(args) -> int:
@@ -101,7 +138,7 @@ def _run_eval(args) -> int:
     return 0
 
 
-def _run_claim(args) -> tuple[int, Transcript]:
+def _run_claim(args, out) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
@@ -109,7 +146,7 @@ def _run_claim(args) -> tuple[int, Transcript]:
         raise ParseError(
             f"claim file {args.file} is not UTF-8 text (byte {exc.start}: {exc.reason})"
         ) from None
-    return demos.run("claim-file", [], parse_claim_file(text))
+    return demos.run("claim-file", [], parse_claim_file(text), out)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -119,13 +156,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "eval":
             return _run_eval(args)
         run_command = _run_demo if args.command == "demo" else _run_claim
-        code, tr = run_command(args)
-        text = tr.render()
-        if args.transcript is None:
-            sys.stdout.write(text)
-        else:
-            with open(args.transcript, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        spool = _Spool()
+        try:
+            code = run_command(args, spool)
+            if args.transcript is None:
+                spool.copy_to(sys.stdout)
+            else:
+                with open(args.transcript, "w", encoding="utf-8") as fh:
+                    spool.copy_to(fh)
+        finally:
+            spool.close()
         return code
     except OrdFieldError as exc:
         print(f"ordfield: {exc}", file=sys.stderr)

@@ -2,8 +2,9 @@
 runs demos and claim files alike.
 
 Each demo is a generator of steps: certificates with their schedules and
-plain records.  `run` referees every step into a fresh transcript and
-returns it with an exit code; the demo returns both.  Exit 0 means the
+plain records.  `run` referees every step in turn, writes its records to
+a text sink as soon as it is refereed, and returns the exit code, which
+the demo returns too.  Exit 0 means the
 expected pattern was observed: hypothesis certificates verified (evidence)
 and the conclusion claim refuted (exact refutation instances at every
 challenged delta) — i.e. the incompleteness phenomenon was exhibited.  Any
@@ -73,16 +74,19 @@ class Record(Value):
     DEFAULTS = {"outcome": None}
 
 
-def run(name: str, header: list, steps) -> tuple[int, Transcript]:
-    """A transcript of the header line, the records and reports of every
-    step in order, and the summary line, with its exit code: 0 when every
-    report and outcome passed, else 1.  Every step runs, so each failing
-    record is in the transcript.  The verifiers of the run share one probe
-    table, which builds each (field, point, level) of probes once and is
-    dropped when the run returns."""
+def run(name: str, header: list, steps, out) -> int:
+    """Write to out the transcript of the header line, the records and
+    reports of every step in order, and the summary line; return its exit
+    code: 0 when every report and outcome passed, else 1.  Every step
+    runs, so each failing record is in the transcript.  Each step's lines
+    go to out as soon as it is refereed, and its report is dropped, so the
+    run holds about one report at a time.  The verifiers of the run share
+    one probe table, which builds each (field, point, level) of probes
+    once and is dropped when the run returns."""
     tr = Transcript()
     table: dict = {}
     tr.header([("demo", name)] + header)
+    out.write(tr.render())
     verdict = True
     checks = 0
     for step in steps:
@@ -97,24 +101,28 @@ def run(name: str, header: list, steps) -> tuple[int, Transcript]:
             tr.add_report(report)
             checks += report.checks
             ok = report.passed
+            del report
+        out.write(tr.render())
         verdict = verdict and ok
     code = 0 if verdict else 1
     tr.summary(name, checks, code, verdict)
-    return code, tr
+    out.write(tr.render())
+    return code
 
 
 def _demo(make_steps):
     """Make a demo out of a generator function that first yields the
     demo's header pairs and then its steps, and add its name, the
     function's name without `demo_`, to DEMOS.  The demo takes the same
-    arguments, runs the steps and returns (exit code, transcript)."""
+    arguments and the keyword-only sink `out`, runs the steps into out
+    and returns the exit code."""
     name = make_steps.__name__.removeprefix("demo_")
     DEMOS.append(name)
 
     @functools.wraps(make_steps)
-    def demo(*args, **kwargs) -> tuple[int, Transcript]:
+    def demo(*args, out, **kwargs) -> int:
         steps = make_steps(*args, **kwargs)
-        return run(name, next(steps), steps)
+        return run(name, next(steps), steps, out)
 
     return demo
 

@@ -90,14 +90,15 @@ def parse_kv_line(line: str) -> tuple[str, dict[str, str]]:
 
 
 class Transcript:
-    """Accumulates record lines; renders to one deterministic text blob."""
+    """Numbers claims across a run and holds the record lines added since
+    the last `render`, which hands them out and forgets them."""
 
     def __init__(self):
-        self.lines: list[str] = []
+        self._lines: list[str] = []
         self._claim_ids: dict[LimitClaim, int] = {}
 
     def add(self, kind: str, pairs: list[tuple[str, object]]) -> None:
-        self.lines.append(kv_line(kind, pairs))
+        self._lines.append(kv_line(kind, pairs))
 
     def header(self, pairs: list[tuple[str, object]]) -> None:
         self.add("header", [("tool", TOOL), ("version", VERSION)] + pairs)
@@ -124,7 +125,7 @@ class Transcript:
         cid = self.claim_id(cert.claim)
         head = [("claim", cid), ("kind", cert.KIND)]
         self.add("cert", head + cert.record_pairs())
-        self.lines.extend(_check_lines(cid, report))
+        self._lines.extend(_check_lines(cid, report))
         tail = [("tag", cert.TAG), ("checks", report.checks), ("verdict", report.passed)]
         self.add("report", head + tail)
 
@@ -141,7 +142,9 @@ class Transcript:
         )
 
     def render(self) -> str:
-        return "\n".join(self.lines) + "\n"
+        """The lines added since the last render, each ending in a newline."""
+        lines, self._lines = self._lines, []
+        return "\n".join(lines) + "\n" if lines else ""
 
 
 _VERDICT = (" verdict=fail", " verdict=pass")

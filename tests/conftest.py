@@ -1,3 +1,4 @@
+import io
 import os
 import random
 from fractions import Fraction
@@ -17,6 +18,14 @@ CHILD_ENV = {
         + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     ),
 }
+
+
+def run_demo(run, *args, **kwargs) -> tuple[int, str]:
+    """Run a demo, or `demos.run`, into an in-memory sink: the exit code
+    and the transcript text."""
+    out = io.StringIO()
+    code = run(*args, out=out, **kwargs)
+    return code, out.getvalue()
 
 
 @pytest.fixture

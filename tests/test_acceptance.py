@@ -42,7 +42,7 @@ from ordfield.literals import parse_elem
 from ordfield.rationals import pow2
 from ordfield.transcript import parse_kv_line
 
-from conftest import accept_rf, wide_ratfuncs, wide_rationals
+from conftest import accept_rf, run_demo, wide_ratfuncs, wide_rationals
 from field_axioms import check_ordered_field_triple
 
 SEED = 20260810
@@ -76,33 +76,30 @@ def qx_samples():
 @pytest.fixture(scope="module")
 def dlim_q_run():
     t0 = time.perf_counter()
-    code, tr = demo_dlim(Field.Q)
-    return code, tr.render(), time.perf_counter() - t0
+    code, text = run_demo(demo_dlim, Field.Q)
+    return code, text, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def dlim_qx_run():
     t0 = time.perf_counter()
-    code, tr = demo_dlim(Field.QX)
-    return code, tr.render(), time.perf_counter() - t0
+    code, text = run_demo(demo_dlim, Field.QX)
+    return code, text, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def mvt_run():
-    code, tr = demo_mvt()
-    return code, tr.render()
+    return run_demo(demo_mvt)
 
 
 @pytest.fixture(scope="module")
 def lhopital_run():
-    code, tr = demo_lhopital()
-    return code, tr.render()
+    return run_demo(demo_lhopital)
 
 
 @pytest.fixture(scope="module")
 def taylor2_run():
-    code, tr = demo_taylor(2)
-    return code, tr.render()
+    return run_demo(demo_taylor, 2)
 
 
 # --- criteria --------------------------------------------------------------
@@ -343,15 +340,15 @@ def test_criterion_10_transcript_determinism(
     dlim_q_run, dlim_qx_run, mvt_run, lhopital_run, taylor2_run
 ):
     reruns = {
-        "dlim q": (dlim_q_run[1], lambda: demo_dlim(Field.Q)),
-        "dlim qx": (dlim_qx_run[1], lambda: demo_dlim(Field.QX)),
-        "mvt": (mvt_run[1], lambda: demo_mvt()),
-        "lhopital": (lhopital_run[1], lambda: demo_lhopital()),
-        "taylor": (taylor2_run[1], lambda: demo_taylor(2)),
+        "dlim q": (dlim_q_run[1], lambda: run_demo(demo_dlim, Field.Q)),
+        "dlim qx": (dlim_qx_run[1], lambda: run_demo(demo_dlim, Field.QX)),
+        "mvt": (mvt_run[1], lambda: run_demo(demo_mvt)),
+        "lhopital": (lhopital_run[1], lambda: run_demo(demo_lhopital)),
+        "taylor": (taylor2_run[1], lambda: run_demo(demo_taylor, 2)),
     }
     for name, (first, run) in reruns.items():
-        _, tr = run()
-        assert tr.render().encode() == first.encode(), name
+        _, text = run()
+        assert text.encode() == first.encode(), name
     _report(
         10,
         True,

@@ -47,7 +47,7 @@ from ordfield.transcript import parse_claim_file
 
 import oracle_dyadic
 import oracle_referee
-from conftest import rand_nonzero_rat, rand_ratfunc
+from conftest import rand_nonzero_rat, rand_ratfunc, run_demo
 from oracle_referee import probe_gen
 
 
@@ -546,13 +546,13 @@ def test_the_probe_table_lives_for_exactly_one_run(monkeypatch):
     # one demo lhopital builds each (field, point, level) once, however many
     # certificates share it, and a second run builds them all again
     keys = _count_level_builds(monkeypatch)
-    first = demo_lhopital()
+    first = run_demo(demo_lhopital)
     assert len(keys) == len(set(keys)) == 132
     keys.clear()
-    second = demo_lhopital()
+    second = run_demo(demo_lhopital)
     assert len(keys) == len(set(keys)) == 132
     assert first[0] == second[0] == 0
-    assert first[1].render() == second[1].render()
+    assert first[1] == second[1]
 
 
 _SHARED_KEYS_CLAIM_FILE = """\
@@ -586,7 +586,7 @@ def test_reports_sharing_probe_levels_match_each_certificate_alone(monkeypatch):
     monkeypatch.setattr(demos, "check_verifier", recorded)
     keys = _count_level_builds(monkeypatch)
     steps = parse_claim_file(_SHARED_KEYS_CLAIM_FILE)
-    code, _ = demos.run("claim", [], steps)
+    code, _ = run_demo(demos.run, "claim", [], steps)
     assert code == 0 and len(seen) == len(steps) == 6
     built = len(keys)
     assert built == len(set(keys))

@@ -16,9 +16,8 @@ from ordfield.errors import DomainError, OrdFieldError, ResourceError
 from ordfield.fields import Field, render_elem
 from ordfield.functions import parse_name, render_name
 from ordfield.literals import MAX_NESTING
-from ordfield.transcript import Transcript
 
-from conftest import CHILD_ENV
+from conftest import CHILD_ENV, run_demo
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "src" / "ordfield" / "fixtures"
@@ -117,24 +116,24 @@ def test_claim_failing_certificate(tmp_path, capsys):
 
 
 def test_demo_functions_exit_zero():
-    code, _ = demo_dlim(Field.Q, eps_depth=16, delta_depth=16)
+    code, _ = run_demo(demo_dlim, Field.Q, eps_depth=16, delta_depth=16)
     assert code == 0
-    code, _ = demo_dlim(Field.QX, eps_depth=8, delta_depth=8)
+    code, _ = run_demo(demo_dlim, Field.QX, eps_depth=8, delta_depth=8)
     assert code == 0
-    code, _ = demo_mvt(points=12, eps_depth=6)
+    code, _ = run_demo(demo_mvt, points=12, eps_depth=6)
     assert code == 0
-    code, _ = demo_lhopital(eps_depth=16, delta_depth=16)
+    code, _ = run_demo(demo_lhopital, eps_depth=16, delta_depth=16)
     assert code == 0
-    code, _ = demo_taylor(2, eps_depth=16, delta_depth=16)
+    code, _ = run_demo(demo_taylor, 2, eps_depth=16, delta_depth=16)
     assert code == 0
-    code, _ = demo_taylor(3, eps_depth=16, delta_depth=16)
+    code, _ = run_demo(demo_taylor, 3, eps_depth=16, delta_depth=16)
     assert code == 0
 
 
 def test_demo_taylor_rejects_n_below_2(capsys):
     assert main(["demo", "taylor", "--n", "1"]) == 2
     with pytest.raises(OrdFieldError):
-        demo_taylor(1)
+        run_demo(demo_taylor, 1)
 
 
 def test_claim_bad_schedule_depth_exits_2(tmp_path, capsys):
@@ -166,7 +165,7 @@ def test_demo_mvt_points_below_one_exit_2(capsys):
         assert main(["demo", "mvt", "--points", points]) == 2
         assert "at least 1 interior point" in capsys.readouterr().err
     with pytest.raises(OrdFieldError):
-        demo_mvt(points=0)
+        run_demo(demo_mvt, points=0)
 
 
 def test_demo_refuses_flags_it_does_not_take(capsys):
@@ -212,7 +211,7 @@ def test_demo_registry_is_the_cli_surface(monkeypatch, capsys):
     assert list(name_arg.choices) == ["dlim", "mvt", "lhopital", "taylor"]
     # each demo takes exactly its flags: run it with one flag at a time,
     # its steps cut short after the header
-    monkeypatch.setattr(demos, "run", lambda name, header, steps: (0, Transcript()))
+    monkeypatch.setattr(demos, "run", lambda name, header, steps, out: 0)
     for name, flags in DEMO_FLAGS.items():
         for flag, value in FLAG_ARGS.items():
             code = main(["demo", name, "--" + flag.replace("_", "-"), value])
@@ -340,6 +339,56 @@ def test_demo_transcripts_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_demo_mvt_streams_under_a_memory_cap(tmp_path):
+    # a 42 MB transcript in a child capped at 96 MB of address space: the
+    # run holds about one report, and the spool moves to a temporary file
+    resource = pytest.importorskip("resource")
+    cap = 96 << 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    out_path = tmp_path / "mvt.txt"
+    with open(out_path, "wb") as out:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ordfield.cli", "demo", "mvt", "--points", "2000"],
+            stdout=out,
+            stderr=subprocess.PIPE,
+            env=CHILD_ENV,
+            preexec_fn=limit,
+        )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    with open(out_path, "rb") as fh:
+        assert sum(line.startswith(b"check ") for line in fh) == 416_000
+
+
+def test_late_refusal_after_a_spill_leaves_no_transcript(tmp_path, capsys, monkeypatch):
+    # taylor --n 30 spools more than SPILL_CHARS of reports before a value
+    # too long to print refuses it: exit 2 writes nothing, on stdout or PATH
+    import tempfile
+
+    spills = []
+    make = tempfile.TemporaryFile
+
+    def spill(*args, **kwargs):
+        spills.append(args)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", spill)
+    argv = ["demo", "taylor", "--n", "30"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert spills and out == ""
+    assert err.startswith("ordfield: value too long to print") and err.count("\n") == 1
+    path = tmp_path / "t.txt"
+    assert main(argv + ["--transcript", str(path)]) == 2
+    assert not path.exists()
+    path.write_bytes(b"kept\n")
+    assert main(argv + ["--transcript", str(path)]) == 2
+    assert path.read_bytes() == b"kept\n"
+    assert len(spills) == 3
+
+
 def test_cli_subprocess_usage_and_version():
     code, out, err = run_cli("--version")
     assert code == 0 and "ordfield" in out
@@ -395,16 +444,16 @@ def test_verifier_falsifier_exclusivity_across_demos():
     from ordfield.transcript import parse_kv_line
 
     transcripts = [
-        demo_dlim(Field.Q, eps_depth=16, delta_depth=16)[1],
-        demo_dlim(Field.QX, eps_depth=8, delta_depth=8)[1],
-        demo_mvt(points=10, eps_depth=4)[1],
-        demo_lhopital(eps_depth=16, delta_depth=16)[1],
-        demo_taylor(2, eps_depth=16, delta_depth=16)[1],
-        demo_taylor(3, eps_depth=16, delta_depth=16)[1],
+        run_demo(demo_dlim, Field.Q, eps_depth=16, delta_depth=16)[1],
+        run_demo(demo_dlim, Field.QX, eps_depth=8, delta_depth=8)[1],
+        run_demo(demo_mvt, points=10, eps_depth=4)[1],
+        run_demo(demo_lhopital, eps_depth=16, delta_depth=16)[1],
+        run_demo(demo_taylor, 2, eps_depth=16, delta_depth=16)[1],
+        run_demo(demo_taylor, 3, eps_depth=16, delta_depth=16)[1],
     ]
-    for tr in transcripts:
+    for text in transcripts:
         passing = {}
-        for line in tr.lines:
+        for line in text.splitlines():
             if not line.startswith("report "):
                 continue
             _, kv = parse_kv_line(line)
@@ -773,6 +822,17 @@ _NO_X_IN_Q = "variable 'x' is not allowed in field q (at position 0)"
             ),
             "witness rule 'qxstep(1,+)' lives in field qx",
             id="two-sided-witness-with-a-qx-side-in-q-claim",
+        ),
+        # a two_sided side picks one level only, so it is itself no two_sided
+        pytest.param(
+            (
+                "claim",
+                _Q_CLAIM
+                + "cert kind=falsifier eps=1/2"
+                " witness=two_sided(two_sided(qstep(5/7),qstep(3/4),1),qstep(-5/7),0)\n",
+            ),
+            "witness rule two_sided takes no two_sided side",
+            id="two-sided-witness-nested",
         ),
         # the function-name codec: the name and argument count first, then
         # each argument by its kind, then the function's own checks

@@ -1,6 +1,6 @@
 """Every name a module of the package imports is used in that module,
-no module imports `dataclasses`, and importing the CLI leaves `inspect`
-out.
+no module imports `dataclasses`, and importing the CLI leaves `inspect`,
+`tempfile` and `shutil` out.
 
 A name imported and never read is dead weight that a deletion elsewhere
 tends to leave behind.  The package's `__init__.py` is left out of that
@@ -95,3 +95,13 @@ def test_cli_import_leaves_inspect_out():
         [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV, check=True
     ).stdout
     assert out == "False\n"
+
+
+def test_cli_import_leaves_the_spill_modules_out():
+    # only a transcript past cli.SPILL_CHARS needs a temporary file; -S
+    # keeps site start-up files, which may import tempfile, out of the count
+    code = "import sys, ordfield.cli; print([m for m in ('tempfile', 'shutil') if m in sys.modules])"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=CHILD_ENV, check=True
+    ).stdout
+    assert out == "[]\n"

@@ -33,6 +33,8 @@ from ordfield.transcript import (
     parse_kv_line,
 )
 
+from conftest import run_demo
+
 
 def test_kv_line_roundtrip():
     line = kv_line("check", [("claim", 1), ("eps", F(1, 2)), ("verdict", True)])
@@ -75,7 +77,25 @@ def test_transcript_claim_ids_deduplicate():
     assert tr.claim_id(claim) == 1
     other = LimitClaim(StepQ(), F(1), F(1))
     assert tr.claim_id(other) == 2
-    assert sum(1 for ln in tr.lines if ln.startswith("claim ")) == 2
+    assert sum(1 for ln in tr.render().splitlines() if ln.startswith("claim ")) == 2
+
+
+def test_render_hands_out_each_line_once():
+    # render gives the lines added since the last render and forgets them,
+    # so the pieces of a run join into its whole transcript
+    tr = Transcript()
+    assert tr.render() == ""
+    tr.header([("demo", "t")])
+    first = tr.render()
+    assert first == "header tool=ordfield version=0.1.0 demo=t\n"
+    assert tr.render() == ""
+    tr.claim_id(LimitClaim(StepQ(), F(0), F(0)))
+    tr.summary("t", 0, 0, True)
+    assert tr.render() == (
+        "claim id=1 field=q fn=step_q point=0 candidate=0\n"
+        "summary demo=t claims=1 checks=0 exit=0 verdict=pass\n"
+    )
+    assert tr.render() == ""
 
 
 def test_transcript_report_lines_recompute():
@@ -85,7 +105,7 @@ def test_transcript_report_lines_recompute():
     )
     rep = check_verifier(cert, default_eps_schedule(Field.Q, 4), 0)
     tr.add_report(rep)
-    checks = [ln for ln in tr.lines if ln.startswith("check ")]
+    checks = [ln for ln in tr.render().splitlines() if ln.startswith("check ")]
     assert len(checks) == rep.checks == len(rep.records)
     # recompute one verdict from the serialized exact values
     kind, kv = parse_kv_line(checks[0])
@@ -200,8 +220,8 @@ def test_transcript_claims_and_certs_parse_back(demo, kwargs):
     steps = demo.__wrapped__(**kwargs)
     next(steps)
     want = [s.cert for s in steps if isinstance(s, Check)]
-    _, tr = demo(**kwargs)
-    lines = [line for line in tr.lines if line.startswith(("claim ", "cert "))]
+    _, text = run_demo(demo, **kwargs)
+    lines = [line for line in text.splitlines() if line.startswith(("claim ", "cert "))]
     # and with every claim line moved in front of every cert line
     claims_first = sorted(lines, key=lambda line: not line.startswith("claim "))
     for text in (lines, claims_first):
@@ -226,7 +246,7 @@ def test_falsifier_transcript_has_witness_line():
 def _check_lines(report: RefereeReport) -> list[str]:
     tr = Transcript()
     tr.add_report(report)
-    return [ln for ln in tr.lines if ln.startswith("check ")]
+    return [ln for ln in tr.render().splitlines() if ln.startswith("check ")]
 
 
 def _report_cases():
