@@ -361,28 +361,31 @@ def _probe(claim: LimitClaim, key, w, sep, sep_key) -> tuple[Probe, object, obje
     return Probe(w, fw, dist, sep), sep_key, key(dist)
 
 
-def _refuse_unprintable(depth: int) -> None:
-    """Refuse a schedule of 2**-k for k = 0..depth before building it when
-    2**depth has more digits than the interpreter's limit for int-to-text
-    conversion (0: no limit), so it could never be printed."""
+def _refuse_too_deep(depth: int) -> None:
+    """Refuse a schedule depth before its schedule is built when it passes
+    the deepest k whose 2**k prints within the interpreter's digit limit
+    for int-to-text conversion (0: no limit).  A Q schedule past it could
+    never be printed; a Q(x) delta schedule, whose size grows with the
+    depth, is held to the same bound."""
     limit = digit_limit()
-    if limit and depth > (10**limit).bit_length() - 1:
+    deepest = (10**limit).bit_length() - 1
+    if limit and depth > deepest:
         raise ResourceError(
-            f"schedule depth {depth} too deep to print: 2^{depth} passes the {limit}-digit limit"
+            f"schedule depth {depth} too deep: the {limit}-digit limit allows at most {deepest}"
         )
 
 
 def default_eps_schedule(field: Field, depth: int = DEFAULT_EPS_DEPTH) -> list:
     """{2**-k : k = 0..depth} as elements of the field."""
-    _refuse_unprintable(depth)
+    _refuse_too_deep(depth)
     return [from_rat(field, pow2(-k)) for k in range(depth + 1)]
 
 
 def default_delta_schedule(field: Field, depth: int) -> list:
     """Q: {2**-k : k = 0..depth}; QX: {x**m * 2**-k : m = 0..depth,
     k in {0, 64}}, stressing Archimedean depth and infinitesimal order."""
+    _refuse_too_deep(depth)
     if field is Field.Q:
-        _refuse_unprintable(depth)
         return [pow2(-k) for k in range(depth + 1)]
     return [
         x_pow(m) * rf_const(pow2(-k))

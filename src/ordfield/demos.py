@@ -41,6 +41,7 @@ from .errors import DomainError
 from .fields import Field, Value, field_one, field_zero
 from .functions import (
     Constant,
+    DiffQuotient,
     Identity,
     IndicatorCut,
     OuterSquareStep,
@@ -50,6 +51,7 @@ from .functions import (
     StepQX,
     derivative_certificate,
     evaluate,
+    render_name,
 )
 from .laurent import RF_ONE, RF_X, rf_const, x_pow
 from .rationals import pow2
@@ -127,25 +129,76 @@ def _demo(make_steps):
     return demo
 
 
-_Q_SAMPLES = (
-    Fraction(1),
-    Fraction(-1),
-    Fraction(3, 4),
-    Fraction(-3, 4),
-    Fraction(5, 14),
-    Fraction(-5, 14),
-    Fraction(7, 5) * pow2(-8),
-    Fraction(5, 7) * pow2(-64),
-)
+# One row per field: the step function f that the dlim and lhopital demos
+# refute on, its envelope rule and note at 0, the points where f' = 0 is
+# sampled, and the eps and witness that refute lim f(t)/t = 0.
+_ROW = {
+    Field.Q: (
+        StepQ(),
+        LinearCapRule(Fraction(1), Fraction(1, 2)),
+        "envelope |f(t)| < 2|t|, so delta = min(1, eps/2) works",
+        (
+            Fraction(1),
+            Fraction(-1),
+            Fraction(3, 4),
+            Fraction(-3, 4),
+            Fraction(5, 14),
+            Fraction(-5, 14),
+            Fraction(7, 5) * pow2(-8),
+            Fraction(5, 7) * pow2(-64),
+        ),
+        Fraction(1, 2),
+        QStepProbe(Fraction(5, 7)),
+    ),
+    Field.QX: (
+        StepQX(),
+        LinearCapRule(RF_ONE, RF_X),
+        "envelope |f(t)| < |t|/x, so delta = min(1, x*eps) works",
+        (
+            RF_X,
+            -RF_X,
+            rf_const(Fraction(3)) * x_pow(2),
+            rf_const(Fraction(5, 7)) * x_pow(-1),
+            RF_ONE + RF_X,
+            -(x_pow(3) / 2),
+        ),
+        RF_X,
+        QXStepProbe(RF_ONE, 1),
+    ),
+}
 
-_QX_SAMPLES = (
-    RF_X,
-    -RF_X,
-    rf_const(Fraction(3)) * x_pow(2),
-    rf_const(Fraction(5, 7)) * x_pow(-1),
-    RF_ONE + RF_X,
-    -(x_pow(3) / 2),
-)
+
+def _header(field: Field, eps_depth: int, delta_depth: int, lead=(), tail=()) -> list:
+    """The header pairs of a refutation demo: its own pairs `lead` go
+    after the field and `tail` at the end."""
+    depths = [("eps-depth", eps_depth), ("delta-depth", delta_depth)]
+    budgets = [("probe-budget", DEFAULT_PROBE_BUDGET), ("sample-eps-depth", SAMPLE_EPS_DEPTH)]
+    return [("field", field), *lead, *depths, *budgets, *tail]
+
+
+def _schedules(field: Field, eps_depth: int, delta_depth: int) -> tuple[list, list, list]:
+    """The full eps schedule, the sample eps schedule and the delta
+    schedule of a refutation demo, built in that order."""
+    full, short = (default_eps_schedule(field, d) for d in (eps_depth, SAMPLE_EPS_DEPTH))
+    return full, short, default_delta_schedule(field, delta_depth)
+
+
+def _at_zero(fn, rule, note: str, eps_schedule) -> Check:
+    """The check that verifies lim fn(t) = 0 at t = 0 with rule."""
+    zero = field_zero(fn.field)
+    return Check(VerifierCert(LimitClaim(fn, zero, zero), rule, note), eps_schedule)
+
+
+def _refute(fn, deltas, eps, witness, candidate=None, other=None):
+    """Refute lim fn(t) = 0 at 0 with witness at eps; when a candidate is
+    given, refute lim fn(t) = candidate too, with other = (eps, neg,
+    midpoint) and the witness TwoSided(witness, neg, midpoint)."""
+    zero = field_zero(fn.field)
+    yield Check(FalsifierCert(LimitClaim(fn, zero, zero), eps, witness), deltas)
+    if candidate is not None:
+        other_eps, neg, midpoint = other
+        two_sided = TwoSided(witness, neg, midpoint)
+        yield Check(FalsifierCert(LimitClaim(fn, zero, candidate), other_eps, two_sided), deltas)
 
 
 def _derivative_checks(fn, points, eps_schedule, budget: int = SAMPLE_PROBE_BUDGET):
@@ -170,46 +223,24 @@ def demo_dlim(
     force) is refuted at every challenged delta."""
     if delta_depth is None:
         delta_depth = DEFAULT_DELTA_DEPTH[field]
-    yield [
-        ("field", field),
-        ("eps-depth", eps_depth),
-        ("delta-depth", delta_depth),
-        ("probe-budget", DEFAULT_PROBE_BUDGET),
-        ("sample-eps-depth", SAMPLE_EPS_DEPTH),
-    ]
-    eps_full = default_eps_schedule(field, eps_depth)
-    eps_short = default_eps_schedule(field, SAMPLE_EPS_DEPTH)
-    deltas = default_delta_schedule(field, delta_depth)
+    yield _header(field, eps_depth, delta_depth)
+    eps_full, eps_short, deltas = _schedules(field, eps_depth, delta_depth)
+    f, env_rule, env_note, samples, refute_eps, witness = _ROW[field]
     zero = field_zero(field)
 
-    if field is Field.Q:
-        f = StepQ()
-        env_rule = LinearCapRule(Fraction(1), Fraction(1, 2))
-        env_note = "envelope |f(t)| < 2|t|, so delta = min(1, eps/2) works"
-        samples = _Q_SAMPLES
-        refute_eps, witness = Fraction(1, 2), QStepProbe(Fraction(5, 7))
-    else:
-        f = StepQX()
-        env_rule = LinearCapRule(RF_ONE, RF_X)
-        env_note = "envelope |f(t)| < |t|/x, so delta = min(1, x*eps) works"
-        samples = _QX_SAMPLES
-        refute_eps, witness = RF_X, QXStepProbe(RF_ONE, 1)
-
     # (i) continuity at 0: lim f(t) = 0 = f(0)
-    yield Check(VerifierCert(LimitClaim(f, zero, zero), env_rule, env_note), eps_full)
+    yield _at_zero(f, env_rule, env_note, eps_full)
     # (ii) f'(t) = 0 at sampled t != 0, and lim f'(t) = 0
     yield from _derivative_checks(f, samples, eps_short)
-    yield Check(
-        VerifierCert(
-            LimitClaim(Constant(field, zero), zero, zero),
-            ConstRule(field_one(field)),
-            "f' vanishes identically off 0 by local constancy; "
-            "see the sampled difference-quotient certificates",
-        ),
+    yield _at_zero(
+        Constant(field, zero),
+        ConstRule(field_one(field)),
+        "f' vanishes identically off 0 by local constancy; "
+        "see the sampled difference-quotient certificates",
         eps_full,
     )
     # (iii) but f'(0), i.e. lim f(t)/t, is not 0
-    yield Check(FalsifierCert(derivative_claim(f, zero, zero), refute_eps, witness), deltas)
+    yield from _refute(DiffQuotient(f, zero), deltas, refute_eps, witness)
 
 
 def _interior_points(count: int, seed: int) -> list[Fraction]:
@@ -261,8 +292,8 @@ def demo_mvt(
     ind = IndicatorCut()
     a, b = Fraction(1), Fraction(2)
     fa, fb = evaluate(ind, a), evaluate(ind, b)
-    yield Record("value", [("fn", "indicator_cut"), ("at", a), ("value", fa)])
-    yield Record("value", [("fn", "indicator_cut"), ("at", b), ("value", fb)])
+    yield Record("value", [("fn", render_name(ind)), ("at", a), ("value", fa)])
+    yield Record("value", [("fn", render_name(ind)), ("at", b), ("value", fb)])
     gap = fb - fa
     yield Record(
         "mvt",
@@ -319,81 +350,41 @@ def demo_lhopital(
     (f, g) = (StepQ, Identity): all hypotheses verify, yet lim f/g = 0 is
     refuted.  The pointwise textbook form is also checked — it holds for a
     smooth pair, as it must in any ordered field."""
-    yield [
-        ("field", Field.Q),
-        ("eps-depth", eps_depth),
-        ("delta-depth", delta_depth),
-        ("probe-budget", DEFAULT_PROBE_BUDGET),
-        ("sample-eps-depth", SAMPLE_EPS_DEPTH),
-        ("candidate", candidate if candidate is not None else "0"),
-    ]
-    eps_full = default_eps_schedule(Field.Q, eps_depth)
-    eps_short = default_eps_schedule(Field.Q, SAMPLE_EPS_DEPTH)
-    deltas = default_delta_schedule(Field.Q, delta_depth)
+    shown = candidate if candidate is not None else "0"
+    yield _header(Field.Q, eps_depth, delta_depth, tail=[("candidate", shown)])
+    eps_full, eps_short, deltas = _schedules(Field.Q, eps_depth, delta_depth)
+    f, env_rule, _, samples, refute_eps, witness = _ROW[Field.Q]
+    g = Identity(Field.Q)
     zero = Fraction(0)
-    f, g = StepQ(), Identity(Field.Q)
+    unit_cap = LinearCapRule(Fraction(1), Fraction(1))
 
     # hypotheses: lim f = 0, lim g = 0 at 0
-    yield Check(
-        VerifierCert(
-            LimitClaim(f, zero, zero),
-            LinearCapRule(Fraction(1), Fraction(1, 2)),
-            "envelope |f(t)| < 2|t|",
-        ),
-        eps_full,
-    )
-    yield Check(
-        VerifierCert(
-            LimitClaim(g, zero, zero),
-            LinearCapRule(Fraction(1), Fraction(1)),
-            "identity map",
-        ),
-        eps_full,
-    )
+    yield _at_zero(f, env_rule, "envelope |f(t)| < 2|t|", eps_full)
+    yield _at_zero(g, unit_cap, "identity map", eps_full)
     # hypotheses: f' = 0 and g' = 1 on the punctured line (sampled), so f'/g' = 0
-    yield from _derivative_checks(f, _Q_SAMPLES, eps_short)
-    yield from _derivative_checks(g, _Q_SAMPLES[:2], eps_short)
-    yield Check(
-        VerifierCert(
-            LimitClaim(Quotient(Constant(Field.Q, zero), Constant(Field.Q, Fraction(1))), zero, zero),
-            ConstRule(Fraction(1)),
-            "f'/g' = 0/1 identically off 0; see the sampled certificates",
-        ),
+    yield from _derivative_checks(f, samples, eps_short)
+    yield from _derivative_checks(g, samples[:2], eps_short)
+    yield _at_zero(
+        Quotient(Constant(Field.Q, zero), Constant(Field.Q, Fraction(1))),
+        ConstRule(Fraction(1)),
+        "f'/g' = 0/1 identically off 0; see the sampled certificates",
         eps_full,
     )
     # conclusion refuted: lim f(t)/g(t) is not 0
-    conclusion = Quotient(f, g)
-    yield Check(
-        FalsifierCert(
-            LimitClaim(conclusion, zero, zero), Fraction(1, 2), QStepProbe(Fraction(5, 7))
-        ),
-        deltas,
-    )
-    if candidate is not None:
-        yield Check(
-            FalsifierCert(
-                LimitClaim(conclusion, zero, candidate),
-                Fraction(1, 2),
-                TwoSided(QStepProbe(Fraction(5, 7)), QStepProbe(Fraction(-5, 7)), zero),
-            ),
-            deltas,
-        )
+    other = (refute_eps, QStepProbe(Fraction(-5, 7)), zero)
+    yield from _refute(Quotient(f, g), deltas, refute_eps, witness, candidate, other)
     # the pointwise displayed form holds for smooth 0/0 pairs in any
     # ordered field; referee-check its conclusion on (t^2, t) and (t^3, t)
     d_id = derivative_certificate(g, zero)
-    yield Record(
-        "value",
-        [("fn", "diffq(identity,0)"), ("at", "any"), ("value", d_id.value), ("note", "g'(0) = 1 is nonzero")],
-    )
+    pairs = [("fn", render_name(DiffQuotient(g, zero))), ("at", "any"), ("value", d_id.value)]
+    yield Record("value", pairs + [("note", "g'(0) = 1 is nonzero")])
     for power in (2, 3):
         smooth = Power(Field.Q, power)
         yield from _derivative_checks(smooth, [zero], eps_short)
-        yield Check(
-            VerifierCert(
-                LimitClaim(Quotient(smooth, g), zero, zero),
-                LinearCapRule(Fraction(1), Fraction(1)),
-                f"pointwise form conclusion for the smooth pair (t^{power}, t)",
-            ),
+        yield _at_zero(
+            Quotient(smooth, g),
+            unit_cap,
+            f"pointwise form conclusion for the smooth pair (t^{power}, t)",
             eps_full,
         )
 
@@ -415,42 +406,22 @@ def demo_taylor(
             "the Taylor order n must be at least 2 "
             "(the n = 1 case is a theorem of every ordered field)"
         )
-    yield [
-        ("field", Field.Q),
-        ("n", n),
-        ("eps-depth", eps_depth),
-        ("delta-depth", delta_depth),
-        ("probe-budget", DEFAULT_PROBE_BUDGET),
-        ("sample-eps-depth", SAMPLE_EPS_DEPTH),
-        ("candidate", candidate if candidate is not None else "0"),
-    ]
-    eps_full = default_eps_schedule(Field.Q, eps_depth)
-    eps_short = default_eps_schedule(Field.Q, SAMPLE_EPS_DEPTH)
-    deltas = default_delta_schedule(Field.Q, delta_depth)
+    shown = candidate if candidate is not None else "0"
+    yield _header(Field.Q, eps_depth, delta_depth, [("n", n)], [("candidate", shown)])
+    eps_full, eps_short, deltas = _schedules(Field.Q, eps_depth, delta_depth)
     zero = Fraction(0)
     F = OuterSquareStep()
 
     # k = 0: continuity, F(0) = 0
-    yield Check(
-        VerifierCert(
-            LimitClaim(F, zero, zero),
-            LinearCapRule(Fraction(1), Fraction(1)),
-            "|F(t)| <= (8/9)t^2 < |t| for |t| <= 1",
-        ),
-        eps_full,
-    )
+    envelope = "|F(t)| <= (8/9)t^2 < |t| for |t| <= 1"
+    yield _at_zero(F, LinearCapRule(Fraction(1), Fraction(1)), envelope, eps_full)
     # k = 1: F'(0) = 0
     yield from _derivative_checks(F, [zero], eps_full, DEFAULT_PROBE_BUDGET)
     # k = 2..n: F^(k-1) = 0 identically, so F^(k)(0) = 0
+    flat = DiffQuotient(Constant(Field.Q, zero), zero)
     for k in range(2, n + 1):
-        yield Check(
-            VerifierCert(
-                derivative_claim(Constant(Field.Q, zero), zero, zero),
-                ConstRule(Fraction(1)),
-                f"k={k}: F^({k - 1}) vanishes identically, difference quotient is 0",
-            ),
-            eps_full,
-        )
+        note = f"k={k}: F^({k - 1}) vanishes identically, difference quotient is 0"
+        yield _at_zero(flat, ConstRule(Fraction(1)), note, eps_full)
     # F' = 0 at sampled t != 0 (local constancy certificates)
     samples = [
         Fraction(13, 10),
@@ -463,24 +434,10 @@ def demo_taylor(
         Fraction(-7, 5) * pow2(-20),
     ]
     yield from _derivative_checks(F, samples, eps_short)
-    # conclusion refuted: the Peano remainder F(t) is not o(t^n)
+    # conclusion refuted: the Peano remainder F(t) is not o(t^n); against
+    # a candidate, the outer probe when it is small, the inner one (value
+    # 0) when it is not: either way the miss is at least 1/4
     conclusion = Quotient(F, Power(Field.Q, n))
-    yield Check(
-        FalsifierCert(
-            LimitClaim(conclusion, zero, zero), Fraction(1, 2), QStepProbe(Fraction(13, 10))
-        ),
-        deltas,
-    )
-    if candidate is not None:
-        # outer probe when the candidate is small, inner (value 0) when it
-        # is not; either way the miss is at least 1/4
-        yield Check(
-            FalsifierCert(
-                LimitClaim(conclusion, zero, candidate),
-                Fraction(1, 4),
-                TwoSided(
-                    QStepProbe(Fraction(13, 10)), QStepProbe(Fraction(1)), Fraction(1, 4)
-                ),
-            ),
-            deltas,
-        )
+    outer = QStepProbe(Fraction(13, 10))
+    other = (Fraction(1, 4), QStepProbe(Fraction(1)), Fraction(1, 4))
+    yield from _refute(conclusion, deltas, Fraction(1, 2), outer, candidate, other)

@@ -385,3 +385,32 @@ def test_golden_transcript_digests(
     for name, text in texts.items():
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == GOLDEN_DIGESTS[name], name
+
+
+# SHA-256 of the paths the default transcripts miss: each side of a
+# TwoSided witness and Taylor orders past 2, at shallow schedules.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            "demo lhopital --candidate 7/5",
+            "dda66a265d68fec2886c2ddae31741f5c72c51c10826b63e60e8efaa60aabcb4",
+        ),
+        (
+            "demo lhopital --candidate -3",
+            "cab2da56c94cf0d3d3b451b2cc1cf8b610a99bb0a91cdc7ff3fcfbd8cf6f4c45",
+        ),
+        (
+            "demo taylor --n 3 --candidate 1/8",
+            "cff7c368b7301685a5403c8d7f83c7e107bcf65847c660df2513a1662a0bfa94",
+        ),
+        (
+            "demo taylor --n 4 --candidate 2",
+            "d98279756fca8cb7504cbb5d0e58d0f64e70b931cc520207149f538d8155b5f7",
+        ),
+    ],
+)
+def test_candidate_and_taylor_order_digests(argv, digest, capsys):
+    assert cli_main(argv.split() + ["--eps-depth", "20", "--delta-depth", "20"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

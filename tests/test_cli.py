@@ -544,6 +544,11 @@ def test_schedule_depth_boundary_at_the_digit_limit():
             assert len(render_elem(deepest)) == len("1/") + 4300
             with pytest.raises(ResourceError, match="4300-digit limit"):
                 build(14_285)
+        # a Q(x) delta schedule holds no such power, but is held to the same bound
+        deepest = default_delta_schedule(Field.QX, 14_284)[-1]
+        assert render_elem(deepest) == "1/18446744073709551616*x^14284"
+        with pytest.raises(ResourceError, match="4300-digit limit"):
+            default_delta_schedule(Field.QX, 14_285)
     finally:
         sys.set_int_max_str_digits(old)
 
@@ -624,6 +629,12 @@ _EPS_2 = "schedule kind=eps depth=2\n"
 _DELTA_2 = "schedule kind=delta depth=2\n"
 _Q_DIFFQ = "claim field=q fn=diffq(step_q,0) point=0 candidate=0\n"
 _NO_X_IN_Q = "variable 'x' is not allowed in field q (at position 0)"
+
+
+def _too_deep(depth: int) -> str:
+    limit = sys.get_int_max_str_digits()
+    deepest = (10**limit).bit_length() - 1
+    return f"schedule depth {depth} too deep: the {limit}-digit limit allows at most {deepest}"
 
 
 @pytest.mark.parametrize(
@@ -900,6 +911,22 @@ _NO_X_IN_Q = "variable 'x' is not allowed in field q (at position 0)"
             ("claim", _Q_CLAIM + "cert kind=verifier rule=linear_cap(1,1,)\n"),
             "unknown delta rule 'linear_cap(1,1,)'",
             id="rule-trailing-comma",
+        ),
+        # a Q(x) delta schedule is held to the Q depth bound, before it is built
+        pytest.param(
+            ("demo", "dlim", "--field", "qx", "--delta-depth", "1000000"),
+            _too_deep(1_000_000),
+            id="qx-demo-delta-depth-past-the-bound",
+        ),
+        pytest.param(
+            (
+                "claim",
+                _QX_CLAIM
+                + "cert kind=falsifier eps=x witness=qxstep(1,+)\n"
+                + "schedule kind=delta depth=100000000\n",
+            ),
+            _too_deep(100_000_000),
+            id="qx-claim-delta-depth-past-the-bound",
         ),
     ],
 )
