@@ -99,13 +99,13 @@ class CheckRecord(NamedTuple):
     w: object  # probe or witness point
     fw: object  # fn(w), None when evaluation failed
     dist: object  # |fn(w) - candidate|
-    sep: object  # |w - point|
+    sep: object  # the distance from the point to w
     ok: bool
 
 
 class Probe(NamedTuple):
-    """A probe or witness point w with fn(w), |fn(w) - candidate| and
-    |w - point|; fw and dist are None when w is off fn's domain."""
+    """A probe or witness point w with fn(w), |fn(w) - candidate| and its
+    distance sep from the point; fw and dist are None off fn's domain."""
 
     w: object
     fw: object
@@ -184,20 +184,21 @@ def probe_levels(field: Field, delta, budget: int) -> range:
     return range(v + 1, v + max(1, budget) + 1)
 
 
-def level_probes(field: Field, point, level: int) -> list:
-    """The probes of one level, on both sides of point.
+def level_probes(field: Field, level: int) -> list:
+    """The signed offsets of one level's probes from the point, on both
+    sides of it; they depend only on the field and the level.
 
     Q: offsets +-r * 2**-level with r in {5/7, 3/4, 1, 7/5}; every offset
     has exactly known band.  QX: offsets +-r * x**level with unit r in
     {1/2, 1, 2}; higher valuation makes containment automatic.  No two
-    levels share a probe."""
+    levels share an offset."""
     if field is Field.Q:
         step = pow2(-level)
         offsets = [r * step for r in _Q_PATTERNS]
     else:
         step = x_pow(level)
         offsets = [rf_const(r) * step for r in _QX_PATTERNS]
-    return [point + s for o in offsets for s in (o, -o)]
+    return [s for o in offsets for s in (o, -o)]
 
 
 def check_verifier(
@@ -209,24 +210,24 @@ def check_verifier(
     """Challenge the delta-rule on every epsilon in the schedule: every
     probe in the punctured delta(eps)-ball must satisfy |f(w) - L| < eps.
 
-    table is the run's probe table: it maps (field, point, level) to that
-    level's probe points w, each with sep = |w - point|, so certificates
-    of one run that share a field and a point build each level once.  A
-    call without a table gets a fresh one of its own.  Each level's probes
-    are evaluated once per report, kept by their int level: deltas with
-    the same dyadic depth or valuation share levels.  Each distinct delta
-    becomes one row, whose in-ball tests are decided in one batch: a
-    ConstRule, or a LinearCapRule once its cap binds, gives the same delta
-    for many epsilons.  Each epsilon then decides dist < eps on its row in
-    one batch.  A delta that is not positive is refused before its probes
-    are built."""
+    table is the run's probe table: it maps (field, level) to that level's
+    offsets from the point, each with sep = |offset|, so certificates of
+    one run that share a field build each level once.  A call without a
+    table gets a fresh one of its own.  Each level's probes are evaluated
+    once per report, kept by their int level: deltas with the same dyadic
+    depth or valuation share levels.  Each distinct delta becomes one row,
+    whose in-ball tests are decided in one batch: a ConstRule, or a
+    LinearCapRule once its cap binds, gives the same delta for many
+    epsilons.  Each epsilon then decides dist < eps on its row in one
+    batch.  A delta that is not positive is refused before its probes are
+    built."""
     claim = cert.claim
-    fld, point = claim.field, claim.point
+    fld = claim.field
     if not eps_schedule:
         raise DomainError("epsilon schedule is empty")
     if table is None:
         table = {}
-    key, below = _order(point)
+    key, below = _order(claim.point)
     probes: list[Probe] = []
     keys: list[tuple] = []  # per probe: its (in-ball key, dist key)
     levels: dict[int, range] = {}  # level -> indices of its probes
@@ -248,8 +249,8 @@ def check_verifier(
                 idx = levels.get(level)
                 if idx is None:
                     start = len(probes)
-                    for w, sep, sep_key in _level(table, key, fld, point, level):
-                        probe, ball_key, dist_key = _probe(claim, key, w, sep, sep_key)
+                    for offset, sep, sep_key in _level(table, key, fld, level):
+                        probe, ball_key, dist_key = _probe(claim, key, offset, sep, sep_key)
                         probes.append(probe)
                         keys.append((ball_key, dist_key))
                     idx = levels[level] = range(start, len(probes))
@@ -267,7 +268,6 @@ def check_falsifier(cert: FalsifierCert, delta_schedule) -> RefereeReport:
     candidate by at least epsilon.  Each delta is a row of one probe, its
     witness; the misses of all witnesses are decided in one batch."""
     claim = cert.claim
-    point = claim.point
     eps = cert.epsilon
     if not eps > 0:
         raise DomainError("falsifier epsilon must be strictly positive")
@@ -283,8 +283,8 @@ def check_falsifier(cert: FalsifierCert, delta_schedule) -> RefereeReport:
     for delta in delta_schedule:
         if not delta > 0:
             raise DomainError("delta schedule must be strictly positive")
-        w = point + rule.witness_for(delta)
-        probe, ball_key, dist_key = _probe(claim, key, w, *_sep(key, point, w))
+        offset = rule.witness_for(delta)
+        probe, ball_key, dist_key = _probe(claim, key, offset, *_sep(key, offset))
         (in_ball,) = below([ball_key], delta)
         rows.append(Row(delta, ((len(probes), in_ball),)))
         dists.append(dist_key if in_ball else None)
@@ -327,32 +327,32 @@ def _below_elems(keys, bound) -> list[bool]:
     return [k is not None and k < bound for k in keys]
 
 
-def _sep(key, point, w) -> tuple:
-    """sep = |w - point| and the key the in-ball test reads of it: None
-    when sep is 0, the centre of the punctured ball.  A zero point is
-    falsy in both fields, and subtracting it would only copy w."""
-    sep = abs(w - point) if point else abs(w)
+def _sep(key, offset) -> tuple:
+    """sep = |offset| and the key the in-ball test reads of it: None when
+    sep is 0, the centre of the punctured ball."""
+    sep = abs(offset)
     return sep, (key(sep) if sep else None)
 
 
-def _level(table: dict, key, field: Field, point, level: int) -> tuple:
-    """The probes of one level as (w, sep, key of sep) triples, read from
-    the run's table or built into it on first use.  level_probes is looked
-    up in this module each time a level is built."""
-    entry = table.get((field, point, level))
+def _level(table: dict, key, field: Field, level: int) -> tuple:
+    """The offsets of one level as (offset, sep, key of sep) triples, read
+    from the run's table or built into it on first use.  level_probes is
+    looked up in this module each time a level is built."""
+    entry = table.get((field, level))
     if entry is None:
-        entry = table[field, point, level] = tuple(
-            (w, *_sep(key, point, w)) for w in level_probes(field, point, level)
+        entry = table[field, level] = tuple(
+            (offset, *_sep(key, offset)) for offset in level_probes(field, level)
         )
     return entry
 
 
-def _probe(claim: LimitClaim, key, w, sep, sep_key) -> tuple[Probe, object, object]:
-    """The probe at w with its in-ball key and dist key.  fn(w), the
-    distance and both keys are None when w is off fn's domain, which
-    fails every check.  A zero candidate is falsy in both fields, and
-    subtracting it would only copy fn(w)."""
-    candidate = claim.candidate
+def _probe(claim: LimitClaim, key, offset, sep, sep_key) -> tuple[Probe, object, object]:
+    """The probe at w = point + offset with its in-ball key and dist key.
+    fn(w), the distance and both keys are None when w is off fn's domain,
+    which fails every check.  A zero point or candidate is falsy in both
+    fields, and adding or subtracting it would only copy its operand."""
+    point, candidate = claim.point, claim.candidate
+    w = point + offset if point else offset
     try:
         fw = evaluate(claim.fn, w)
     except DomainError:

@@ -83,8 +83,8 @@ def run(name: str, header: list, steps, out) -> int:
     runs, so each failing record is in the transcript.  Each step's lines
     go to out as soon as it is refereed, and its report is dropped, so the
     run holds about one report at a time.  The verifiers of the run share
-    one probe table, which builds each (field, point, level) of probes
-    once and is dropped when the run returns."""
+    one probe table, which builds the offsets of each (field, level) once
+    and is dropped when the run returns."""
     tr = Transcript()
     table: dict = {}
     tr.header([("demo", name)] + header)
@@ -244,9 +244,9 @@ def demo_dlim(
 
 
 def _interior_points(count: int, seed: int) -> list[Fraction]:
-    """Interior sample points of (1, 2): a few fixed landmarks, dyadic
-    sandwiches of sqrt(2) of growing precision, topped up with
-    seeded random rationals."""
+    """Exactly count interior sample points of (1, 2): a few fixed
+    landmarks, dyadic sandwiches of sqrt(2) of growing precision, topped
+    up with seeded random rationals; below four, the smallest landmarks."""
     pts: set[Fraction] = {
         Fraction(5, 4),
         Fraction(7, 5),
@@ -263,7 +263,7 @@ def _interior_points(count: int, seed: int) -> list[Fraction]:
         den = rng.randrange(3, 400)
         num = rng.randrange(den + 1, 2 * den)
         pts.add(Fraction(num, den))
-    return sorted(pts)
+    return sorted(pts)[:count]
 
 
 @_demo

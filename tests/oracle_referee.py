@@ -27,13 +27,14 @@ from ordfield.functions import evaluate
 
 def probe_gen(field: Field, point, delta, budget: int) -> list:
     """Deterministic probes inside the punctured delta-ball around point:
-    the probes of every level of delta, in level order.  The levels are
-    looked up in `claims` when called, so a test that patches
-    `claims.level_probes` patches these probes too."""
+    point plus each offset of every level of delta, in level order, each
+    probe added up here from scratch.  The levels are looked up in
+    `claims` when called, so a test that patches `claims.level_probes`
+    patches these probes too."""
     return [
-        w
+        point + offset
         for level in claims.probe_levels(field, delta, budget)
-        for w in claims.level_probes(field, point, level)
+        for offset in claims.level_probes(field, level)
     ]
 
 

@@ -434,7 +434,7 @@ def test_probe_gen_is_its_levels_in_order():
     ):
         levels = probe_levels(field, delta, budget)
         assert len(levels) == (budget + 1 if field is Field.Q else max(1, budget))
-        by_level = [level_probes(field, point, n) for n in levels]
+        by_level = [[point + o for o in level_probes(field, n)] for n in levels]
         assert probe_gen(field, point, delta, budget) == [w for ws in by_level for w in ws]
         seen = [w for ws in by_level for w in ws]
         assert len(set(seen)) == len(seen)
@@ -493,9 +493,9 @@ def test_records_are_spelled_out_from_uses_rows_and_probes():
 def test_probes_outside_the_punctured_ball_fail(monkeypatch):
     # probe_gen keeps every probe inside its ball, so move some out: the
     # point itself (sep = 0), the far edge (sep = delta) and beyond it
-    def with_outside(field, point, level):
-        inside = level_probes(field, point, level)
-        return inside[:2] + [point, point + 4 * pow2(-level), point - 8 * pow2(-level)] + inside[2:]
+    def with_outside(field, level):
+        inside = level_probes(field, level)
+        return inside[:2] + [F(0), 4 * pow2(-level), -8 * pow2(-level)] + inside[2:]
 
     monkeypatch.setattr(claims, "level_probes", with_outside)
     claim = LimitClaim(Constant(Field.Q, F(0)), F(0), F(0))
@@ -534,16 +534,16 @@ def test_probes_outside_the_punctured_ball_fail(monkeypatch):
 def _count_level_builds(monkeypatch) -> list:
     keys = []
 
-    def counted(field, point, level):
-        keys.append((field, point, level))
-        return level_probes(field, point, level)
+    def counted(field, level):
+        keys.append((field, level))
+        return level_probes(field, level)
 
     monkeypatch.setattr(claims, "level_probes", counted)
     return keys
 
 
 def test_the_probe_table_lives_for_exactly_one_run(monkeypatch):
-    # one demo lhopital builds each (field, point, level) once, however many
+    # one demo lhopital builds each (field, level) once, however many
     # certificates share it, and a second run builds them all again
     keys = _count_level_builds(monkeypatch)
     first = run_demo(demo_lhopital)
@@ -553,6 +553,25 @@ def test_the_probe_table_lives_for_exactly_one_run(monkeypatch):
     assert len(keys) == len(set(keys)) == 132
     assert first[0] == second[0] == 0
     assert first[1] == second[1]
+
+
+class _Discard:
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def test_the_probe_table_does_not_grow_with_the_points(monkeypatch):
+    # demo mvt checks each point on its own; the table holds offsets per
+    # (field, level), so 40 times the points build each level once and
+    # about as many levels
+    keys = _count_level_builds(monkeypatch)
+    built = []
+    for points in (50, 2000):
+        keys.clear()
+        assert demo_mvt(points=points, out=_Discard()) == 0
+        assert len(keys) == len(set(keys))
+        built.append(len(keys))
+    assert built[0] <= built[1] <= built[0] + 3
 
 
 _SHARED_KEYS_CLAIM_FILE = """\
@@ -574,8 +593,11 @@ schedule kind=eps depth=10
 
 def test_reports_sharing_probe_levels_match_each_certificate_alone(monkeypatch):
     # two Q points and the Q(x) zero, each shared by two verifiers of one
-    # run: every report of the run equals its certificate refereed alone,
-    # with a table of its own, and the per-probe oracle's records
+    # run: the table is keyed by field and level alone, so the levels of
+    # point 1/3 are all among those of point 0 and the run builds 17
+    # levels, each once; every report of the run equals its certificate
+    # refereed alone, with a table of its own, and the per-probe oracle's
+    # records
     seen = []
 
     def recorded(cert, schedule, budget, table):
@@ -589,8 +611,16 @@ def test_reports_sharing_probe_levels_match_each_certificate_alone(monkeypatch):
     code, _ = run_demo(demos.run, "claim", [], steps)
     assert code == 0 and len(seen) == len(steps) == 6
     built = len(keys)
-    assert built == len(set(keys))
-    assert {(k[0], k[1]) for k in keys} == {(Field.Q, F(0)), (Field.Q, F(1, 3)), (Field.QX, RF_ZERO)}
+    assert built == len(set(keys)) == 17
+    used = {}  # (field, point) -> the levels of its reports' rows
+    for cert, _, budget, report in seen:
+        claim = cert.claim
+        levels = used.setdefault((claim.field, claim.point), set())
+        for row in report.rows:
+            levels.update(probe_levels(claim.field, row.delta, budget))
+    assert set(used) == {(Field.Q, F(0)), (Field.Q, F(1, 3)), (Field.QX, RF_ZERO)}
+    assert used[Field.Q, F(1, 3)] < used[Field.Q, F(0)]
+    assert set(keys) == {(field, n) for (field, _), levels in used.items() for n in levels}
     keys.clear()
     for cert, schedule, budget, report in seen:
         assert report == check_verifier(cert, schedule, budget)

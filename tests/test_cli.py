@@ -168,6 +168,16 @@ def test_demo_mvt_points_below_one_exit_2(capsys):
         run_demo(demo_mvt, points=0)
 
 
+def test_demo_mvt_checks_exactly_the_points_it_names():
+    # the header's points=N is the number of bound records, also below the
+    # four landmarks
+    for points in range(1, 6):
+        code, text = run_demo(demo_mvt, points=points, eps_depth=2)
+        lines = text.splitlines()
+        assert code == 0 and f" points={points} " in lines[0]
+        assert sum(line.startswith("bound ") for line in lines) == points
+
+
 def test_demo_refuses_flags_it_does_not_take(capsys):
     refused = [
         (["mvt", "--delta-depth", "5", "--candidate", "3", "--field", "qx"],
