@@ -24,9 +24,9 @@ from typing import NamedTuple
 
 from .certs import TwoSided, min_dyadic_depth
 from .errors import DomainError, ResourceError, digit_limit
-from .fields import Field, Value, check_elem, field_zero, from_rat, render_elem
+from .fields import Field, Value, check_elem, field_zero, from_rat, render_elem, sign_of
 from .functions import DiffQuotient, FieldFn, evaluate, parse_name, render_name
-from .laurent import rf_const, valuation, x_pow
+from .laurent import _rf_cmp, rf_const, rf_sign, valuation
 from .literals import parse_elem
 from .rationals import pow2
 
@@ -196,8 +196,7 @@ def level_probes(field: Field, level: int) -> list:
         step = pow2(-level)
         offsets = [r * step for r in _Q_PATTERNS]
     else:
-        step = x_pow(level)
-        offsets = [rf_const(r) * step for r in _QX_PATTERNS]
+        offsets = [rf_const(r, level) for r in _QX_PATTERNS]
     return [s for o in offsets for s in (o, -o)]
 
 
@@ -236,12 +235,12 @@ def check_verifier(
     row_of: dict = {}  # delta -> index of its row
     uses = []
     for eps in eps_schedule:
-        if not eps > 0:
+        if sign_of(eps) <= 0:
             raise DomainError("epsilon schedule must be strictly positive")
         delta = cert.rule.delta_for(eps)
         ri = row_of.get(delta)
         if ri is None:
-            if not delta > 0:
+            if sign_of(delta) <= 0:
                 raise DomainError(f"verifier delta must be strictly positive, got {render_elem(delta)}")
             ri = row_of[delta] = len(rows)
             indices = []
@@ -269,7 +268,7 @@ def check_falsifier(cert: FalsifierCert, delta_schedule) -> RefereeReport:
     witness; the misses of all witnesses are decided in one batch."""
     claim = cert.claim
     eps = cert.epsilon
-    if not eps > 0:
+    if sign_of(eps) <= 0:
         raise DomainError("falsifier epsilon must be strictly positive")
     rule = cert.witness
     if isinstance(rule, TwoSided):
@@ -281,7 +280,7 @@ def check_falsifier(cert: FalsifierCert, delta_schedule) -> RefereeReport:
     rows: list[Row] = []
     dists = []  # per row: the dist key of its witness when in the ball, else None
     for delta in delta_schedule:
-        if not delta > 0:
+        if sign_of(delta) <= 0:
             raise DomainError("delta schedule must be strictly positive")
         offset = rule.witness_for(delta)
         probe, ball_key, dist_key = _probe(claim, key, offset, *_sep(key, offset))
@@ -304,7 +303,8 @@ def _order(x):
     in one pass, and is False for a None key: a probe off fn's domain, or
     at the point itself.  For a Fraction bound n/d, k < n/d is
     k[0] * d < n * k[1] (both denominators are positive), so no Fraction
-    comparison runs; a RatFunc keeps its own ordering."""
+    comparison runs; a RatFunc key is read by sign and valuation first
+    (_below_elems)."""
     if isinstance(x, Fraction):
         return _ints, _below_ints
     return _itself, _below_elems
@@ -324,7 +324,17 @@ def _below_ints(keys, bound: Fraction) -> list[bool]:
 
 
 def _below_elems(keys, bound) -> list[bool]:
-    return [k is not None and k < bound for k in keys]
+    """Below a positive bound, a key that is zero or negative is below it
+    and a positive one is below it when its valuation is higher; only a
+    positive key of the bound's valuation takes the exact comparison."""
+    if rf_sign(bound) <= 0:
+        return [k is not None and k < bound for k in keys]
+    v = bound.v
+    return [
+        k is not None
+        and (not k.num or k.num[0] < 0 or k.v > v or (k.v == v and _rf_cmp(k, bound) < 0))
+        for k in keys
+    ]
 
 
 def _sep(key, offset) -> tuple:
@@ -387,8 +397,4 @@ def default_delta_schedule(field: Field, depth: int) -> list:
     _refuse_too_deep(depth)
     if field is Field.Q:
         return [pow2(-k) for k in range(depth + 1)]
-    return [
-        x_pow(m) * rf_const(pow2(-k))
-        for m in range(depth + 1)
-        for k in (0, 64)
-    ]
+    return [rf_const(pow2(-k), m) for m in range(depth + 1) for k in (0, 64)]

@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     flag("delta_depth", "falsifier schedule depth", type=int)
     flag("points", "interior sample count", type=int)
     flag("seed", "seed for randomized interior sampling", type=int)
-    flag("candidate", "claimed limit value to refute")
+    flag("candidate", "claimed limit value to refute; a negative one as --candidate=-3/2")
     flag("n", "Taylor order n >= 2", type=int)
     demo.add_argument("--transcript", default=None, help="write the transcript to PATH")
 

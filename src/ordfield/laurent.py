@@ -44,9 +44,9 @@ valuation, the sign of a - b is that of the lowest nonzero coefficient of
 n1*d2 - n2*d1.
 
 Rational coefficients and dense x-powers appear only at the edges: poly
-and rf_normalize accept dense Fraction coefficients, rf_const a Fraction,
-and render_rf prints num and den divided by den[0], with the x-power
-added to the exponents.
+and rf_normalize accept dense Fraction coefficients, rf_const a Fraction
+and an exponent, and render_rf prints num and den divided by den[0], with
+the x-power added to the exponents, or a one-term value from its ints.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError, ZeroDenominatorError
-from .rationals import render_rat
+from .rationals import render_rat, too_long
 
 Poly = tuple  # ascending degree, no trailing zeros; int coefficients in a RatFunc
 
@@ -425,11 +425,13 @@ def _coerce(v) -> RatFunc | None:
     return None
 
 
-def rf_const(c: Fraction) -> RatFunc:
-    c = Fraction(c)
+def rf_const(c: Fraction, n: int = 0) -> RatFunc:
+    """The monomial c * x**n for a rational c, in canonical form."""
+    if type(c) is not Fraction:
+        c = Fraction(c)
     if not c:
         return RF_ZERO
-    return RatFunc(0, (c.numerator,), (c.denominator,))
+    return RatFunc(n, (c.numerator,), (c.denominator,))
 
 
 def x_pow(n: int) -> RatFunc:
@@ -633,9 +635,24 @@ def render_rf(f: RatFunc, compact: bool = False) -> str:
     by den[0] and x**v carried by the exponents of num (v > 0) or den
     (v < 0), trimmed for single terms and a constant den.  Both ends of a
     canonical num or den are nonzero, so it has one term when it has
-    length 1."""
+    length 1.  A one-term value n/d * x**v (d > 0, gcd(n, d) = 1) is
+    written straight from its ints: "mag", "x^k", "mag*x^k" or
+    "mag/x^k", signed, with "x" for k = 1."""
     v, num, den = f
     t = den[0]
+    if len(num) == 1 and len(den) == 1:
+        n = num[0]
+        try:
+            mag = str(abs(n)) if t == 1 else f"{abs(n)}/{t}"
+        except ValueError:
+            raise too_long() from None
+        sign = "-" if n < 0 else ""
+        if not v:
+            return sign + mag
+        xs = "x" if v == 1 or v == -1 else f"x^{abs(v)}"
+        if v < 0:
+            return f"{sign}{mag}/{xs}"
+        return sign + xs if mag == "1" else f"{sign}{mag}*{xs}"
     num_s = render_poly(num, compact, max(v, 0), t)
     if len(den) == 1 and v >= 0:
         return num_s

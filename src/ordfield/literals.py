@@ -4,8 +4,11 @@ Grammar (whitespace-insensitive; U+2212 is accepted for '-'):
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := atom ('^' int)*
-    atom   := '-' atom | int | 'x' | '(' expr ')'
+    factor := '-' factor | atom ('^' int)*
+    atom   := int | 'x' | '(' expr ')'
+
+A power binds tighter than a unary minus: "-x^2" is -(x^2), as
+render_elem writes it.
 
 Values are computed directly in the requested field, so "5/7" is the exact
 rational and "x^2*(1+x)/(2-x)" is a canonical RatFunc.  The Q field rejects
@@ -121,6 +124,9 @@ def _term(field: Field, sc: _Scanner, depth: int):
 
 
 def _factor(field: Field, sc: _Scanner, depth: int):
+    if sc.peek() == "-":
+        sc.take()
+        return -_factor(field, sc, check_nesting(depth + 1, sc.pos))
     value = _atom(field, sc, depth)
     while sc.peek() == "^":
         sc.take()
@@ -161,9 +167,6 @@ def _atom(field: Field, sc: _Scanner, depth: int):
     ch = sc.peek()
     if ch is None:
         raise ParseError(f"expected {_ATOM_STARTS}", sc.pos)
-    if ch == "-":
-        sc.take()
-        return -_atom(field, sc, check_nesting(depth + 1, sc.pos))
     if ch == "(":
         sc.take()
         value = _expr(field, sc, check_nesting(depth + 1, sc.pos))

@@ -28,6 +28,12 @@ def render_rat(a: Fraction) -> str:
         return f"{a.numerator}/{a.denominator}"
     except ValueError:
         # str() of an int past the interpreter's int-to-text digit limit
-        raise ResourceError(
-            f"value too long to print: an integer past the {digit_limit()}-digit limit"
-        ) from None
+        raise too_long() from None
+
+
+def too_long() -> ResourceError:
+    """The error for a value whose text would hold an int past the
+    interpreter's int-to-text digit limit."""
+    return ResourceError(
+        f"value too long to print: an integer past the {digit_limit()}-digit limit"
+    )

@@ -41,13 +41,14 @@ from ordfield.functions import (
     derivative_certificate,
     evaluate,
 )
-from ordfield.laurent import RF_ONE, RF_X, RF_ZERO, rf_const, valuation, x_pow
+from ordfield.laurent import RF_ONE, RF_X, RF_ZERO, rf_const, rf_normalize, valuation, x_pow
 from ordfield.rationals import pow2
 from ordfield.transcript import parse_claim_file
 
 import oracle_dyadic
 import oracle_referee
 from conftest import rand_nonzero_rat, rand_ratfunc, run_demo
+from oracle_qx import dense
 from oracle_referee import probe_gen
 
 
@@ -125,6 +126,69 @@ def test_below_matches_fraction_order(pair):
     got = below([key(x), None, key(bound)], bound)
     assert got == [x < bound, False, False]
     assert (not got[0]) == (x >= bound)
+
+
+@st.composite
+def _qx_elem(draw, v, sign):
+    """x**v * n/d of the given sign, n and d of degree <= 2."""
+    lead = st.integers(1, 2**70)
+    rest = st.lists(st.integers(-9, 9), max_size=2)
+    num = (sign * draw(lead), *draw(rest))
+    den = (draw(lead), *draw(rest))
+    return rf_normalize((0,) * max(v, 0) + num, (0,) * max(-v, 0) + den)
+
+
+@st.composite
+def _qx_below_pairs(draw):
+    """(x, bound) with a positive, zero or negative bound, and x zero,
+    negative, positive of lower, equal or higher valuation than the bound,
+    equal to it in valuation and constant term, or the bound itself."""
+    v = draw(st.integers(-70, 70))
+    sign = draw(st.sampled_from((1, 0, -1)))
+    bound = draw(_qx_elem(v, sign)) if sign else RF_ZERO
+    mode = draw(st.sampled_from(("zero", "negative", "lower", "equal", "higher", "tie", "bound")))
+    gap = draw(st.integers(1, 3))
+    if mode == "zero":
+        return RF_ZERO, bound
+    if mode == "negative":
+        return draw(_qx_elem(draw(st.integers(-70, 70)), -1)), bound
+    if mode in ("lower", "equal", "higher"):
+        return draw(_qx_elem(v + {"lower": -gap, "equal": 0, "higher": gap}[mode], 1)), bound
+    if mode == "tie":
+        return bound + draw(_qx_elem(v + gap, draw(st.sampled_from((1, -1))))), bound
+    return bound, bound
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_qx_below_pairs())
+def test_below_matches_ratfunc_order(pair):
+    # the Q(x) batch decides by sign and valuation where it can, and must
+    # agree with RatFunc's own < on every key; a None key is never below
+    x, bound = pair
+    key, below = claims._order(bound)
+    got = below([key(x), None, key(bound)], bound)
+    assert got == [x < bound, False, False]
+    assert (not got[0]) == (x >= bound)
+
+
+def test_qx_values_built_directly_equal_the_products_they_replace():
+    # the Q(x) schedules and probe offsets are built as monomials; each is
+    # canonical and equals the product through rf_mul it replaces
+    def canonical(values):
+        for f in values:
+            assert f == rf_normalize(*dense(f))
+        return values
+
+    for depth in (0, 1, 64):
+        assert canonical(default_delta_schedule(Field.QX, depth)) == [
+            x_pow(m) * rf_const(pow2(-k)) for m in range(depth + 1) for k in (0, 64)
+        ]
+    assert canonical(default_eps_schedule(Field.QX, 16)) == [
+        rf_normalize((pow2(-k),), (1,)) for k in range(17)
+    ]
+    for level in (-3, 0, 1, 70):
+        offsets = [rf_const(r) * x_pow(level) for r in (F(1, 2), F(1), F(2))]
+        assert canonical(level_probes(Field.QX, level)) == [s for o in offsets for s in (o, -o)]
 
 
 

@@ -441,6 +441,28 @@ def test_unknown_field_exits_2(argv, capsys):
     assert err.endswith(": error: argument --field: unknown field 'z' (use q or qx)\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "demo lhopital --candidate -3/2",
+        "demo taylor --candidate -1/8",
+        "eval --field q -5/3",
+        "eval --field qx -x",
+    ],
+)
+def test_a_negative_value_after_a_space_is_a_usage_error(argv, capsys):
+    # argparse reads a token that starts with '-' and is not a plain
+    # negative number as an option: exit 2 with a usage line, no traceback.
+    # The '=' form and '--' (README's CLI block) take such a value.
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: ordfield ")
+    assert "Traceback" not in err
+
+
 def test_exit_codes_are_exhaustive():
     # 0 = expected verdicts, 1 = verdict violation, 2 = usage/parse
     assert main(["demo", "dlim", "--field", "q", "--eps-depth", "2",

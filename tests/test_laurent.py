@@ -393,6 +393,18 @@ def _assert_matches_fraction_oracle(a, b):
     assert render_rf(a) == oracle_qx.render(*dense(a))
 
 
+@pytest.mark.parametrize("v", (-70, -2, -1, 0, 1, 2, 70))
+def test_monomial_texts_match_the_oracle(v):
+    # a one-term value is written straight from its ints
+    for n in (1, -1, 5, -5, 2**70, -(2**70)):
+        for d in (1, 7, 2**64):
+            f = rf_const(F(n, d), v)
+            for compact in (False, True):
+                text = render_rf(f, compact)
+                assert text == oracle_qx.render(*dense(f), compact)
+                assert parse_elem(Field.QX, text) == f
+
+
 def test_int_carrier_matches_fraction_oracle_criterion_1_operands():
     # the first operands of acceptance criterion 1
     rng = random.Random(20260810 + 1)

@@ -3,7 +3,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordfield.cli import main
@@ -70,8 +70,19 @@ def test_precedence():
     assert parse_elem(Field.QX, "2*x^2") == 2 * x_pow(2)
     assert parse_elem(Field.QX, "(1+x)^2") == parse_elem(Field.QX, "1 + 2*x + x^2")
     assert parse_elem(Field.QX, "x^-2") == x_pow(-2)
+    # a power binds tighter than a unary minus: "-x^2" is -(x^2), the
+    # text render_elem writes for that value
+    assert parse_elem(Field.QX, "-x^2") == -x_pow(2)
+    assert parse_elem(Field.QX, "-x^2 - x^3") == -(x_pow(2) + x_pow(3))
+    assert parse_elem(Field.QX, "(-x)^2") == x_pow(2)
+    assert parse_elem(Field.Q, "-2^2") == -4
+    assert parse_elem(Field.Q, "3*-2^2") == -12
+    assert parse_elem(Field.Q, "--2^2") == 4
+    for f in (-x_pow(2), -x_pow(4) + x_pow(5), -x_pow(70) / 7):
+        assert parse_elem(Field.QX, render_elem(f)) == f
 
 
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(st.fractions())
 def test_q_roundtrip(q):
     assert parse_elem(Field.Q, render_elem(q)) == q
