@@ -397,4 +397,5 @@ def default_delta_schedule(field: Field, depth: int) -> list:
     _refuse_too_deep(depth)
     if field is Field.Q:
         return [pow2(-k) for k in range(depth + 1)]
-    return [rf_const(pow2(-k), m) for m in range(depth + 1) for k in (0, 64)]
+    units = (pow2(0), pow2(-64))
+    return [rf_const(u, m) for m in range(depth + 1) for u in units]

@@ -36,7 +36,7 @@ from .claims import (
     default_eps_schedule,
     derivative_claim,
 )
-from .dyadic import below_sqrt2, sqrt2_bounds, sqrt2_gap_radius
+from .dyadic import sqrt2_bounds
 from .errors import DomainError
 from .fields import Field, Value, field_one, field_zero
 from .functions import (
@@ -309,8 +309,11 @@ def demo_mvt(
         gap == -1,
     )
     for c in _interior_points(points, seed):
-        radius = sqrt2_gap_radius(c)
-        below = below_sqrt2(c)
+        # one ball per point, read off the table; f(c) = 1 below sqrt(2)
+        cert = derivative_certificate(ind, c)
+        radius = cert.rule.d0
+        fc = evaluate(ind, c)
+        below = fc == 1
         edge = c + radius if below else c - radius
         edge_sq = edge * edge
         bound_ok = edge_sq < 2 if below else edge_sq > 2
@@ -328,16 +331,11 @@ def demo_mvt(
             ],
             bound_ok,
         )
-        yield Check(
-            VerifierCert(
-                LimitClaim(ind, c, evaluate(ind, c)),
-                ConstRule(radius),
-                "constant on this side of sqrt(2)",
-            ),
-            eps_schedule,
-            MVT_PROBE_BUDGET,
-        )
-        yield from _derivative_checks(ind, [c], eps_schedule, MVT_PROBE_BUDGET)
+        for claim, note in (
+            (LimitClaim(ind, c, fc), "constant on this side of sqrt(2)"),
+            (derivative_claim(ind, c, cert.value), cert.note),
+        ):
+            yield Check(VerifierCert(claim, cert.rule, note), eps_schedule, MVT_PROBE_BUDGET)
 
 
 @_demo

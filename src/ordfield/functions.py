@@ -62,22 +62,26 @@ class FieldFn(Value):
     ARGS gives the kind ("fn", "int" or "elem") of each of its FIELDS
     other than `field`, in FIELDS order; `render_name` writes them and
     `parse_name` reads them.  One that is locally constant off 0 gives its
-    ball radius in `radius_at`; one with a closed-form derivative gives its
+    ball radius in `radius_at` and, in PIECE, the note of its certificate
+    f' = 0 on that ball; one with another closed-form derivative gives its
     certificate in `derivative_at`.  `envelope` holds the strict bounds
     (lower, upper) on |f(t)/t| of the step functions.
     """
 
     ARGS: tuple[str, ...] = ()
     COLON = True  # one argument is written tag:a, where a rule writes tag(a)
+    PIECE = None
     envelope = None
 
     def radius_at(self, t):
         raise DomainError(f"no constancy rule for {render_name(self)}")
 
     def derivative_at(self, t) -> DerivativeCert:
-        raise UnsupportedDerivativeError(
-            f"no closed-form derivative for {render_name(self)} at {render_elem(t)}"
-        )
+        if self.PIECE is None:
+            raise UnsupportedDerivativeError(
+                f"no closed-form derivative for {render_name(self)} at {render_elem(t)}"
+            )
+        return DerivativeCert(field_zero(self.field), ConstRule(self.radius_at(t)), self.PIECE)
 
 
 class Identity(FieldFn):
@@ -148,6 +152,7 @@ class StepQ(FieldFn):
 
     field = Field.Q
     TAG = "step_q"
+    PIECE = "constant on the band of t"
     envelope = (Fraction(1, 2), Fraction(2))
 
     def eval_at(self, t):
@@ -161,9 +166,7 @@ class StepQ(FieldFn):
     def derivative_at(self, t) -> DerivativeCert:
         if t == 0:
             raise UnsupportedDerivativeError("StepQ(h)/h has no limit at 0")
-        return DerivativeCert(
-            Fraction(0), ConstRule(self.radius_at(t)), "constant on the band of t"
-        )
+        return super().derivative_at(t)
 
 
 class StepQX(FieldFn):
@@ -171,6 +174,7 @@ class StepQX(FieldFn):
 
     field = Field.QX
     TAG = "step_qx"
+    PIECE = "constant on the class of t"
     envelope = (x_pow(1), x_pow(-1))
 
     def eval_at(self, t):
@@ -184,7 +188,7 @@ class StepQX(FieldFn):
     def derivative_at(self, t) -> DerivativeCert:
         if not t:
             raise UnsupportedDerivativeError("StepQX(h)/h has no limit at 0")
-        return DerivativeCert(RF_ZERO, ConstRule(self.radius_at(t)), "constant on the class of t")
+        return super().derivative_at(t)
 
 
 class IndicatorCut(FieldFn):
@@ -192,6 +196,7 @@ class IndicatorCut(FieldFn):
 
     field = Field.Q
     TAG = "indicator_cut"
+    PIECE = "constant on t's side of sqrt(2)"
 
     def eval_at(self, t):
         return Fraction(1) if below_sqrt2(t) else Fraction(0)
@@ -199,17 +204,13 @@ class IndicatorCut(FieldFn):
     def radius_at(self, t):
         return sqrt2_gap_radius(t)
 
-    def derivative_at(self, t) -> DerivativeCert:
-        return DerivativeCert(
-            Fraction(0), ConstRule(self.radius_at(t)), "constant on t's side of sqrt(2)"
-        )
-
 
 class OuterSquareStep(FieldFn):
     """4**-m on the outer part (3/2 c_m, c_{m-1}) of each band, else 0."""
 
     field = Field.Q
     TAG = "outer_square_step"
+    PIECE = "constant on t's piece of its band"
 
     def eval_at(self, t):
         if t == 0:
@@ -227,9 +228,7 @@ class OuterSquareStep(FieldFn):
                 LinearCapRule(Fraction(1), Fraction(1)),
                 "|f(h)/h| <= (8/9)|h| for every h",
             )
-        return DerivativeCert(
-            Fraction(0), ConstRule(self.radius_at(t)), "constant on t's piece of its band"
-        )
+        return super().derivative_at(t)
 
 
 class Quotient(FieldFn):

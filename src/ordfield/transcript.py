@@ -192,7 +192,8 @@ def parse_claim_file(text: str) -> list[Check]:
     no `claim=` takes the last claim record above it.  Schedule records
     are file-global: `values=` beats `depth=` of the same kind wherever it
     stands, of two records of one form the last wins, and a kind with
-    neither takes the default depth."""
+    neither takes the default depth.  Each (kind, field) schedule is built
+    once, in the order of its first cert, and its certs share it."""
     certs: list[VerifierCert | FalsifierCert] = []
     depths: dict[str, int] = {}
     values: dict[str, str] = {}  # kept as text, parsed in each claim's field
@@ -246,7 +247,9 @@ def parse_claim_file(text: str) -> list[Check]:
             raise ParseError(f"unknown record kind {kind!r}")
     if not certs:
         raise ParseError("claim file contains no certificates")
-    return [Check(cert, _schedule(cert.SCHEDULE, cert.claim.field, depths, values)) for cert in certs]
+    keys = dict.fromkeys((cert.SCHEDULE, cert.claim.field) for cert in certs)
+    schedules = {key: _schedule(*key, depths, values) for key in keys}
+    return [Check(cert, schedules[cert.SCHEDULE, cert.claim.field]) for cert in certs]
 
 
 def _schedule(skind: str, fld: Field, depths: dict[str, int], values: dict[str, str]) -> list:

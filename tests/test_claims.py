@@ -12,7 +12,7 @@ from ordfield.certs import (
     TwoSided,
     min_dyadic_depth,
 )
-from ordfield import claims, demos
+from ordfield import claims, demos, dyadic
 from ordfield.claims import (
     DEFAULT_DELTA_DEPTH,
     Check,
@@ -636,6 +636,23 @@ def test_the_probe_table_does_not_grow_with_the_points(monkeypatch):
         assert len(keys) == len(set(keys))
         built.append(len(keys))
     assert built[0] <= built[1] <= built[0] + 3
+
+
+@pytest.mark.parametrize("points", [1, 5])
+def test_mvt_takes_each_ball_from_the_table_once(monkeypatch, points):
+    # each point's radius is IndicatorCut's one certificate: one search
+    # over the sandwiches of sqrt(2) per point, read by the bound record
+    # and by both verifiers
+    calls = []
+    gap = dyadic._sqrt2_gap
+
+    def counted(*args):
+        calls.append(args)
+        return gap(*args)
+
+    monkeypatch.setattr(dyadic, "_sqrt2_gap", counted)
+    assert demo_mvt(points=points, seed=3, out=_Discard()) == 0
+    assert len(calls) == points
 
 
 _SHARED_KEYS_CLAIM_FILE = """\

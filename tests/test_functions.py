@@ -8,12 +8,13 @@ import pytest
 from ordfield import functions
 from ordfield.certs import ConstRule, LinearCapRule, QStepProbe, QXStepProbe, TwoSided
 from ordfield.claims import FalsifierCert, VerifierCert
-from ordfield.dyadic import class_index
+from ordfield.dyadic import class_index, sqrt2_gap_radius
 from ordfield.errors import DomainError, ParseError, UnsupportedDerivativeError
 from ordfield.fields import Field
 from ordfield.functions import (
     FAMILIES,
     Constant,
+    DerivativeCert,
     DiffQuotient,
     Identity,
     IndicatorCut,
@@ -142,6 +143,24 @@ def test_derivative_certificate_examples():
     assert cert.value == 0
     assert isinstance(cert.rule, LinearCapRule)
     assert cert.rule.cap == 1 and cert.rule.slope == 1
+    # a function locally constant off 0 has derivative 0 there, certified
+    # by its constancy ball, with the note naming the piece it is constant on
+    for fn, t, note in [
+        (StepQ(), F(-5, 14), "constant on the band of t"),
+        (StepQX(), rf_const(F(5, 7)) * x_pow(-1), "constant on the class of t"),
+        (StepQX(), -RF_X, "constant on the class of t"),
+        (IndicatorCut(), F(7, 5), "constant on t's side of sqrt(2)"),
+        (IndicatorCut(), F(3, 2), "constant on t's side of sqrt(2)"),
+        (OuterSquareStep(), F(13, 10), "constant on t's piece of its band"),
+        (OuterSquareStep(), F(-1), "constant on t's piece of its band"),
+    ]:
+        zero = RF_ZERO if fn.field is Field.QX else F(0)
+        cert = derivative_certificate(fn, t)
+        assert type(cert.value) is type(zero)
+        assert cert == DerivativeCert(zero, ConstRule(fn.radius_at(t)), note)
+    # 0 is no cut of the indicator, so its ball at 0 is the one of any point
+    cert = derivative_certificate(IndicatorCut(), F(0))
+    assert cert == DerivativeCert(F(0), ConstRule(sqrt2_gap_radius(F(0))), "constant on t's side of sqrt(2)")
 
 
 def test_derivative_certificate_unsupported():

@@ -146,6 +146,37 @@ schedule kind=eps values=1,1/2,1/4
     assert {s.budget for s in steps} == {2}
 
 
+def test_parse_claim_file_shares_one_schedule_per_kind_and_field():
+    # schedule records are file-global, so the certs of one kind whose
+    # claims share a field share one schedule list, built once; a cert of
+    # the other kind or field holds another list
+    text = """
+claim id=1 field=q fn=quotient(step_q,identity) point=0 candidate=0
+claim id=2 field=qx fn=quotient(step_qx,identity) point=0 candidate=0
+cert claim=1 kind=falsifier eps=1/2 witness=qstep(5/7)
+cert claim=1 kind=verifier rule=linear_cap(1,1/2)
+cert claim=2 kind=falsifier eps=x witness=qxstep(1,+)
+cert claim=2 kind=verifier rule=linear_cap(1,x)
+cert claim=1 kind=falsifier eps=1/4 witness=qstep(3/4)
+cert claim=1 kind=verifier rule=const(1)
+cert claim=2 kind=falsifier eps=x witness=qxstep(2,-)
+cert claim=2 kind=verifier rule=const(x)
+schedule kind=delta depth=8
+schedule kind=eps depth=3
+"""
+    steps = parse_claim_file(text)
+    first, again = steps[:4], steps[4:]
+    for a, b in zip(first, again):
+        assert a.schedule is b.schedule
+    assert len({id(s.schedule) for s in first}) == 4
+    assert [s.schedule for s in first] == [
+        default_delta_schedule(Field.Q, 8),
+        default_eps_schedule(Field.Q, 3),
+        default_delta_schedule(Field.QX, 8),
+        default_eps_schedule(Field.QX, 3),
+    ]
+
+
 def test_parse_claim_file_errors():
     with pytest.raises(ParseError, match="^cert record before any claim record$"):
         parse_claim_file("cert kind=falsifier eps=1/2 witness=qstep(5/7)\n")
