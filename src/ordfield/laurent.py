@@ -36,12 +36,16 @@ when v1 == v2 can the low terms of t cancel, and the factor of x they
 leave moves into v.  No side of a cross pair is ever divisible by x.
 Each path ends in one step that divides out the joint integer content
 and makes den[0] positive.  A constant side of a cross pair shares no
-factor, so rf_mul and a sum skip its test, and a sum whose two
-denominators are constants takes a shorter integer path to the same form.
-Division multiplies by the inverse, whose num and den are the operand's
-den and num.  A comparison takes no gcd: when a and b tie in
-valuation, the sign of a - b is that of the lowest nonzero coefficient of
-n1*d2 - n2*d1.
+factor, so rf_mul skips its test, two monomials multiply as two int
+products and one gcd, and a sum whose two denominators are constants
+takes a shorter integer path to the same form.  With exactly one constant
+denominator, n1/s + n2/d2, g is constant, so t = n1*d2 + s*n2 over s*d2
+is coprime to d2 and only x and the integer content cancel.  Division
+multiplies by the inverse, whose num and den are the operand's den and
+num.  A comparison takes no gcd: when a and b tie in valuation, the sign
+of a - b is that of the lowest nonzero coefficient of n1*d2 - n2*d1.  The
+operators test type(o) is RatFunc before they coerce an int or Fraction,
+on either side, and call rf_add, rf_sub, rf_mul and rf_div by name.
 
 Rational coefficients and dense x-powers appear only at the edges: poly
 and rf_normalize accept dense Fraction coefficients, rf_const a Fraction
@@ -93,7 +97,7 @@ def _p_add(a: Poly, b: Poly) -> Poly:
 
 
 def _p_neg(a: Poly) -> Poly:
-    return tuple(-c for c in a)
+    return tuple([-c for c in a])
 
 
 def _p_scale(a: Poly, k) -> Poly:
@@ -109,7 +113,8 @@ def _p_mul(a: Poly, b: Poly) -> Poly:
     if len(a) > len(b):
         a, b = b, a
     if len(a) == 1:
-        return _p_scale(b, a[0])
+        k = a[0]
+        return b if k == 1 else tuple([c * k for c in b])
     if len(a) == 2:
         a0, a1 = a
         if len(b) == 2:
@@ -156,7 +161,10 @@ def _iview(p: Poly) -> tuple[list, int]:
         cd = c.denominator
         if cd != 1:
             d = math.lcm(d, cd)
-    ints = [c.numerator * (d // c.denominator) for c in p]
+    if d == 1:
+        ints = [c.numerator for c in p]
+    else:
+        ints = [c.numerator * (d // c.denominator) for c in p]
     while ints and not ints[-1]:
         ints.pop()
     return ints, d
@@ -215,7 +223,22 @@ def _int_poly_gcd(a: list, b: list) -> list:
 
 
 def _iexact_div(a: list, g: list) -> list:
-    """Exact quotient of a by g in Z[x] (g primitive, known to divide a)."""
+    """Exact quotient of a by g in Z[x] (g primitive, known to divide a);
+    a linear g divides by synthetic division from the top."""
+    if len(g) == 2:
+        g0, g1 = g
+        q = []
+        c = 0
+        for top in a[:0:-1]:
+            top -= c * g0
+            if top % g1:
+                raise DomainError("inexact integer polynomial division")
+            c = top // g1
+            q.append(c)
+        if a[0] != c * g0:
+            raise DomainError("inexact integer polynomial division")
+        q.reverse()
+        return q
     q = [0] * (len(a) - len(g) + 1)
     r = list(a)
     lg = g[-1]
@@ -315,6 +338,9 @@ def _cross_gcd(a, b) -> list | None:
     return g if len(g) > 1 else None
 
 
+_new = tuple.__new__  # builds a RatFunc without NamedTuple's __new__ frame
+
+
 def _rf_canon(v: int, num, den) -> "RatFunc":
     """RatFunc x**v * num/den of nonzero num and den, coprime over Q[x] and
     not divisible by x, with their joint integer content and the sign of
@@ -323,8 +349,8 @@ def _rf_canon(v: int, num, den) -> "RatFunc":
     if den[0] < 0:
         c = -c
     if c == 1:
-        return RatFunc(v, tuple(num), tuple(den))
-    return RatFunc(v, tuple(x // c for x in num), tuple(x // c for x in den))
+        return _new(RatFunc, (v, tuple(num), tuple(den)))
+    return _new(RatFunc, (v, tuple([x // c for x in num]), tuple([x // c for x in den])))
 
 
 class RatFunc(NamedTuple):
@@ -338,36 +364,42 @@ class RatFunc(NamedTuple):
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    def __add__(self, other):
-        o = _coerce(other)
-        if o is None:
+    def __add__(self, o):
+        if type(o) is not RatFunc and (o := _coerce(o)) is None:
             return NotImplemented
         return rf_add(self, o)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = _coerce(other)
-        if o is None:
+    def __sub__(self, o):
+        if type(o) is not RatFunc and (o := _coerce(o)) is None:
             return NotImplemented
         return rf_sub(self, o)
 
-    def __mul__(self, other):
-        o = _coerce(other)
-        if o is None:
+    def __rsub__(self, o):
+        if (o := _coerce(o)) is None:
+            return NotImplemented
+        return rf_sub(o, self)
+
+    def __mul__(self, o):
+        if type(o) is not RatFunc and (o := _coerce(o)) is None:
             return NotImplemented
         return rf_mul(self, o)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = _coerce(other)
-        if o is None:
+    def __truediv__(self, o):
+        if type(o) is not RatFunc and (o := _coerce(o)) is None:
             return NotImplemented
         return rf_div(self, o)
 
+    def __rtruediv__(self, o):
+        if (o := _coerce(o)) is None:
+            return NotImplemented
+        return rf_div(o, self)
+
     def __neg__(self) -> "RatFunc":
-        return RatFunc(self.v, _p_neg(self.num), self.den)
+        return _new(RatFunc, (self.v, _p_neg(self.num), self.den))
 
     def __abs__(self) -> "RatFunc":
         return -self if rf_sign(self) < 0 else self
@@ -387,27 +419,23 @@ class RatFunc(NamedTuple):
                 base = rf_mul(base, base)
         return out
 
-    def __lt__(self, other):
-        o = _coerce(other)
-        if o is None:
+    def __lt__(self, o):
+        if type(o) is not RatFunc and (o := _coerce(o)) is None:
             return NotImplemented
         return _rf_cmp(self, o) < 0
 
-    def __le__(self, other):
-        o = _coerce(other)
-        if o is None:
+    def __le__(self, o):
+        if type(o) is not RatFunc and (o := _coerce(o)) is None:
             return NotImplemented
         return _rf_cmp(self, o) <= 0
 
-    def __gt__(self, other):
-        o = _coerce(other)
-        if o is None:
+    def __gt__(self, o):
+        if type(o) is not RatFunc and (o := _coerce(o)) is None:
             return NotImplemented
         return _rf_cmp(self, o) > 0
 
-    def __ge__(self, other):
-        o = _coerce(other)
-        if o is None:
+    def __ge__(self, o):
+        if type(o) is not RatFunc and (o := _coerce(o)) is None:
             return NotImplemented
         return _rf_cmp(self, o) >= 0
 
@@ -481,9 +509,20 @@ def _rf_sum(a: RatFunc, b: RatFunc) -> RatFunc:
         k, num = _x_split(num)
         c = math.gcd(*num, s)
         if c == 1:
-            return RatFunc(v + k, num, (s,))
-        return RatFunc(v + k, tuple(x // c for x in num), (s // c,))
-    g = _cross_gcd(d1, d2) if len(d1) > 1 and len(d2) > 1 else None
+            return _new(RatFunc, (v + k, num, (s,)))
+        return _new(RatFunc, (v + k, tuple([x // c for x in num]), (s // c,)))
+    if len(d1) == 1 or len(d2) == 1:
+        # one constant denominator, d1 = (s,): t = n1*d2 + s*n2 is coprime
+        # to d2, so only x and the content of t/(s*d2) cancel
+        if len(d1) > 1:
+            n1, d1, n2, d2 = n2, d2, n1, d1
+        s = d1[0]
+        t = _p_add(_p_mul(n1, d2), _p_scale(n2, s))
+        if not t:
+            return RF_ZERO
+        k, t = _x_split(t) if not t[0] else (0, t)
+        return _rf_canon(v + k, t, _p_scale(d2, s))
+    g = _cross_gcd(d1, d2)
     if g:
         d1, d2 = _iexact_div(d1, g), _iexact_div(d2, g)
     t = _p_add(_p_mul(n1, d2), _p_mul(n2, d1))
@@ -516,14 +555,14 @@ def rf_sub(a: RatFunc, b: RatFunc) -> RatFunc:
 
 
 def rf_mul(a: RatFunc, b: RatFunc) -> RatFunc:
-    if not a.num or not b.num:
-        return RF_ZERO
-    if b == RF_ONE:
-        return a
-    if a == RF_ONE:
-        return b
     v1, n1, d1 = a
     v2, n2, d2 = b
+    if not n1 or not n2:
+        return RF_ZERO
+    if len(n1) == len(d1) == len(n2) == len(d2) == 1:
+        n, d = n1[0] * n2[0], d1[0] * d2[0]
+        g = math.gcd(n, d)
+        return _new(RatFunc, (v1 + v2, (n // g,), (d // g,)))
     if len(n1) > 1 and len(d2) > 1:
         g = _cross_gcd(n1, d2)
         if g:
@@ -548,8 +587,8 @@ def rf_inv(a: RatFunc) -> RatFunc:
     if not num:
         raise ZeroDenominatorError("inverse of the zero rational function")
     if num[0] < 0:
-        return RatFunc(-v, _p_neg(den), _p_neg(num))
-    return RatFunc(-v, den, num)
+        return _new(RatFunc, (-v, _p_neg(den), _p_neg(num)))
+    return _new(RatFunc, (-v, den, num))
 
 
 def rf_sign(f: RatFunc) -> int:

@@ -40,6 +40,7 @@ from ordfield.functions import (
     StepQX,
     derivative_certificate,
     evaluate,
+    parse_name,
 )
 from ordfield.laurent import RF_ONE, RF_X, RF_ZERO, rf_const, rf_normalize, valuation, x_pow
 from ordfield.rationals import pow2
@@ -340,6 +341,32 @@ def test_schedule_positivity_enforced():
     fc = FalsifierCert(LimitClaim(StepQ(), F(0), F(0)), F(1, 2), QStepProbe(F(1)))
     with pytest.raises(DomainError):
         check_falsifier(fc, [F(-1)])
+
+
+@pytest.mark.parametrize("delta", [F(0), F(-1, 4)])
+def test_falsifier_refuses_a_non_positive_delta(delta):
+    # a claim file refuses such a delta before the referee runs, so only a
+    # library call reaches this guard; a zero delta must not pass it
+    fc = FalsifierCert(LimitClaim(StepQ(), F(0), F(0)), F(1, 2), QStepProbe(F(1)))
+    with pytest.raises(DomainError, match="^delta schedule must be strictly positive$"):
+        check_falsifier(fc, [F(1, 4), delta])
+
+
+def test_a_report_with_no_checks_does_not_pass():
+    fc = FalsifierCert(LimitClaim(StepQ(), F(0), F(0)), F(1, 2), QStepProbe(F(1)))
+    rep = claims.RefereeReport(fc, (), (), ())
+    assert rep.checks == 0
+    assert rep.passed is False
+
+
+def test_qxstep_refuses_a_zero_pattern_as_not_a_positive_unit():
+    # zero has no valuation: the sign test must refuse it first
+    for make in (
+        lambda: QXStepProbe(RF_ZERO, 1),
+        lambda: parse_name(Field.QX, "qxstep(0,+)", "witness rule"),
+    ):
+        with pytest.raises(DomainError, match="^qx step probe pattern must be a positive unit$"):
+            make()
 
 
 def test_referee_determinism():

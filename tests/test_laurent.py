@@ -1,10 +1,11 @@
 import math
+import operator
 import random
 import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ordfield.claims import Check, FalsifierCert, check_falsifier, check_verifier
@@ -618,3 +619,112 @@ def test_filter_never_certifies_a_shared_factor(pair):
     want = oracle_qx.poly_gcd(a, b)
     if laurent._isurely_coprime(list(a), list(b)):
         assert want == P_ONE
+
+
+@pytest.mark.parametrize("c", [3, -2, 0, F(1, 2), F(-7, 3)], ids=str)
+def test_int_and_fraction_on_the_left_of_each_operator(c):
+    # the reflected operators coerce the left operand and keep its place
+    k = rf_const(c)
+    for f in (RF_X, rf_normalize((1, 2), (3, 0, 1)), -x_pow(-2)):
+        assert c + f == rf_add(k, f) == f + c
+        assert c - f == rf_sub(k, f) == -(f - c)
+        assert c * f == rf_mul(k, f) == f * c
+        assert c / f == rf_div(k, f)
+        if c:
+            assert c / f == rf_inv(f / c)
+    assert 1 - RF_X == rf_normalize((1, -1), (1,))
+    assert F(1, 2) - RF_X == rf_normalize((1, -2), (2,))
+    assert 1 / RF_X == x_pow(-1)
+    with pytest.raises(ZeroDenominatorError):
+        c / RF_ZERO
+    for other in (1.5, "x", None):
+        for op in (lambda: other + RF_X, lambda: other - RF_X, lambda: other * RF_X, lambda: other / RF_X):
+            with pytest.raises(TypeError):
+                op()
+
+
+def _dense_elem(draw, num, den):
+    """x**v * num/den for a drawn v in -3..3, from dense coefficients."""
+    v = draw(st.integers(-3, 3))
+    return rf_normalize((0,) * max(v, 0) + num, (0,) * max(-v, 0) + den)
+
+
+@st.composite
+def _shaped_pairs(draw):
+    """(a, b) whose denominators take one path each of _rf_sum and rf_mul:
+    two monomials, exactly one constant denominator, two linear
+    denominators sharing their factor, a quadratic side that b's
+    denominator may share, or a zero operand."""
+    coeff = st.integers(-9, 9) | st.integers(-(2**70), 2**70)
+    nonzero = coeff.filter(bool)
+
+    def p(lo, hi):
+        # a polynomial of degree lo..hi that x does not divide
+        deg = draw(st.integers(lo, hi))
+        if not deg:
+            return (draw(nonzero),)
+        return (draw(nonzero), *[draw(coeff) for _ in range(deg - 1)], draw(nonzero))
+
+    shape = draw(st.sampled_from(("monomials", "one-constant", "linear-shared", "quadratic", "zero")))
+    if shape == "monomials":
+        a, b = (rf_const(F(draw(nonzero), draw(nonzero)), draw(st.integers(-3, 3))) for _ in "ab")
+    elif shape == "one-constant":
+        a = _dense_elem(draw, p(0, 3), p(0, 0))
+        b = _dense_elem(draw, p(0, 3), p(1, 3))
+        if draw(st.booleans()):
+            # -a plus a term of higher valuation: the low terms of a + b cancel
+            b = x_pow(a.v - b.v + draw(st.integers(1, 3))) * b - a
+        assume(len(b.den) > 1)
+    elif shape == "linear-shared":
+        lin = p(1, 1)
+        a = _dense_elem(draw, p(0, 2), _p_mul(lin, p(0, 0)))
+        b = _dense_elem(draw, p(0, 2), _p_mul(lin, p(0, 0)))
+        assume(len(a.den) == len(b.den) == 2)
+    elif shape == "quadratic":
+        quad = p(2, 2)
+        a = _dense_elem(draw, p(0, 3), quad) if draw(st.booleans()) else _dense_elem(draw, quad, p(0, 3))
+        den = _p_mul(quad, p(0, 1)) if draw(st.booleans()) else p(1, 3)
+        b = _dense_elem(draw, p(0, 2), den)
+    else:
+        a, b = RF_ZERO, _dense_elem(draw, p(0, 3), p(0, 3))
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_shaped_pairs())
+def test_each_operand_shape_matches_the_fraction_oracle(pair):
+    # through the operators, in both orders: each result is canonical and
+    # is the oracle's canonical form of the plain cross-multiplied ratio
+    a, b = pair
+    ops = (
+        (operator.add, oracle_qx.ratio_add),
+        (operator.sub, oracle_qx.ratio_sub),
+        (operator.mul, oracle_qx.ratio_mul),
+        (operator.truediv, oracle_qx.ratio_div),
+    )
+    for x, y in ((a, b), (b, a)):
+        for op, ratio in ops:
+            if op is operator.truediv and not y:
+                with pytest.raises(ZeroDenominatorError):
+                    op(x, y)
+                continue
+            got = op(x, y)
+            assert_canonical(got)
+            assert oracle_qx.canonical(*dense(got)) == oracle_qx.canonical(*ratio(x, y))
+
+
+def test_exact_division_by_a_linear_factor():
+    # synthetic division from the top against the product it undoes
+    rng = random.Random(26)
+    for g in ([2, 3], [3, -2], [-1, 1], [1, 10**40]):
+        for _ in range(50):
+            q = [rng.randint(-(2**70), 2**70) for _ in range(rng.randint(1, 6))]
+            q[-1] = q[-1] or 1
+            assert laurent._iexact_div(list(_p_mul(tuple(q), tuple(g))), g) == q
+    # 5 is not a multiple of g's leading 2: refused at the first top step
+    with pytest.raises(DomainError, match="^inexact integer polynomial division$"):
+        laurent._iexact_div([1, 2, 5], [1, 2])
+    # every top step divides by 1, so only the last remainder, 1, refuses
+    # (x + 1)(x + 2) + 1
+    with pytest.raises(DomainError, match="^inexact integer polynomial division$"):
+        laurent._iexact_div([3, 3, 1], [1, 1])
