@@ -446,8 +446,7 @@ RF_X = RatFunc(1, P_ONE, P_ONE)
 
 
 def _coerce(v) -> RatFunc | None:
-    if isinstance(v, RatFunc):
-        return v
+    """The other operand of an operator whose test for a RatFunc failed."""
     if isinstance(v, (int, Fraction)):
         return rf_const(v)
     return None

@@ -724,7 +724,7 @@ def test_exact_division_by_a_linear_factor():
     # 5 is not a multiple of g's leading 2: refused at the first top step
     with pytest.raises(DomainError, match="^inexact integer polynomial division$"):
         laurent._iexact_div([1, 2, 5], [1, 2])
-    # every top step divides by 1, so only the last remainder, 1, refuses
-    # (x + 1)(x + 2) + 1
+    # (x + 1)(x + 2) + 1 by x + 1: every top step divides by 1, so only the
+    # last remainder, 1, refuses
     with pytest.raises(DomainError, match="^inexact integer polynomial division$"):
         laurent._iexact_div([3, 3, 1], [1, 1])
