@@ -227,37 +227,39 @@ def check_verifier(
     if table is None:
         table = {}
     key, below = _order(claim.point)
+    ends = claim.fn, claim.point or None, claim.candidate or None  # see _probe
     probes: list[Probe] = []
     keys: list[tuple] = []  # per probe: its (in-ball key, dist key)
     levels: dict[int, range] = {}  # level -> indices of its probes
     rows: list[Row] = []
     row_dists: list[list] = []  # per row: the dist key of each probe in its ball, else None
-    row_of: dict = {}  # delta -> index of its row
+    row_of: dict = {}  # key(delta) -> index of its row
     uses = []
     for eps in eps_schedule:
         if sign_of(eps) <= 0:
             raise DomainError("epsilon schedule must be strictly positive")
         delta = cert.rule.delta_for(eps)
-        ri = row_of.get(delta)
+        delta_key = key(delta)
+        ri = row_of.get(delta_key)
         if ri is None:
             if sign_of(delta) <= 0:
                 raise DomainError(f"verifier delta must be strictly positive, got {render_elem(delta)}")
-            ri = row_of[delta] = len(rows)
+            ri = row_of[delta_key] = len(rows)
             indices = []
             for level in probe_levels(fld, delta, probe_budget):
                 idx = levels.get(level)
                 if idx is None:
                     start = len(probes)
                     for offset, sep, sep_key in _level(table, key, fld, level):
-                        probe, ball_key, dist_key = _probe(claim, key, offset, sep, sep_key)
+                        probe, ball_key, dist_key = _probe(ends, key, offset, sep, sep_key)
                         probes.append(probe)
                         keys.append((ball_key, dist_key))
                     idx = levels[level] = range(start, len(probes))
                 indices.extend(idx)
             in_ball = below([keys[i][0] for i in indices], delta)
-            rows.append(Row(delta, tuple(zip(indices, in_ball))))
+            rows.append(tuple.__new__(Row, (delta, tuple(zip(indices, in_ball)))))
             row_dists.append([keys[i][1] if ib else None for i, ib in zip(indices, in_ball)])
-        uses.append(Use(eps, ri, tuple(below(row_dists[ri], eps))))
+        uses.append(tuple.__new__(Use, (eps, ri, tuple(below(row_dists[ri], eps)))))
     return RefereeReport(cert, tuple(probes), tuple(rows), tuple(uses))
 
 
@@ -276,6 +278,7 @@ def check_falsifier(cert: FalsifierCert, delta_schedule) -> RefereeReport:
     if not delta_schedule:
         raise DomainError("delta schedule is empty")
     key, below = _order(eps)
+    ends = claim.fn, claim.point or None, claim.candidate or None  # see _probe
     probes: list[Probe] = []
     rows: list[Row] = []
     dists = []  # per row: the dist key of its witness when in the ball, else None
@@ -283,13 +286,13 @@ def check_falsifier(cert: FalsifierCert, delta_schedule) -> RefereeReport:
         if sign_of(delta) <= 0:
             raise DomainError("delta schedule must be strictly positive")
         offset = rule.witness_for(delta)
-        probe, ball_key, dist_key = _probe(claim, key, offset, *_sep(key, offset))
+        probe, ball_key, dist_key = _probe(ends, key, offset, *_sep(key, offset))
         (in_ball,) = below([ball_key], delta)
-        rows.append(Row(delta, ((len(probes), in_ball),)))
+        rows.append(tuple.__new__(Row, (delta, ((len(probes), in_ball),))))
         dists.append(dist_key if in_ball else None)
         probes.append(probe)
     uses = [
-        Use(eps, ri, (row.probes[0][1] and not near,))
+        tuple.__new__(Use, (eps, ri, (row.probes[0][1] and not near,)))
         for ri, (row, near) in enumerate(zip(rows, below(dists, eps)))
     ]
     return RefereeReport(cert, tuple(probes), tuple(rows), tuple(uses))
@@ -339,9 +342,11 @@ def _below_elems(keys, bound) -> list[bool]:
 
 def _sep(key, offset) -> tuple:
     """sep = |offset| and the key the in-ball test reads of it: None when
-    sep is 0, the centre of the punctured ball."""
-    sep = abs(offset)
-    return sep, (key(sep) if sep else None)
+    sep is 0, the centre of the punctured ball.  A nonnegative offset is
+    its own sep; only a negative one is negated."""
+    s = sign_of(offset)
+    sep = -offset if s < 0 else offset
+    return sep, (key(sep) if s else None)
 
 
 def _level(table: dict, key, field: Field, level: int) -> tuple:
@@ -356,19 +361,23 @@ def _level(table: dict, key, field: Field, level: int) -> tuple:
     return entry
 
 
-def _probe(claim: LimitClaim, key, offset, sep, sep_key) -> tuple[Probe, object, object]:
-    """The probe at w = point + offset with its in-ball key and dist key.
-    fn(w), the distance and both keys are None when w is off fn's domain,
-    which fails every check.  A zero point or candidate is falsy in both
-    fields, and adding or subtracting it would only copy its operand."""
-    point, candidate = claim.point, claim.candidate
-    w = point + offset if point else offset
+def _probe(ends: tuple, key, offset, sep, sep_key) -> tuple[Probe, object, object]:
+    """The probe at w = point + offset with its in-ball key and dist key,
+    for the claim's ends = (fn, point, candidate).  fn(w), the distance and
+    both keys are None when w is off fn's domain, which fails every check.
+    A zero point or candidate is None in ends, tested once per report, and
+    is not added or subtracted, which would only copy the other operand.
+    A nonnegative fn(w) - candidate is its own distance; only a negative
+    one is negated."""
+    fn, point, candidate = ends
+    w = offset if point is None else point + offset
     try:
-        fw = evaluate(claim.fn, w)
+        fw = evaluate(fn, w)
     except DomainError:
-        return Probe(w, None, None, sep), None, None
-    dist = abs(fw - candidate) if candidate else abs(fw)
-    return Probe(w, fw, dist, sep), sep_key, key(dist)
+        return tuple.__new__(Probe, (w, None, None, sep)), None, None
+    d = fw if candidate is None else fw - candidate
+    dist = -d if sign_of(d) < 0 else d
+    return tuple.__new__(Probe, (w, fw, dist, sep)), sep_key, key(dist)
 
 
 def _refuse_too_deep(depth: int) -> None:

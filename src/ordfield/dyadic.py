@@ -128,8 +128,13 @@ def constancy_radius_q(t: Fraction) -> Fraction:
 
 def is_outer(t: Fraction, n: int) -> bool:
     """True when |t| sits in the outer part (3/2 * c_n, c_{n-1}) of its band
-    n = class_index(t)."""
-    return cmp_to_scaled_cn(abs(t), n, OUTER_SCALE) == GREATER
+    n = class_index(t).  t**2 = |t|**2 is read off t's ints, so no abs(t)
+    is built."""
+    p = t.numerator * OUTER_SCALE.denominator
+    if not p:
+        raise DomainError("0 belongs to no band I_n")
+    q = t.denominator * OUTER_SCALE.numerator
+    return _cmp_scaled_square(p * p, q * q, 2 * n + 1) == GREATER
 
 
 def outer_constancy_radius_q(t: Fraction) -> Fraction:

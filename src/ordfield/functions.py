@@ -47,6 +47,11 @@ from .laurent import RF_ZERO, valuation, x_pow
 from .literals import MAX_POWER_BITS, _power_bits, check_nesting, parse_elem, parse_int
 from .rationals import pow2
 
+# the values 0 and 1 of the Q step functions: a Fraction is immutable, so
+# every evaluation returns the same one
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 class DerivativeCert(Value):
     """Closed-form derivative value plus the delta-rule certifying the
@@ -156,8 +161,8 @@ class StepQ(FieldFn):
     envelope = (Fraction(1, 2), Fraction(2))
 
     def eval_at(self, t):
-        if t == 0:
-            return Fraction(0)
+        if not t:
+            return _ZERO
         return pow2(-class_index(t))
 
     def radius_at(self, t):
@@ -199,7 +204,7 @@ class IndicatorCut(FieldFn):
     PIECE = "constant on t's side of sqrt(2)"
 
     def eval_at(self, t):
-        return Fraction(1) if below_sqrt2(t) else Fraction(0)
+        return _ONE if below_sqrt2(t) else _ZERO
 
     def radius_at(self, t):
         return sqrt2_gap_radius(t)
@@ -213,10 +218,10 @@ class OuterSquareStep(FieldFn):
     PIECE = "constant on t's piece of its band"
 
     def eval_at(self, t):
-        if t == 0:
-            return Fraction(0)
+        if not t:
+            return _ZERO
         m = class_index(t)
-        return pow2(-2 * m) if is_outer(t, m) else Fraction(0)
+        return pow2(-2 * m) if is_outer(t, m) else _ZERO
 
     def radius_at(self, t):
         return outer_constancy_radius_q(t)
@@ -252,7 +257,10 @@ class DiffQuotient(FieldFn):
 
     f(a) is evaluated at the first h and kept on the instance outside its
     fields, so equality, hashing and the name stay those of (f, a); a
-    DomainError at a is not kept, and fails every h."""
+    DomainError at a is not kept, and fails every h.  Whether a and f(a)
+    are zero is tested once, beside f(a): a zero one is kept as None, and
+    each h then skips adding or subtracting it, which would only copy the
+    other operand."""
 
     FIELDS = ("f", "a")
     TAG = "diffq"
@@ -263,14 +271,16 @@ class DiffQuotient(FieldFn):
         return self.f.field
 
     @functools.cached_property
-    def _fa(self):
-        return evaluate(self.f, self.a)
+    def _fa(self) -> tuple:
+        """(a, f(a)), each None when it is zero."""
+        return self.a or None, evaluate(self.f, self.a) or None
 
     def eval_at(self, h):
         if not h:
             raise DomainError("difference quotient needs h != 0")
-        fa = self._fa
-        return (evaluate(self.f, self.a + h) - fa) / h
+        a, fa = self._fa
+        fh = evaluate(self.f, h if a is None else a + h)
+        return (fh if fa is None else fh - fa) / h
 
 
 # the three families of names: each maps a tag to its class

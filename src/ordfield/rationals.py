@@ -21,11 +21,10 @@ def pow2(n: int) -> Fraction:
 
 
 def render_rat(a: Fraction) -> str:
-    """Textual form "p/q", or "p" when the denominator is 1."""
+    """Textual form "p/q", or "p" when the denominator is 1: str() of a
+    Fraction or an int writes exactly that."""
     try:
-        if a.denominator == 1:
-            return str(a.numerator)
-        return f"{a.numerator}/{a.denominator}"
+        return str(a)
     except ValueError:
         # str() of an int past the interpreter's int-to-text digit limit
         raise too_long() from None

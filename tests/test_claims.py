@@ -28,7 +28,7 @@ from ordfield.claims import (
     probe_levels,
 )
 from ordfield.errors import DomainError
-from ordfield.fields import Field
+from ordfield.fields import Field, field_zero
 from ordfield.demos import demo_dlim, demo_lhopital, demo_mvt, demo_taylor
 from ordfield.functions import (
     Constant,
@@ -170,6 +170,49 @@ def test_below_matches_ratfunc_order(pair):
     got = below([key(x), None, key(bound)], bound)
     assert got == [x < bound, False, False]
     assert (not got[0]) == (x >= bound)
+
+
+@st.composite
+def _elem(draw, field):
+    """A zero, negative or positive element of field."""
+    if field is Field.Q:
+        return draw(st.just(F(0)) | _rationals())
+    sign = draw(st.sampled_from((1, 0, -1)))
+    return draw(_qx_elem(draw(st.integers(-70, 70)), sign)) if sign else RF_ZERO
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_referee_shortcuts_give_the_values_they_replace(data):
+    # the referee keeps a nonnegative magnitude as it is, tests a zero
+    # point, candidate, a or f(a) once, and reads |t| off t's ints in
+    # is_outer; each must give the value of the plain formula it replaces
+    field = data.draw(st.sampled_from(Field))
+    zero = field_zero(field)
+    a, c, x = (data.draw(_elem(field)) for _ in range(3))
+    h = data.draw(_elem(field).filter(bool))
+    key, _ = claims._order(x)
+    sep, sep_key = claims._sep(key, x)
+    assert sep == abs(x) and (sep is x) == (x >= 0)
+    assert sep_key == (key(abs(x)) if x else None)
+    fn = Identity(field)
+    for point, cand in ((zero, zero), (a, zero), (zero, c), (a, c)):
+        ends = fn, point or None, cand or None
+        probe, ball_key, dist_key = claims._probe(ends, key, x, sep, sep_key)
+        assert probe.w == point + x and probe.fw == point + x and probe.sep is sep
+        assert probe.dist == abs(point + x - cand) and dist_key == key(probe.dist)
+        assert ball_key is sep_key
+        if not point and not cand:
+            assert (probe.dist is x) == (x >= 0)
+    step = StepQ() if field is Field.Q else StepQX()
+    for f in (Identity(field), Constant(field, zero), Constant(field, c), Power(field, 2), step):
+        for point in (zero, a):
+            want = (evaluate(f, point + h) - evaluate(f, point)) / h
+            assert DiffQuotient(f, point).eval_at(h) == want, (f, point, h)
+    if field is Field.Q and x:
+        n = dyadic.class_index(x)
+        want = dyadic.cmp_to_scaled_cn(abs(x), n, dyadic.OUTER_SCALE) == dyadic.GREATER
+        assert dyadic.is_outer(x, n) == dyadic.is_outer(-x, n) == want
 
 
 def test_qx_values_built_directly_equal_the_products_they_replace():

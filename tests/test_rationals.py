@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordfield.errors import ResourceError, digit_limit
 from ordfield.fields import sign_of
 from ordfield.rationals import pow2, render_rat
 
@@ -24,6 +25,28 @@ def test_render():
 
 
 HUGE = 10**400 + 7
+
+
+@pytest.mark.parametrize(
+    "a, text",
+    [(0, "0"), (7, "7"), (-7, "-7"), (F(6, 2), "3"), (F(-4, 1), "-4"), (F(0), "0"),
+     (F(-1, 2), "-1/2"), (F(-24, 35), "-24/35"), (F(HUGE, 3), f"{HUGE}/3"), (F(-1, HUGE), f"-1/{HUGE}")],
+)
+def test_render_rat_text(a, text):
+    # render_rat is str() of its argument: "p" for an int or a denominator
+    # of 1, else "p/q", on every supported interpreter
+    assert render_rat(a) == text
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_render_rat_past_the_digit_limit_is_refused(sign):
+    limit = digit_limit()
+    if not limit:
+        pytest.skip("this interpreter has no int-to-text digit limit")
+    big = sign * 10**limit  # limit + 1 digits
+    for a in (big, F(big), F(big, 3), F(sign, big)):
+        with pytest.raises(ResourceError, match="too long to print"):
+            render_rat(a)
 
 
 @pytest.mark.parametrize(
