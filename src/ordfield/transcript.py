@@ -40,6 +40,7 @@ from .errors import ParseError
 from .fields import Field, render_elem
 from .functions import parse_name, render_name
 from .literals import parse_elem, parse_int
+from .rationals import render_rat
 
 TOOL = "ordfield"
 VERSION = "0.1.0"
@@ -153,26 +154,38 @@ _VERDICT = (" verdict=fail", " verdict=pass")
 def _check_lines(cid: int, report: RefereeReport) -> list[str]:
     """The `check` records of report, one per (use, probe of its row): the
     bytes kv_line("check", ...) gives for the fields claim, kind, eps,
-    delta, w, fw, dist, sep, verdict.  Each probe's w-fw-dist-sep tail and
-    each row's delta are rendered once, and each use's eps once."""
-    tails = [_probe_tail(p) for p in report.probes]
-    deltas = [_guard(" delta=" + render_elem(delta), 1) for delta, _ in report.rows]
+    delta, w, fw, dist, sep, verdict.  Values are rendered by the one
+    renderer of the claim's field: render_rat in Q, render_elem in Q(x).
+    Each probe's tail and each row's delta are rendered once, and an eps
+    once per run of uses that hold that same object: every use of a
+    falsifier holds its one epsilon."""
+    render = render_rat if report.cert.claim.field is Field.Q else render_elem
+    tails = [_probe_tail(p, render) for p in report.probes]
+    deltas = [_guard(" delta=" + render(delta), 1) for delta, _ in report.rows]
     lines = []
-    kind = report.cert.KIND
+    start = f"check claim={cid} kind={report.cert.KIND} eps="
+    # no eps is None (the referee refuses one that is not positive), so
+    # the first use renders its own
+    last = head = None
     for eps, ri, verdicts in report.uses:
-        head = _guard(f"check claim={cid} kind={kind} eps={render_elem(eps)}", 3) + deltas[ri]
+        if eps is not last:
+            last, head = eps, _guard(start + render(eps), 3)
         pairs = report.rows[ri].probes
-        lines.extend([head + tails[i] + _VERDICT[ok] for (i, _), ok in zip(pairs, verdicts)])
+        row_head = head + deltas[ri]
+        lines.extend([row_head + tails[i] + _VERDICT[ok] for (i, _), ok in zip(pairs, verdicts)])
     return lines
 
 
-def _probe_tail(p: Probe) -> str:
+def _probe_tail(p: Probe, render) -> str:
+    """p's w-fw-dist-sep tail, each value rendered by render.  dist takes
+    fw's text when it is fw itself, undef included, and sep w's when it is
+    w itself: the referee keeps a nonnegative difference as it is."""
     w, fw, dist, sep = p
-    tail = (
-        f" w={render_elem(w)} fw={'undef' if fw is None else render_elem(fw)}"
-        f" dist={'undef' if dist is None else render_elem(dist)} sep={render_elem(sep)}"
-    )
-    return _guard(tail, 4)
+    w_s = render(w)
+    fw_s = "undef" if fw is None else render(fw)
+    dist_s = fw_s if dist is fw else "undef" if dist is None else render(dist)
+    sep_s = w_s if sep is w else render(sep)
+    return _guard(f" w={w_s} fw={fw_s} dist={dist_s} sep={sep_s}", 4)
 
 
 def _guard(piece: str, spaces: int) -> str:

@@ -21,11 +21,12 @@ from ordfield.claims import (
     default_eps_schedule,
 )
 from ordfield.demos import demo_dlim, demo_lhopital, demo_mvt, demo_taylor
-from ordfield.errors import ParseError
+from ordfield.errors import ParseError, ResourceError, digit_limit
 from ordfield.fields import Field
 from ordfield.functions import Quotient, Identity, StepQ, parse_name, render_name
 from ordfield.laurent import RF_ONE, RF_X, RF_ZERO, rf_const, x_pow
 from ordfield.literals import parse_elem
+from ordfield.rationals import too_long
 from ordfield.transcript import (
     Transcript,
     kv_line,
@@ -283,7 +284,10 @@ def _check_lines(report: RefereeReport) -> list[str]:
 def _report_cases():
     """(report, its records) with pass, fail and undef checks in each field:
     in Q two epsilons share a row and two rows share a probe; in Q(x) each
-    falsifier row has its own probe."""
+    falsifier row has its own probe.  A falsifier in each field at a zero
+    point and candidate holds one epsilon object in every use and probes
+    whose sep is their w and whose dist is their fw, as the referee gives
+    them there, undef ones included."""
     q_claim = LimitClaim(StepQ(), F(0), F(0))
     qx_claim = LimitClaim(Quotient(Identity(Field.QX), Identity(Field.QX)), RF_ZERO, RF_ONE)
     half, w = rf_const(F(1, 2)), x_pow(2) * rf_const(F(-3, 7)) / (RF_ONE + RF_X)
@@ -297,6 +301,19 @@ def _report_cases():
         Probe(-RF_X, RF_ONE + RF_X, RF_X, RF_X),
         Probe(RF_ZERO, None, None, RF_ZERO),
     )
+    q_w, q_fw, q_undef = F(5, 28), F(3, 4), F(5, 56)
+    q_shared = (
+        Probe(q_w, q_fw, q_fw, q_w),
+        Probe(-q_w, -q_fw, F(3, 4), F(5, 28)),
+        Probe(q_undef, None, None, q_undef),
+    )
+    qx_w, qx_fw, qx_undef = x_pow(2), RF_ONE + RF_X, x_pow(3)
+    qx_shared = (
+        Probe(qx_w, qx_fw, qx_fw, qx_w),
+        Probe(-qx_w, -qx_fw, RF_ONE + RF_X, x_pow(2)),
+        Probe(qx_undef, None, None, qx_undef),
+    )
+    q_eps, qx_eps = F(1, 2), x_pow(1)
     v, f = "verifier", "falsifier"
     return [
         (
@@ -317,6 +334,32 @@ def _report_cases():
                 CheckRecord(v, F(1, 64), F(1, 8), *q[1], False),
                 CheckRecord(v, F(1), F(1, 2), *q[2], False),
                 CheckRecord(v, F(1), F(1, 2), *q[1], False),
+            ],
+        ),
+        (
+            RefereeReport(
+                FalsifierCert(q_claim, q_eps, QStepProbe(F(5, 7))),
+                q_shared,
+                (Row(F(1, 4), ((0, True),)), Row(F(1, 4), ((1, True),)), Row(F(1, 8), ((2, True),))),
+                (Use(q_eps, 0, (True,)), Use(q_eps, 1, (True,)), Use(q_eps, 2, (False,))),
+            ),
+            [
+                CheckRecord(f, q_eps, F(1, 4), *q_shared[0], True),
+                CheckRecord(f, q_eps, F(1, 4), *q_shared[1], True),
+                CheckRecord(f, q_eps, F(1, 8), *q_shared[2], False),
+            ],
+        ),
+        (
+            RefereeReport(
+                FalsifierCert(LimitClaim(Identity(Field.QX), RF_ZERO, RF_ZERO), qx_eps, QXStepProbe(RF_ONE, 1)),
+                qx_shared,
+                (Row(RF_X, ((0, False),)), Row(half, ((1, True),)), Row(RF_ONE, ((2, False),))),
+                (Use(qx_eps, 0, (False,)), Use(qx_eps, 1, (True,)), Use(qx_eps, 2, (False,))),
+            ),
+            [
+                CheckRecord(f, qx_eps, RF_X, *qx_shared[0], False),
+                CheckRecord(f, qx_eps, half, *qx_shared[1], True),
+                CheckRecord(f, qx_eps, RF_ONE, *qx_shared[2], False),
             ],
         ),
         (
@@ -365,43 +408,114 @@ def test_check_lines_match_kv_line():
     assert "fw=undef dist=undef" in want[2] and want[0].endswith("verdict=fail")
 
 
+def _renders_of(report) -> list:
+    """The values report's check records render, in render order: each
+    probe's w, fw unless undef, dist unless undef or fw itself, sep unless
+    w itself; each row's delta; each use's eps unless it is the previous
+    use's object."""
+    out = []
+    for w, fw, dist, sep in report.probes:
+        out += [w] + [fw] * (fw is not None) + [dist] * (dist is not None and dist is not fw)
+        out += [sep] * (sep is not w)
+    out += [row.delta for row in report.rows]
+    for i, use in enumerate(report.uses):
+        if not i or use.eps is not report.uses[i - 1].eps:
+            out.append(use.eps)
+    return out
+
+
 def test_each_probe_row_and_epsilon_is_rendered_once(monkeypatch):
-    tails, rendered = [], []
-    probe_tail, render = transcript._probe_tail, transcript.render_elem
-    monkeypatch.setattr(transcript, "_probe_tail", lambda p: tails.append(p) or probe_tail(p))
-    monkeypatch.setattr(transcript, "render_elem", lambda e: rendered.append(e) or render(e))
-    cert = VerifierCert(LimitClaim(StepQ(), F(1), F(1)), ConstRule(F(1, 4)), "")
-    for report in [r for r, _ in _report_cases()] + [
-        check_verifier(cert, default_eps_schedule(Field.Q, 8), 1),
+    # a report's values go through the one renderer of its claim's field,
+    # and a value object the record repeats is rendered once
+    rendered = []
+    for name in ("render_rat", "render_elem"):
+        render = getattr(transcript, name)
+        spy = lambda e, name=name, render=render: rendered.append((name, e)) or render(e)
+        monkeypatch.setattr(transcript, name, spy)
+    reports = [r for r, _ in _report_cases()] + [
+        check_verifier(
+            VerifierCert(LimitClaim(StepQ(), F(1), F(1)), ConstRule(F(1, 4)), ""),
+            default_eps_schedule(Field.Q, 8),
+            1,
+        ),
         check_falsifier(
             FalsifierCert(LimitClaim(StepQ(), F(0), F(1)), F(1, 2), QStepProbe(F(5, 7))),
             [F(1), F(1, 2), F(1, 2)],
         ),
-    ]:
-        tails.clear()
+        check_verifier(
+            VerifierCert(LimitClaim(Identity(Field.QX), RF_ZERO, RF_ZERO), ConstRule(RF_X), ""),
+            default_eps_schedule(Field.QX, 4),
+            1,
+        ),
+        check_falsifier(
+            FalsifierCert(LimitClaim(Identity(Field.QX), RF_ZERO, RF_ONE), RF_X, QXStepProbe(RF_ONE, 1)),
+            default_delta_schedule(Field.QX, 3),
+        ),
+    ]
+    reused = {"sep is w": 0, "dist is fw": 0, "eps repeated": 0}
+    for report in reports:
         rendered.clear()
         lines = transcript._check_lines(1, report)
         assert len(lines) == report.checks == len(report.records)
-        assert tails == list(report.probes)
-        values = sum(4 if p.fw is not None else 2 for p in report.probes)
-        assert len(rendered) == values + len(report.rows) + len(report.uses)
+        want = _renders_of(report)
+        name = "render_rat" if report.cert.claim.field is Field.Q else "render_elem"
+        assert [n for n, _ in rendered] == [name] * len(want)
+        assert all(e is v for (_, e), v in zip(rendered, want))
+        reused["sep is w"] += sum(p.sep is p.w for p in report.probes)
+        reused["dist is fw"] += sum(p.dist is p.fw for p in report.probes if p.fw is not None)
+        reused["eps repeated"] += sum(a.eps is b.eps for a, b in zip(report.uses, report.uses[1:]))
+    # the reports hold every kind of reuse, so these counts are not vacuous
+    assert all(reused.values()), reused
 
 
 def test_check_line_refuses_a_value_with_a_space(monkeypatch):
     # a rendered value with a space in it would split into two fields when
     # the line is parsed back: the epsilon's head, the row's delta and the
-    # probe's tail each refuse one
-    cert = VerifierCert(LimitClaim(StepQ(), F(0), F(0)), ConstRule(F(1)), "")
-    probe = Probe(F(1, 7), F(1, 2), F(1, 2), F(1, 7))
-    report = RefereeReport(cert, (probe,), (Row(F(1, 5), ((0, True),)),), (Use(F(1, 3), 0, (True,)),))
-    assert transcript._check_lines(1, report)
-    render = transcript.render_elem
-    for spaced, piece in [
-        (F(1, 3), "check claim=1 kind=verifier eps="),
-        (F(1, 5), " delta="),
-        (F(1, 7), " w="),
-    ]:
-        spaced_render = lambda e, spaced=spaced: "1 /3" if e == spaced else render(e)
-        monkeypatch.setattr(transcript, "render_elem", spaced_render)
-        with pytest.raises(ValueError, match="contains a space: '" + re.escape(piece)):
-            transcript._check_lines(1, report)
+    # probe's tail each refuse one, through the renderer of the field
+    c = lambda n: rf_const(F(1, n))
+    cases = [
+        (
+            "render_rat",
+            VerifierCert(LimitClaim(StepQ(), F(0), F(0)), ConstRule(F(1)), ""),
+            (F(1, 3), F(1, 5), Probe(F(1, 7), F(1, 2), F(1, 2), F(1, 7))),
+        ),
+        (
+            "render_elem",
+            VerifierCert(LimitClaim(Identity(Field.QX), RF_ZERO, RF_ZERO), ConstRule(RF_ONE), ""),
+            (c(3), c(5), Probe(c(7), c(2), c(2), c(7))),
+        ),
+    ]
+    for name, cert, (eps, delta, probe) in cases:
+        report = RefereeReport(cert, (probe,), (Row(delta, ((0, True),)),), (Use(eps, 0, (True,)),))
+        assert transcript._check_lines(1, report)
+        render = getattr(transcript, name)
+        for spaced, piece in [
+            (eps, "check claim=1 kind=verifier eps="),
+            (delta, " delta="),
+            (probe.w, " w="),
+        ]:
+            spaced_render = lambda e, spaced=spaced: "1 /3" if e == spaced else render(e)
+            monkeypatch.setattr(transcript, name, spaced_render)
+            with pytest.raises(ValueError, match="contains a space: '" + re.escape(piece)):
+                transcript._check_lines(1, report)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("field", [Field.Q, Field.QX])
+def test_check_line_past_the_digit_limit_is_refused(field):
+    # a value whose text would hold an int past the interpreter's
+    # int-to-text digit limit refuses the report, in either field
+    limit = digit_limit()
+    if not limit:
+        pytest.skip("this interpreter has no int-to-text digit limit")
+    big = F(10**limit, 3)  # a numerator of limit + 1 digits
+    if field is Field.Q:
+        cert = VerifierCert(LimitClaim(StepQ(), F(0), F(0)), ConstRule(F(1)), "")
+        probe = Probe(F(1, 7), big, big, F(1, 7))
+    else:
+        cert = VerifierCert(LimitClaim(Identity(Field.QX), RF_ZERO, RF_ZERO), ConstRule(RF_ONE), "")
+        probe = Probe(RF_X, rf_const(big), rf_const(big), RF_X)
+    report = RefereeReport(cert, (probe,), (Row(probe.sep, ((0, True),)),), (Use(probe.sep, 0, (True,)),))
+    with pytest.raises(ResourceError) as refused:
+        Transcript().add_report(report)
+    assert str(refused.value) == str(too_long())
