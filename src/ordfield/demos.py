@@ -82,9 +82,12 @@ def run(name: str, header: list, steps, out) -> int:
     code: 0 when every report and outcome passed, else 1.  Every step
     runs, so each failing record is in the transcript.  Each step's lines
     go to out as soon as it is refereed, and its report is dropped, so the
-    run holds about one report at a time.  The verifiers of the run share
-    one probe table, which builds the offsets of each (field, level) once
-    and is dropped when the run returns."""
+    run holds about one report at a time.  The counts of the summary are
+    the ones Transcript.add_report returns as it writes each report, with
+    the checks of each passing use as one block; claims are numbered by
+    their text.  The verifiers of the run share one probe table, which
+    builds the offsets of each (field, level) once and is dropped when
+    the run returns."""
     tr = Transcript()
     table: dict = {}
     tr.header([("demo", name)] + header)
@@ -100,9 +103,8 @@ def run(name: str, header: list, steps, out) -> int:
                 report = check_falsifier(step.cert, step.schedule)
             else:
                 report = check_verifier(step.cert, step.schedule, step.budget, table)
-            tr.add_report(report)
-            checks += report.checks
-            ok = report.passed
+            n, ok = tr.add_report(report)
+            checks += n
             del report
         out.write(tr.render())
         verdict = verdict and ok

@@ -92,11 +92,13 @@ def parse_kv_line(line: str) -> tuple[str, dict[str, str]]:
 
 class Transcript:
     """Numbers claims across a run and holds the record lines added since
-    the last `render`, which hands them out and forgets them."""
+    the last `render`, which hands them out and forgets them.  A claim is
+    numbered by the text of its record after `id=`, so a repeated claim
+    keeps its first id and the map holds no claim object."""
 
     def __init__(self):
         self._lines: list[str] = []
-        self._claim_ids: dict[LimitClaim, int] = {}
+        self._claim_ids: dict[str, int] = {}
 
     def add(self, kind: str, pairs: list[tuple[str, object]]) -> None:
         self._lines.append(kv_line(kind, pairs))
@@ -105,30 +107,30 @@ class Transcript:
         self.add("header", [("tool", TOOL), ("version", VERSION)] + pairs)
 
     def claim_id(self, claim: LimitClaim) -> int:
-        cid = self._claim_ids.get(claim)
+        pairs = [
+            ("field", claim.field),
+            ("fn", render_name(claim.fn)),
+            ("point", claim.point),
+            ("candidate", claim.candidate),
+        ]
+        text = kv_line("claim", pairs).partition(" ")[2]
+        cid = self._claim_ids.get(text)
         if cid is None:
-            cid = len(self._claim_ids) + 1
-            self._claim_ids[claim] = cid
-            self.add(
-                "claim",
-                [
-                    ("id", cid),
-                    ("field", claim.field),
-                    ("fn", render_name(claim.fn)),
-                    ("point", claim.point),
-                    ("candidate", claim.candidate),
-                ],
-            )
+            cid = self._claim_ids[text] = len(self._claim_ids) + 1
+            self._lines.append(f"claim id={cid} {text}")
         return cid
 
-    def add_report(self, report: RefereeReport) -> None:
+    def add_report(self, report: RefereeReport) -> tuple[int, bool]:
+        """Add report's cert, check and report records; return its number
+        of checks and whether it passed, counted as its lines are built."""
         cert = report.cert
         cid = self.claim_id(cert.claim)
         head = [("claim", cid), ("kind", cert.KIND)]
         self.add("cert", head + cert.record_pairs())
-        self._lines.extend(_check_lines(cid, report))
-        tail = [("tag", cert.TAG), ("checks", report.checks), ("verdict", report.passed)]
-        self.add("report", head + tail)
+        blocks, checks, passed = _check_lines(cid, report)
+        self._lines.extend(blocks)
+        self.add("report", head + [("tag", cert.TAG), ("checks", checks), ("verdict", passed)])
+        return checks, passed
 
     def summary(self, demo: str, checks: int, exit_code: int, verdict: bool) -> None:
         self.add(
@@ -151,29 +153,47 @@ class Transcript:
 _VERDICT = (" verdict=fail", " verdict=pass")
 
 
-def _check_lines(cid: int, report: RefereeReport) -> list[str]:
-    """The `check` records of report, one per (use, probe of its row): the
-    bytes kv_line("check", ...) gives for the fields claim, kind, eps,
-    delta, w, fw, dist, sep, verdict.  Values are rendered by the one
-    renderer of the claim's field: render_rat in Q, render_elem in Q(x).
-    Each probe's tail and each row's delta are rendered once, and an eps
-    once per run of uses that hold that same object: every use of a
-    falsifier holds its one epsilon."""
+def _check_lines(cid: int, report: RefereeReport) -> tuple[list[str], int, bool]:
+    """The `check` records of report, one per (use, probe of its row), as
+    text blocks of one or more lines with no final newline, with the
+    number of checks and whether report passed (it has a check and every
+    verdict passes).  The lines are the bytes kv_line("check", ...) gives
+    for the fields claim, kind, eps, delta, w, fw, dist, sep, verdict.
+    Values are rendered by the one renderer of the claim's field:
+    render_rat in Q, render_elem in Q(x).  Each probe's tail is rendered
+    once, each row's delta and its `delta + tail` pieces once, when a use
+    first needs that row, and an eps once per run of uses that hold that
+    same object: every use of a falsifier holds its one epsilon.  A use
+    whose verdicts all pass is one block, its pieces joined by the text
+    between them; a use with a fail is one block per line, and a use with
+    no probes writes nothing."""
     render = render_rat if report.cert.claim.field is Field.Q else render_elem
     tails = [_probe_tail(p, render) for p in report.probes]
-    deltas = [_guard(" delta=" + render(delta), 1) for delta, _ in report.rows]
-    lines = []
+    pieces: list = [None] * len(report.rows)
+    blocks = []
+    checks = 0
+    failed = False
     start = f"check claim={cid} kind={report.cert.KIND} eps="
     # no eps is None (the referee refuses one that is not positive), so
     # the first use renders its own
     last = head = None
     for eps, ri, verdicts in report.uses:
+        if not verdicts:
+            continue
+        checks += len(verdicts)
         if eps is not last:
             last, head = eps, _guard(start + render(eps), 3)
-        pairs = report.rows[ri].probes
-        row_head = head + deltas[ri]
-        lines.extend([row_head + tails[i] + _VERDICT[ok] for (i, _), ok in zip(pairs, verdicts)])
-    return lines
+        row = pieces[ri]
+        if row is None:
+            delta, pairs = report.rows[ri]
+            delta_s = _guard(" delta=" + render(delta), 1)
+            row = pieces[ri] = [delta_s + tails[i] for i, _ in pairs]
+        if all(verdicts):
+            blocks.append(head + (" verdict=pass\n" + head).join(row) + " verdict=pass")
+        else:
+            failed = True
+            blocks.extend([head + piece + _VERDICT[ok] for piece, ok in zip(row, verdicts)])
+    return blocks, checks, checks > 0 and not failed
 
 
 def _probe_tail(p: Probe, render) -> str:

@@ -1,4 +1,6 @@
+import gc
 import re
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -79,6 +81,42 @@ def test_transcript_claim_ids_deduplicate():
     other = LimitClaim(StepQ(), F(1), F(1))
     assert tr.claim_id(other) == 2
     assert sum(1 for ln in tr.render().splitlines() if ln.startswith("claim ")) == 2
+
+
+def test_an_equal_but_distinct_claim_keeps_its_first_id():
+    # claims are numbered by their text, so an equal claim built anew is
+    # the same claim: its first id, one claim line
+    tr = Transcript()
+    first, again = (LimitClaim(StepQ(), F(1, 3), F(1)) for _ in range(2))
+    assert first is not again and first == again
+    assert tr.claim_id(first) == 1
+    assert tr.claim_id(again) == 1
+    assert tr.render() == "claim id=1 field=q fn=step_q point=1/3 candidate=1\n"
+
+
+def test_the_same_claim_in_two_fields_gets_two_ids():
+    # identity at 0 reads point=0 candidate=0 in both fields; the field
+    # is part of the text a claim is numbered by
+    tr = Transcript()
+    assert tr.claim_id(LimitClaim(Identity(Field.Q), F(0), F(0))) == 1
+    assert tr.claim_id(LimitClaim(Identity(Field.QX), RF_ZERO, RF_ZERO)) == 2
+    assert tr.render() == (
+        "claim id=1 field=q fn=identity point=0 candidate=0\n"
+        "claim id=2 field=qx fn=identity point=0 candidate=0\n"
+    )
+
+
+def test_a_numbered_claim_is_not_kept():
+    # the transcript keeps a claim's text, not the claim: a deep run's
+    # claims are collected once their reports are written
+    tr = Transcript()
+    claim = LimitClaim(StepQ(), F(2, 3), F(1))
+    ref = weakref.ref(claim)
+    assert tr.claim_id(claim) == 1
+    del claim
+    gc.collect()
+    assert ref() is None
+    assert tr.claim_id(LimitClaim(StepQ(), F(2, 3), F(1))) == 1
 
 
 def test_render_hands_out_each_line_once():
@@ -382,57 +420,87 @@ def _report_cases():
     ]
 
 
+def _kv_check_lines(records) -> list[str]:
+    """records as claim 1's check lines, by the general record renderer."""
+    return [
+        kv_line(
+            "check",
+            [
+                ("claim", 1),
+                ("kind", r.kind),
+                ("eps", r.eps),
+                ("delta", r.delta),
+                ("w", r.w),
+                ("fw", r.fw),
+                ("dist", r.dist),
+                ("sep", r.sep),
+                ("verdict", r.ok),
+            ],
+        )
+        for r in records
+    ]
+
+
 def test_check_lines_match_kv_line():
     # a pass, a fail and an undef record in each field, rendered by
     # add_report and by the general record renderer
     for report, records in _report_cases():
         assert report.records == tuple(records)
-        want = [
-            kv_line(
-                "check",
-                [
-                    ("claim", 1),
-                    ("kind", r.kind),
-                    ("eps", r.eps),
-                    ("delta", r.delta),
-                    ("w", r.w),
-                    ("fw", r.fw),
-                    ("dist", r.dist),
-                    ("sep", r.sep),
-                    ("verdict", r.ok),
-                ],
-            )
-            for r in records
-        ]
+        want = _kv_check_lines(records)
         assert _check_lines(report) == want
     assert "fw=undef dist=undef" in want[2] and want[0].endswith("verdict=fail")
 
 
-def _renders_of(report) -> list:
-    """The values report's check records render, in render order: each
-    probe's w, fw unless undef, dist unless undef or fw itself, sep unless
-    w itself; each row's delta; each use's eps unless it is the previous
-    use's object."""
-    out = []
-    for w, fw, dist, sep in report.probes:
-        out += [w] + [fw] * (fw is not None) + [dist] * (dist is not None and dist is not fw)
-        out += [sep] * (sep is not w)
-    out += [row.delta for row in report.rows]
-    for i, use in enumerate(report.uses):
-        if not i or use.eps is not report.uses[i - 1].eps:
-            out.append(use.eps)
-    return out
+def test_a_row_that_passes_then_fails_renders_each_line():
+    # the row's pieces are built for its first use, which passes and is
+    # one block; a later use of the same row holds one fail and is
+    # written line by line from the same pieces, and a passing use after
+    # it is one block again
+    claim = LimitClaim(StepQ(), F(0), F(0))
+    probes = (Probe(F(1, 7), F(1, 2), F(1, 2), F(1, 7)), Probe(F(-1, 9), F(0), F(0), F(1, 9)))
+    report = RefereeReport(
+        VerifierCert(claim, ConstRule(F(1, 4)), ""),
+        probes,
+        (Row(F(1, 4), ((0, True), (1, True))),),
+        (Use(F(1), 0, (True, True)), Use(F(1, 2), 0, (False, True)), Use(F(1, 3), 0, (True, True))),
+    )
+    want = _kv_check_lines(report.records)
+    assert [ln.endswith("verdict=fail") for ln in want] == [False, False, True, False, False, False]
+    blocks, checks, passed = transcript._check_lines(1, report)
+    assert len(blocks) == 4 and "\n".join(blocks).split("\n") == want
+    assert (checks, passed) == (6, False) == (report.checks, report.passed)
+    assert _check_lines(report) == want
 
 
-def test_each_probe_row_and_epsilon_is_rendered_once(monkeypatch):
-    # a report's values go through the one renderer of its claim's field,
-    # and a value object the record repeats is rendered once
-    rendered = []
-    for name in ("render_rat", "render_elem"):
-        render = getattr(transcript, name)
-        spy = lambda e, name=name, render=render: rendered.append((name, e)) or render(e)
-        monkeypatch.setattr(transcript, name, spy)
-    reports = [r for r, _ in _report_cases()] + [
+def test_a_use_with_no_probes_writes_no_line():
+    # a row with no probe in it gives its use no verdict: no check line
+    # and no check, so a report of only such a use does not pass
+    claim = LimitClaim(StepQ(), F(0), F(0))
+    cert = VerifierCert(claim, ConstRule(F(1, 4)), "")
+    probe = Probe(F(1, 7), F(1, 2), F(1, 2), F(1, 7))
+    rows = (Row(F(1, 4), ()), Row(F(1, 8), ((0, True),)))
+    empty = RefereeReport(cert, (probe,), rows, (Use(F(1), 0, ()),))
+    assert transcript._check_lines(1, empty) == ([], 0, False)
+    tr = Transcript()
+    assert tr.add_report(empty) == (0, False) == (empty.checks, empty.passed)
+    assert [ln for ln in tr.render().splitlines() if ln.startswith(("check ", "report "))] == [
+        "report claim=1 kind=verifier tag=evidence checks=0 verdict=fail"
+    ]
+    mixed = RefereeReport(cert, (probe,), rows, (Use(F(1), 0, ()), Use(F(1, 2), 1, (True,))))
+    assert tr.add_report(mixed) == (1, True) == (mixed.checks, mixed.passed)
+    assert _check_lines(mixed) == _kv_check_lines(mixed.records)
+
+
+def test_add_report_counts_what_the_report_counts():
+    # the counts the writer returns are the report's own, on hand-built
+    # reports and on reports from the referee in both fields
+    for report in [r for r, _ in _report_cases()] + _refereed_reports():
+        assert Transcript().add_report(report) == (report.checks, report.passed)
+
+
+def _refereed_reports() -> list[RefereeReport]:
+    """A verifier and a falsifier report from the referee in each field."""
+    return [
         check_verifier(
             VerifierCert(LimitClaim(StepQ(), F(1), F(1)), ConstRule(F(1, 4)), ""),
             default_eps_schedule(Field.Q, 8),
@@ -452,11 +520,41 @@ def test_each_probe_row_and_epsilon_is_rendered_once(monkeypatch):
             default_delta_schedule(Field.QX, 3),
         ),
     ]
+
+
+def _renders_of(report) -> list:
+    """The values report's check records render, in render order: each
+    probe's w, fw unless undef, dist unless undef or fw itself, sep unless
+    w itself; then, use by use, its eps unless it is the previous use's
+    object, and its row's delta unless an earlier use holds that row."""
+    out = []
+    for w, fw, dist, sep in report.probes:
+        out += [w] + [fw] * (fw is not None) + [dist] * (dist is not None and dist is not fw)
+        out += [sep] * (sep is not w)
+    for i, use in enumerate(report.uses):
+        if not i or use.eps is not report.uses[i - 1].eps:
+            out.append(use.eps)
+        if all(use.row != u.row for u in report.uses[:i]):
+            out.append(report.rows[use.row].delta)
+    return out
+
+
+def test_each_probe_row_and_epsilon_is_rendered_once(monkeypatch):
+    # a report's values go through the one renderer of its claim's field,
+    # and a value object the record repeats is rendered once
+    rendered = []
+    for name in ("render_rat", "render_elem"):
+        render = getattr(transcript, name)
+        spy = lambda e, name=name, render=render: rendered.append((name, e)) or render(e)
+        monkeypatch.setattr(transcript, name, spy)
+    reports = [r for r, _ in _report_cases()] + _refereed_reports()
     reused = {"sep is w": 0, "dist is fw": 0, "eps repeated": 0}
     for report in reports:
         rendered.clear()
-        lines = transcript._check_lines(1, report)
-        assert len(lines) == report.checks == len(report.records)
+        blocks, checks, passed = transcript._check_lines(1, report)
+        lines = "\n".join(blocks).split("\n")
+        assert len(lines) == checks == report.checks == len(report.records)
+        assert passed == report.passed
         want = _renders_of(report)
         name = "render_rat" if report.cert.claim.field is Field.Q else "render_elem"
         assert [n for n, _ in rendered] == [name] * len(want)
@@ -487,7 +585,7 @@ def test_check_line_refuses_a_value_with_a_space(monkeypatch):
     ]
     for name, cert, (eps, delta, probe) in cases:
         report = RefereeReport(cert, (probe,), (Row(delta, ((0, True),)),), (Use(eps, 0, (True,)),))
-        assert transcript._check_lines(1, report)
+        assert transcript._check_lines(1, report)[0]
         render = getattr(transcript, name)
         for spaced, piece in [
             (eps, "check claim=1 kind=verifier eps="),
