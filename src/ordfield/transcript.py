@@ -155,18 +155,15 @@ _VERDICT = (" verdict=fail", " verdict=pass")
 
 def _check_lines(cid: int, report: RefereeReport) -> tuple[list[str], int, bool]:
     """The `check` records of report, one per (use, probe of its row), as
-    text blocks of one or more lines with no final newline, with the
-    number of checks and whether report passed (it has a check and every
-    verdict passes).  The lines are the bytes kv_line("check", ...) gives
-    for the fields claim, kind, eps, delta, w, fw, dist, sep, verdict.
-    Values are rendered by the one renderer of the claim's field:
-    render_rat in Q, render_elem in Q(x).  Each probe's tail is rendered
-    once, each row's delta and its `delta + tail` pieces once, when a use
-    first needs that row, and an eps once per run of uses that hold that
-    same object: every use of a falsifier holds its one epsilon.  A use
-    whose verdicts all pass is one block, its pieces joined by the text
-    between them; a use with a fail is one block per line, and a use with
-    no probes writes nothing."""
+    blocks of lines with no final newline; the number of checks; and
+    whether report passed (a check, and no verdict fails).  The lines are
+    the bytes kv_line("check", ...) gives for the fields claim, kind, eps,
+    delta, w, fw, dist, sep, verdict, each value rendered by the claim
+    field's one renderer (render_rat in Q, render_elem in Q(x)): a probe's
+    tail once, a row's delta and `delta + tail` pieces once, when a use
+    first needs the row, and an eps once per run of uses that hold that
+    same object, so once per falsifier.  A use whose verdicts all pass is
+    one block, a use with a fail one block per line."""
     render = render_rat if report.cert.claim.field is Field.Q else render_elem
     tails = [_probe_tail(p, render) for p in report.probes]
     pieces: list = [None] * len(report.rows)
