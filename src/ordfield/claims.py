@@ -114,11 +114,11 @@ class Probe(NamedTuple):
 
 
 class Row(NamedTuple):
-    """A delta and its probes, as (probe index, in_ball) pairs with
-    in_ball = fw is not None and 0 < sep < delta."""
+    """A delta and the indices of its probes; whether each probe is
+    in_ball (fw is not None and 0 < sep < delta) lives in the verdicts."""
 
     delta: object
-    probes: tuple[tuple[int, bool], ...]
+    probes: tuple[int, ...]
 
 
 class Use(NamedTuple):
@@ -132,11 +132,11 @@ class Use(NamedTuple):
 
 class RefereeReport(Value):
     """The checks of one certificate in the shape the referee does them:
-    each distinct probe once, each distinct delta once as a row that
-    decides which probes lie in its punctured ball, and one use per
-    schedule entry, in schedule order.  A verifier verdict is
-    in_ball and dist < eps, a falsifier verdict in_ball and dist >= eps.
-    `records` spells the report out as one CheckRecord per check."""
+    each distinct probe once, each distinct delta once as a row of probe
+    indices, and one use per schedule entry, in schedule order.  A
+    verifier verdict is in_ball and dist < eps, a falsifier verdict
+    in_ball and dist >= eps (in_ball: see Row).  `records` spells the
+    report out as one CheckRecord per check."""
 
     FIELDS = ("cert", "probes", "rows", "uses")
 
@@ -153,8 +153,8 @@ class RefereeReport(Value):
         out = []
         kind = self.cert.KIND
         for eps, ri, verdicts in self.uses:
-            delta, pairs = self.rows[ri]
-            for (i, _), ok in zip(pairs, verdicts):
+            delta, indices = self.rows[ri]
+            for i, ok in zip(indices, verdicts):
                 out.append(CheckRecord(kind, eps, delta, *self.probes[i], ok))
         return tuple(out)
 
@@ -217,9 +217,9 @@ def check_verifier(
     depth or valuation share levels.  Each distinct delta becomes one row,
     whose in-ball tests are decided in one batch: a ConstRule, or a
     LinearCapRule once its cap binds, gives the same delta for many
-    epsilons.  Each epsilon then decides dist < eps on its row in one
-    batch.  A delta that is not positive is refused before its probes are
-    built."""
+    epsilons.  The outcomes are kept only in the row's dist keys, None
+    outside the ball, which each epsilon reads in one batch.  A delta that
+    is not positive is refused before its probes are built."""
     claim = cert.claim
     fld = claim.field
     if not eps_schedule:
@@ -229,7 +229,7 @@ def check_verifier(
     key, below = _order(claim.point)
     ends = claim.fn, claim.point or None, claim.candidate or None  # see _probe
     probes: list[Probe] = []
-    keys: list[tuple] = []  # per probe: its (in-ball key, dist key)
+    ball_keys, dist_keys = [], []  # per probe: its in-ball key, its dist key
     levels: dict[int, range] = {}  # level -> indices of its probes
     rows: list[Row] = []
     row_dists: list[list] = []  # per row: the dist key of each probe in its ball, else None
@@ -253,21 +253,22 @@ def check_verifier(
                     for offset, sep, sep_key in _level(table, key, fld, level):
                         probe, ball_key, dist_key = _probe(ends, key, offset, sep, sep_key)
                         probes.append(probe)
-                        keys.append((ball_key, dist_key))
+                        ball_keys.append(ball_key)
+                        dist_keys.append(dist_key)
                     idx = levels[level] = range(start, len(probes))
                 indices.extend(idx)
-            in_ball = below([keys[i][0] for i in indices], delta)
-            rows.append(tuple.__new__(Row, (delta, tuple(zip(indices, in_ball)))))
-            row_dists.append([keys[i][1] if ib else None for i, ib in zip(indices, in_ball)])
+            in_ball = below([ball_keys[i] for i in indices], delta)
+            rows.append(tuple.__new__(Row, (delta, tuple(indices))))
+            row_dists.append([dist_keys[i] if ib else None for i, ib in zip(indices, in_ball)])
         uses.append(tuple.__new__(Use, (eps, ri, tuple(below(row_dists[ri], eps)))))
     return RefereeReport(cert, tuple(probes), tuple(rows), tuple(uses))
 
 
 def check_falsifier(cert: FalsifierCert, delta_schedule) -> RefereeReport:
     """Challenge the witness rule on every delta in the schedule: the
-    produced point must sit inside the punctured ball and miss the
-    candidate by at least epsilon.  Each delta is a row of one probe, its
-    witness; the misses of all witnesses are decided in one batch."""
+    witness must lie in the punctured ball and miss the candidate by at
+    least epsilon.  Each delta is a row of its witness, which fails when
+    its dist key is None: outside the ball or off fn's domain."""
     claim = cert.claim
     eps = cert.epsilon
     if sign_of(eps) <= 0:
@@ -287,13 +288,12 @@ def check_falsifier(cert: FalsifierCert, delta_schedule) -> RefereeReport:
             raise DomainError("delta schedule must be strictly positive")
         offset = rule.witness_for(delta)
         probe, ball_key, dist_key = _probe(ends, key, offset, *_sep(key, offset))
-        (in_ball,) = below([ball_key], delta)
-        rows.append(tuple.__new__(Row, (delta, ((len(probes), in_ball),))))
-        dists.append(dist_key if in_ball else None)
+        rows.append(tuple.__new__(Row, (delta, (len(probes),))))
+        dists.append(dist_key if below([ball_key], delta)[0] else None)
         probes.append(probe)
     uses = [
-        tuple.__new__(Use, (eps, ri, (row.probes[0][1] and not near,)))
-        for ri, (row, near) in enumerate(zip(rows, below(dists, eps)))
+        tuple.__new__(Use, (eps, ri, (dist is not None and not near,)))
+        for ri, (dist, near) in enumerate(zip(dists, below(dists, eps)))
     ]
     return RefereeReport(cert, tuple(probes), tuple(rows), tuple(uses))
 
@@ -380,12 +380,14 @@ def _probe(ends: tuple, key, offset, sep, sep_key) -> tuple[Probe, object, objec
     return tuple.__new__(Probe, (w, fw, dist, sep)), sep_key, key(dist)
 
 
-def _refuse_too_deep(depth: int) -> None:
-    """Refuse a schedule depth before its schedule is built when it passes
-    the deepest k whose 2**k prints within the interpreter's digit limit
-    for int-to-text conversion (0: no limit).  A Q schedule past it could
-    never be printed; a Q(x) delta schedule, whose size grows with the
-    depth, is held to the same bound."""
+def _refuse_depth(depth: int, kind: str) -> None:
+    """Refuse a schedule depth before its schedule is built: a negative
+    one, whose schedule is empty, or one past the deepest k whose 2**k
+    prints within the interpreter's digit limit for int-to-text conversion
+    (0: no limit), which a Q schedule could never print; a Q(x) delta
+    schedule, whose size grows with the depth, is held to the same bound."""
+    if depth < 0:
+        raise DomainError(f"{kind} schedule is empty")
     limit = digit_limit()
     deepest = (10**limit).bit_length() - 1
     if limit and depth > deepest:
@@ -396,14 +398,14 @@ def _refuse_too_deep(depth: int) -> None:
 
 def default_eps_schedule(field: Field, depth: int = DEFAULT_EPS_DEPTH) -> list:
     """{2**-k : k = 0..depth} as elements of the field."""
-    _refuse_too_deep(depth)
+    _refuse_depth(depth, "epsilon")
     return [from_rat(field, pow2(-k)) for k in range(depth + 1)]
 
 
 def default_delta_schedule(field: Field, depth: int) -> list:
     """Q: {2**-k : k = 0..depth}; QX: {x**m * 2**-k : m = 0..depth,
     k in {0, 64}}, stressing Archimedean depth and infinitesimal order."""
-    _refuse_too_deep(depth)
+    _refuse_depth(depth, "delta")
     if field is Field.Q:
         return [pow2(-k) for k in range(depth + 1)]
     units = (pow2(0), pow2(-64))

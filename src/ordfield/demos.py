@@ -115,11 +115,11 @@ def run(name: str, header: list, steps, out) -> int:
 
 
 def _demo(make_steps):
-    """Make a demo out of a generator function that first yields the
-    demo's header pairs and then its steps, and add its name, the
-    function's name without `demo_`, to DEMOS.  The demo takes the same
-    arguments and the keyword-only sink `out`, runs the steps into out
-    and returns the exit code."""
+    """Make a demo out of a generator function that yields the demo's
+    header pairs once its schedules are built, then its steps, and add
+    its name, the function's name without `demo_`, to DEMOS.  The demo
+    takes the same arguments and the keyword-only sink `out`, runs the
+    steps into out and returns the exit code."""
     name = make_steps.__name__.removeprefix("demo_")
     DEMOS.append(name)
 
@@ -225,8 +225,8 @@ def demo_dlim(
     force) is refuted at every challenged delta."""
     if delta_depth is None:
         delta_depth = DEFAULT_DELTA_DEPTH[field]
-    yield _header(field, eps_depth, delta_depth)
     eps_full, eps_short, deltas = _schedules(field, eps_depth, delta_depth)
+    yield _header(field, eps_depth, delta_depth)
     f, env_rule, env_note, samples, refute_eps, witness = _ROW[field]
     zero = field_zero(field)
 
@@ -283,6 +283,7 @@ def demo_mvt(
         raise DomainError(
             f"at most {MAX_MVT_POINTS} distinct interior points exist, asked for {points}"
         )
+    eps_schedule = default_eps_schedule(Field.Q, eps_depth)
     yield [
         ("field", Field.Q),
         ("eps-depth", eps_depth),
@@ -290,7 +291,6 @@ def demo_mvt(
         ("points", points),
         ("seed", seed),
     ]
-    eps_schedule = default_eps_schedule(Field.Q, eps_depth)
     ind = IndicatorCut()
     a, b = Fraction(1), Fraction(2)
     fa, fb = evaluate(ind, a), evaluate(ind, b)
@@ -351,8 +351,8 @@ def demo_lhopital(
     refuted.  The pointwise textbook form is also checked — it holds for a
     smooth pair, as it must in any ordered field."""
     shown = candidate if candidate is not None else "0"
-    yield _header(Field.Q, eps_depth, delta_depth, tail=[("candidate", shown)])
     eps_full, eps_short, deltas = _schedules(Field.Q, eps_depth, delta_depth)
+    yield _header(Field.Q, eps_depth, delta_depth, tail=[("candidate", shown)])
     f, env_rule, _, samples, refute_eps, witness = _ROW[Field.Q]
     g = Identity(Field.Q)
     zero = Fraction(0)
@@ -407,8 +407,8 @@ def demo_taylor(
             "(the n = 1 case is a theorem of every ordered field)"
         )
     shown = candidate if candidate is not None else "0"
-    yield _header(Field.Q, eps_depth, delta_depth, [("n", n)], [("candidate", shown)])
     eps_full, eps_short, deltas = _schedules(Field.Q, eps_depth, delta_depth)
+    yield _header(Field.Q, eps_depth, delta_depth, [("n", n)], [("candidate", shown)])
     zero = Fraction(0)
     F = OuterSquareStep()
 

@@ -182,9 +182,9 @@ def _check_lines(cid: int, report: RefereeReport) -> tuple[list[str], int, bool]
             last, head = eps, _guard(start + render(eps), 3)
         row = pieces[ri]
         if row is None:
-            delta, pairs = report.rows[ri]
+            delta, indices = report.rows[ri]
             delta_s = _guard(" delta=" + render(delta), 1)
-            row = pieces[ri] = [delta_s + tails[i] for i, _ in pairs]
+            row = pieces[ri] = [delta_s + tails[i] for i in indices]
         if all(verdicts):
             blocks.append(head + (" verdict=pass\n" + head).join(row) + " verdict=pass")
         else:

@@ -545,7 +545,6 @@ def test_referee_matches_oracle_off_the_domain():
         for rep in (check_verifier(verifier, [eps], 0), check_falsifier(falsifier, [delta])):
             assert rep.records and not rep.passed
             assert all(r.fw is None and r.dist is None and not r.ok for r in rep.records)
-            assert not any(in_ball for row in rep.rows for _, in_ball in row.probes)
 
 
 def test_referee_matches_oracle_when_the_distance_equals_epsilon():
@@ -614,13 +613,13 @@ def test_records_are_spelled_out_from_uses_rows_and_probes():
     assert not rep.passed and any(r.ok for r in rep.records)
     records = iter(rep.records)
     for use in rep.uses:
-        delta, pairs = rep.rows[use.row]
-        assert len(pairs) == len(use.verdicts)
-        for (i, in_ball), ok in zip(pairs, use.verdicts):
+        delta, indices = rep.rows[use.row]
+        assert len(indices) == len(use.verdicts)
+        for i, ok in zip(indices, use.verdicts):
             r = next(records)
             assert (r.kind, r.eps, r.delta, r.ok) == ("verifier", use.eps, delta, ok)
             assert (r.w, r.fw, r.dist, r.sep) == rep.probes[i]
-            assert in_ball and ok == (r.dist < r.eps)
+            assert 0 < r.sep < r.delta and ok == (r.dist < r.eps)
     assert next(records, None) is None
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from ordfield.claims import default_delta_schedule, default_eps_schedule
-from ordfield import demos
+from ordfield import cli, demos
 from ordfield.cli import build_parser, main
 from ordfield.demos import MAX_MVT_POINTS, demo_dlim, demo_lhopital, demo_mvt, demo_taylor
 from ordfield.errors import DomainError, OrdFieldError, ResourceError
@@ -974,6 +974,61 @@ def test_refused_input_exits_2_with_one_line(argv, message, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"ordfield: {message}\n"
+
+
+_EMPTY_EPS = "epsilon schedule is empty"
+_EMPTY_DELTA = "delta schedule is empty"
+_Q_FALSIFIER = "cert kind=falsifier eps=1/2 witness=qstep(5/7)\n"
+
+
+class _RefusingSink:
+    """A sink whose first write fails the test."""
+
+    def write(self, text: str) -> None:
+        pytest.fail(f"wrote {text.split(' ', 1)[0]!r} before the run was refused")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(("demo", "dlim", "--eps-depth", "20000"), _too_deep(20_000), id="dlim-eps-deep"),
+        pytest.param(
+            ("demo", "dlim", "--field", "qx", "--delta-depth", "1000000"),
+            _too_deep(1_000_000),
+            id="dlim-qx-delta-deep",
+        ),
+        pytest.param(("demo", "dlim", "--eps-depth", "-1"), _EMPTY_EPS, id="dlim-eps-negative"),
+        pytest.param(("demo", "dlim", "--delta-depth", "-1"), _EMPTY_DELTA, id="dlim-delta-negative"),
+        pytest.param(("demo", "mvt", "--eps-depth", "-1"), _EMPTY_EPS, id="mvt-eps-negative"),
+        pytest.param(
+            ("demo", "lhopital", "--delta-depth", "-1"), _EMPTY_DELTA, id="lhopital-delta-negative"
+        ),
+        pytest.param(("demo", "taylor", "--eps-depth", "20000"), _too_deep(20_000), id="taylor-eps-deep"),
+        pytest.param(
+            ("claim", _Q_DIFFQ + _Q_FALSIFIER + "schedule kind=delta depth=-1\n"),
+            _EMPTY_DELTA,
+            id="claim-delta-negative",
+        ),
+        pytest.param(
+            ("claim", _Q_CLAIM + _Q_CERT + "schedule kind=eps depth=-1\n"),
+            _EMPTY_EPS,
+            id="claim-eps-negative",
+        ),
+    ],
+)
+def test_schedule_refusals_come_before_the_first_byte(argv, message, tmp_path, monkeypatch):
+    # each demo builds its schedules before it yields its header line, and
+    # a negative depth is refused where its schedule is built, so the run
+    # is refused before its sink sees a byte
+    if argv[0] == "claim":
+        path = tmp_path / "refused.claim"
+        path.write_text(argv[1], encoding="utf-8")
+        argv = ("claim", str(path))
+    args = build_parser().parse_args(argv)
+    run = cli._run_demo if args.command == "demo" else cli._run_claim
+    with pytest.raises(OrdFieldError) as refused:
+        run(args, _RefusingSink())
+    assert str(refused.value) == message
 
 
 def test_claim_file_diffq_off_the_domain_at_a_fails_every_check(tmp_path, capsys):

@@ -358,7 +358,7 @@ def _report_cases():
             RefereeReport(
                 VerifierCert(q_claim, LinearCapRule(F(1), F(1, 2)), ""),
                 q,
-                (Row(F(1, 8), ((0, True), (1, False))), Row(F(1, 2), ((2, False), (1, False)))),
+                (Row(F(1, 8), (0, 1)), Row(F(1, 2), (2, 1))),
                 (
                     Use(F(1, 4), 0, (True, False)),
                     Use(F(1, 64), 0, (False, False)),
@@ -378,7 +378,7 @@ def _report_cases():
             RefereeReport(
                 FalsifierCert(q_claim, q_eps, QStepProbe(F(5, 7))),
                 q_shared,
-                (Row(F(1, 4), ((0, True),)), Row(F(1, 4), ((1, True),)), Row(F(1, 8), ((2, True),))),
+                (Row(F(1, 4), (0,)), Row(F(1, 4), (1,)), Row(F(1, 8), (2,))),
                 (Use(q_eps, 0, (True,)), Use(q_eps, 1, (True,)), Use(q_eps, 2, (False,))),
             ),
             [
@@ -391,7 +391,7 @@ def _report_cases():
             RefereeReport(
                 FalsifierCert(LimitClaim(Identity(Field.QX), RF_ZERO, RF_ZERO), qx_eps, QXStepProbe(RF_ONE, 1)),
                 qx_shared,
-                (Row(RF_X, ((0, False),)), Row(half, ((1, True),)), Row(RF_ONE, ((2, False),))),
+                (Row(RF_X, (0,)), Row(half, (1,)), Row(RF_ONE, (2,))),
                 (Use(qx_eps, 0, (False,)), Use(qx_eps, 1, (True,)), Use(qx_eps, 2, (False,))),
             ),
             [
@@ -404,7 +404,7 @@ def _report_cases():
             RefereeReport(
                 FalsifierCert(qx_claim, RF_X, QXStepProbe(RF_ONE, -1)),
                 qx,
-                (Row(half, ((0, False),)), Row(half, ((1, True),)), Row(x_pow(3), ((2, False),))),
+                (Row(half, (0,)), Row(half, (1,)), Row(x_pow(3), (2,))),
                 (
                     Use(RF_X, 0, (False,)),
                     Use(x_pow(-1), 1, (True,)),
@@ -461,7 +461,7 @@ def test_a_row_that_passes_then_fails_renders_each_line():
     report = RefereeReport(
         VerifierCert(claim, ConstRule(F(1, 4)), ""),
         probes,
-        (Row(F(1, 4), ((0, True), (1, True))),),
+        (Row(F(1, 4), (0, 1)),),
         (Use(F(1), 0, (True, True)), Use(F(1, 2), 0, (False, True)), Use(F(1, 3), 0, (True, True))),
     )
     want = _kv_check_lines(report.records)
@@ -478,7 +478,7 @@ def test_a_use_with_no_probes_writes_no_line():
     claim = LimitClaim(StepQ(), F(0), F(0))
     cert = VerifierCert(claim, ConstRule(F(1, 4)), "")
     probe = Probe(F(1, 7), F(1, 2), F(1, 2), F(1, 7))
-    rows = (Row(F(1, 4), ()), Row(F(1, 8), ((0, True),)))
+    rows = (Row(F(1, 4), ()), Row(F(1, 8), (0,)))
     empty = RefereeReport(cert, (probe,), rows, (Use(F(1), 0, ()),))
     assert transcript._check_lines(1, empty) == ([], 0, False)
     tr = Transcript()
@@ -584,7 +584,7 @@ def test_check_line_refuses_a_value_with_a_space(monkeypatch):
         ),
     ]
     for name, cert, (eps, delta, probe) in cases:
-        report = RefereeReport(cert, (probe,), (Row(delta, ((0, True),)),), (Use(eps, 0, (True,)),))
+        report = RefereeReport(cert, (probe,), (Row(delta, (0,)),), (Use(eps, 0, (True,)),))
         assert transcript._check_lines(1, report)[0]
         render = getattr(transcript, name)
         for spaced, piece in [
@@ -613,7 +613,7 @@ def test_check_line_past_the_digit_limit_is_refused(field):
     else:
         cert = VerifierCert(LimitClaim(Identity(Field.QX), RF_ZERO, RF_ZERO), ConstRule(RF_ONE), "")
         probe = Probe(RF_X, rf_const(big), rf_const(big), RF_X)
-    report = RefereeReport(cert, (probe,), (Row(probe.sep, ((0, True),)),), (Use(probe.sep, 0, (True,)),))
+    report = RefereeReport(cert, (probe,), (Row(probe.sep, (0,)),), (Use(probe.sep, 0, (True,)),))
     with pytest.raises(ResourceError) as refused:
         Transcript().add_report(report)
     assert str(refused.value) == str(too_long())
