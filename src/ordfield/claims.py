@@ -367,16 +367,21 @@ def _probe(ends: tuple, key, offset, sep, sep_key) -> tuple[Probe, object, objec
     both keys are None when w is off fn's domain, which fails every check.
     A zero point or candidate is None in ends, tested once per report, and
     is not added or subtracted, which would only copy the other operand.
-    A nonnegative fn(w) - candidate is its own distance; only a negative
-    one is negated."""
+    An fn(w) that is the candidate object itself, as a locally constant fn
+    returns it, is at the zero of fn's field without a subtraction.  A
+    nonnegative fn(w) - candidate is its own distance; only a negative one
+    is negated."""
     fn, point, candidate = ends
     w = offset if point is None else point + offset
     try:
         fw = evaluate(fn, w)
     except DomainError:
         return tuple.__new__(Probe, (w, None, None, sep)), None, None
-    d = fw if candidate is None else fw - candidate
-    dist = -d if sign_of(d) < 0 else d
+    if fw is candidate:
+        dist = field_zero(fn.field)
+    else:
+        d = fw if candidate is None else fw - candidate
+        dist = -d if sign_of(d) < 0 else d
     return tuple.__new__(Probe, (w, fw, dist, sep)), sep_key, key(dist)
 
 

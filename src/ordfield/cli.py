@@ -8,7 +8,8 @@ Exit codes: 0 = all verdicts as expected, 1 = a verdict violation,
 2 = usage or parse error.  Transcripts go to stdout unless --transcript
 PATH is given; identical invocations produce byte-identical transcripts.
 A run that exits 2 writes no transcript: records wait in a spool until
-the run returns.
+the run returns, its first SPILL_CHARS characters in memory and the rest
+in a temporary file.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .literals import parse_elem
 from .transcript import VERSION, parse_claim_file
 
 USAGE_ERROR = 2
-# a spool past this many characters moves to a temporary file
+# a spool keeps this many characters in memory; the rest go to a temporary file
 SPILL_CHARS = 1 << 20
 
 # the arguments of `demo` that are not demo flags
@@ -85,8 +86,11 @@ def _lookup_demo(name: str):
 
 
 class _Spool:
-    """A text sink that keeps what it is given until `copy_to`: in memory
-    up to SPILL_CHARS at a time, the rest in an anonymous temporary file."""
+    """A text sink that keeps what it is given until `copy_to`.  The head,
+    the chunks that fit in SPILL_CHARS together, stays in memory; the
+    first chunk that does not fit, and every chunk after it, go to an
+    anonymous temporary file, so a transcript past SPILL_CHARS passes
+    through the disk only beyond its head."""
 
     def __init__(self):
         self.chunks: list[str] = []
@@ -94,23 +98,23 @@ class _Spool:
         self.file = None
 
     def write(self, text: str) -> None:
-        self.chunks.append(text)
-        self.size += len(text)
-        if self.size > SPILL_CHARS:
-            if self.file is None:
-                import tempfile
+        if self.file is None:
+            if self.size + len(text) <= SPILL_CHARS:
+                self.chunks.append(text)
+                self.size += len(text)
+                return
+            import tempfile
 
-                self.file = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
-            self.file.writelines(self.chunks)
-            self.chunks, self.size = [], 0
+            self.file = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+        self.file.write(text)
 
     def copy_to(self, dst) -> None:
+        dst.writelines(self.chunks)
         if self.file is not None:
             import shutil
 
             self.file.seek(0)
             shutil.copyfileobj(self.file, dst)
-        dst.writelines(self.chunks)
 
     def close(self) -> None:
         if self.file is not None:

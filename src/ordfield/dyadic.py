@@ -103,17 +103,28 @@ def cn_bounds(n: int, p: int) -> tuple[Fraction, Fraction]:
 
 def _sqrt2_gap(u: Fraction, lo_cut, hi_cut) -> Fraction:
     """The gap from u to the nearer of the cuts lo_cut * sqrt(2) < u <
-    hi_cut * sqrt(2) (None: no cut), measured on the first sandwich of
-    sqrt(2) of width 4**-j, j >= 1, that clears both cuts."""
+    hi_cut * sqrt(2) (None: no cut), measured on the first sandwich
+    sqrt2_bounds(h) = [m, m + 1] * 2**-h, h = 2, 4, 6, ..., that clears
+    both cuts.  Each h is tested on ints, m = isqrt(2 << 2h) against
+    u = p/q and a cut a/b: u > a/b * (m + 1) * 2**-h iff
+    p * b * 2**h > a * (m + 1) * q, as q, b > 0.  The bounds and the gap
+    are built as Fractions at the clearing h only."""
+    p, q = u.numerator, u.denominator
+    if lo_cut is not None:
+        pb, aq = p * lo_cut.denominator, lo_cut.numerator * q
+    if hi_cut is not None:
+        cq, pd = hi_cut.numerator * q, p * hi_cut.denominator
     h = 2
     while True:
-        lo, hi = sqrt2_bounds(h)
-        gaps = [] if lo_cut is None else [u - lo_cut * hi]
-        if hi_cut is not None:
-            gaps.append(hi_cut * lo - u)
-        if min(gaps) > 0:
-            return min(gaps)
+        m = isqrt(2 << 2 * h)
+        if (lo_cut is None or pb << h > aq * (m + 1)) and (hi_cut is None or cq * m > pd << h):
+            break
         h += 2
+    lo, hi = sqrt2_bounds(h)
+    gaps = [] if lo_cut is None else [u - lo_cut * hi]
+    if hi_cut is not None:
+        gaps.append(hi_cut * lo - u)
+    return min(gaps)
 
 
 def constancy_radius_q(t: Fraction) -> Fraction:

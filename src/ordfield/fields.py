@@ -73,8 +73,12 @@ class Value:
         return f"{type(self).__qualname__}({args})"
 
 
+# the zero of Q: a Fraction is immutable, so every call returns the same one
+_Q_ZERO = Fraction(0)
+
+
 def field_zero(field: Field):
-    return Fraction(0) if field is Field.Q else RF_ZERO
+    return _Q_ZERO if field is Field.Q else RF_ZERO
 
 
 def field_one(field: Field):

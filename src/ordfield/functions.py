@@ -260,7 +260,7 @@ class DiffQuotient(FieldFn):
     DomainError at a is not kept, and fails every h.  Whether a and f(a)
     are zero is tested once, beside f(a): a zero one is kept as None, and
     each h then skips adding or subtracting it, which would only copy the
-    other operand."""
+    other operand.  A locally constant f makes most quotients exactly 0."""
 
     FIELDS = ("f", "a")
     TAG = "diffq"
@@ -272,15 +272,19 @@ class DiffQuotient(FieldFn):
 
     @functools.cached_property
     def _fa(self) -> tuple:
-        """(a, f(a)), each None when it is zero."""
-        return self.a or None, evaluate(self.f, self.a) or None
+        """(a, f(a)), each None when it is zero, and the zero of f's field."""
+        return self.a or None, evaluate(self.f, self.a) or None, field_zero(self.field)
 
     def eval_at(self, h):
+        """(f(a+h) - f(a)) / h; when f(a+h) equals f(a), the quotient is
+        the field's zero, returned without a subtraction or a division."""
         if not h:
             raise DomainError("difference quotient needs h != 0")
-        a, fa = self._fa
+        a, fa, zero = self._fa
         fh = evaluate(self.f, h if a is None else a + h)
-        return (fh if fa is None else fh - fa) / h
+        if fa is None:
+            return fh / h if fh else zero
+        return zero if fh is fa or fh == fa else (fh - fa) / h
 
 
 # the three families of names: each maps a tag to its class

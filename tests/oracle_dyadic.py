@@ -9,13 +9,16 @@ before its one shifted-int test.  The sandwiches come
 from bisection and each constancy radius from its own loop, as before
 the library read them off one integer square root, so an off-by-one
 precision or a swapped cut in the shared radius routine shows too.
+`sqrt2_gap` is the shared routine's `Fraction` loop from before it
+tested each precision on ints: the ball search must stop at the same
+sandwich, and so give the same radius.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ordfield.dyadic import GREATER, LESS, OUTER_SCALE
+from ordfield.dyadic import GREATER, LESS, OUTER_SCALE, sqrt2_bounds
 from ordfield.errors import DomainError, IrrationalityError
 from ordfield.rationals import pow2
 
@@ -129,6 +132,21 @@ def sqrt2_gap_radius(c: Fraction) -> Fraction:
         if not below and hi < c:
             return c - hi
         p += 2
+
+
+def sqrt2_gap(u: Fraction, lo_cut, hi_cut) -> Fraction:
+    """The gap from u to the nearer of the cuts lo_cut * sqrt(2) < u <
+    hi_cut * sqrt(2) (None: no cut), on the first sandwich of sqrt(2) of
+    width 4**-j, j >= 1, that clears both cuts: every step in Fractions."""
+    h = 2
+    while True:
+        lo, hi = sqrt2_bounds(h)
+        gaps = [] if lo_cut is None else [u - lo_cut * hi]
+        if hi_cut is not None:
+            gaps.append(hi_cut * lo - u)
+        if min(gaps) > 0:
+            return min(gaps)
+        h += 2
 
 
 def min_dyadic_depth(delta: Fraction) -> int:

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +29,8 @@ from ordfield.claims import (
     probe_levels,
 )
 from ordfield.errors import DomainError
-from ordfield.fields import Field, field_zero
+from ordfield.cli import main as cli_main
+from ordfield.fields import Field, field_zero, from_rat
 from ordfield.demos import demo_dlim, demo_lhopital, demo_mvt, demo_taylor
 from ordfield.functions import (
     Constant,
@@ -51,6 +53,8 @@ import oracle_referee
 from conftest import rand_nonzero_rat, rand_ratfunc, run_demo
 from oracle_qx import dense
 from oracle_referee import probe_gen
+
+FIXTURES = Path(__file__).resolve().parents[1] / "src" / "ordfield" / "fixtures"
 
 
 def test_derivative_claim_examples():
@@ -777,3 +781,71 @@ def test_reports_sharing_probe_levels_match_each_certificate_alone(monkeypatch):
     assert len(keys) > built  # alone, each certificate builds its own levels
     for cert, schedule, budget, _ in seen:
         _assert_matches_oracle(cert, schedule, budget)
+
+
+def test_a_claim_on_its_function_s_own_value_object_is_at_the_field_zero():
+    # Constant returns its value object itself; a claim whose candidate is
+    # that object takes each distance as the zero of its field, a RatFunc in
+    # Q(x), which is what the Q(x) order reads, never a Fraction
+    point_of = {Field.Q: F(1, 3), Field.QX: RF_X}
+    witness_of = {Field.Q: QStepProbe(F(5, 7)), Field.QX: QXStepProbe(rf_const(F(1, 2)))}
+    for value in (F(5, 7), rf_const(F(5, 7), -1)):
+        field = Field.Q if isinstance(value, F) else Field.QX
+        zero = field_zero(field)
+        claim = LimitClaim(Constant(field, value), point_of[field], value)
+        cert = VerifierCert(claim, ConstRule(from_rat(field, F(1))))
+        report = check_verifier(cert, default_eps_schedule(field, 6))
+        assert report.passed and report.probes
+        for probe in report.probes:
+            assert probe.fw is value
+            assert probe.dist == zero and type(probe.dist) is type(zero)
+        eps = from_rat(field, F(1, 4))
+        refuted = check_falsifier(FalsifierCert(claim, eps, witness_of[field]), [eps])
+        assert refuted.checks == 1 and not refuted.passed
+        assert type(refuted.probes[0].dist) is type(zero)
+
+
+# the seven argvs whose transcripts the benchmark pins
+_GOLDEN_ARGVS = (
+    "demo dlim --field q",
+    "demo dlim --field qx",
+    "demo lhopital",
+    "demo taylor --n 2",
+    "demo mvt --points 50 --seed 0",
+    f"claim {FIXTURES / 'dlim_q_falsifier.claim'}",
+    f"claim {FIXTURES / 'dlim_qx_falsifier.claim'}",
+)
+
+
+def test_referee_shortcuts_match_the_plain_formulas_on_every_golden_probe(monkeypatch, capsys):
+    # a quotient whose f(a+h) equals f(a) and a probe whose fn(w) is the
+    # candidate object skip the subtraction (and the division); on every
+    # probe and quotient of the golden runs each result must equal the plain
+    # formula's, with the same type
+    probe, eval_at = claims._probe, DiffQuotient.eval_at
+    shortcuts = {"probe": 0, "quotient": 0}
+
+    def plain_probe(ends, key, offset, sep, sep_key):
+        got = probe(ends, key, offset, sep, sep_key)
+        fn, _, candidate = ends
+        fw = got[0].fw
+        if fw is not None:
+            want = abs(fw - (field_zero(fn.field) if candidate is None else candidate))
+            assert got[0].dist == want and type(got[0].dist) is type(want)
+            assert got[2] == key(want)
+            shortcuts["probe"] += fw is candidate
+        return got
+
+    def plain_quotient(self, h):
+        got = eval_at(self, h)
+        want = (evaluate(self.f, self.a + h) - evaluate(self.f, self.a)) / h
+        assert got == want and type(got) is type(want)
+        shortcuts["quotient"] += not want
+        return got
+
+    monkeypatch.setattr(claims, "_probe", plain_probe)
+    monkeypatch.setattr(DiffQuotient, "eval_at", plain_quotient)
+    for argv in _GOLDEN_ARGVS:
+        assert cli_main(argv.split()) == 0, argv
+        capsys.readouterr()
+    assert shortcuts["probe"] and shortcuts["quotient"]

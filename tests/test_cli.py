@@ -1,4 +1,5 @@
 import argparse
+import io
 import shlex
 import subprocess
 import sys
@@ -397,6 +398,65 @@ def test_late_refusal_after_a_spill_leaves_no_transcript(tmp_path, capsys, monke
     assert main(argv + ["--transcript", str(path)]) == 2
     assert path.read_bytes() == b"kept\n"
     assert len(spills) == 3
+
+
+def _spool(writes, sizes=None):
+    """A spool given `writes` in order, with the in-memory size it reports
+    after each write appended to `sizes`."""
+    spool = cli._Spool()
+    for text in writes:
+        spool.write(text)
+        assert spool.size == sum(map(len, spool.chunks))
+        if sizes is not None:
+            sizes.append(spool.size)
+    return spool
+
+
+def test_spool_keeps_its_head_and_sends_the_rest_to_the_file(monkeypatch):
+    # the head stays in memory while it fits in SPILL_CHARS; the first
+    # chunk that does not fit goes to the file, and so does every later
+    # one, even one that would fit in the room left
+    monkeypatch.setattr(cli, "SPILL_CHARS", 10)
+    sizes = []
+    spool = _spool(["abcd", "0123456789", "x", "yz"], sizes)
+    try:
+        assert sizes == [4, 4, 4, 4] and spool.chunks == ["abcd"]
+        spool.file.seek(0)
+        assert spool.file.read() == "0123456789xyz"
+    finally:
+        spool.close()
+    spool = _spool(["abc", "defg", "hij", "k"], sizes)
+    try:
+        assert sizes[4:] == [3, 7, 10, 10] and spool.chunks == ["abc", "defg", "hij"]
+        spool.file.seek(0)
+        assert spool.file.read() == "k"
+    finally:
+        spool.close()
+
+
+@pytest.mark.parametrize(
+    "writes",
+    [
+        [],
+        ["ab", "cd\n", "efghijk"],
+        ["ab", "cd", "efghijklmn"],
+        ["x" * 25],
+        ["ab", "c\r\nd\n", "0123456789", "é\n", "", "line\n" * 7],
+    ],
+    ids=["empty", "none-past", "one-past", "one-past-alone", "many-past"],
+)
+def test_spool_copy_reproduces_the_writes_in_order(monkeypatch, writes):
+    monkeypatch.setattr(cli, "SPILL_CHARS", 12)
+    sizes = []
+    spool = _spool(writes, sizes)
+    try:
+        assert max(sizes, default=0) <= 12
+        assert (spool.file is None) == (sum(map(len, writes)) <= 12)
+        dst = io.StringIO(newline="")
+        spool.copy_to(dst)
+        assert dst.getvalue() == "".join(writes)
+    finally:
+        spool.close()
 
 
 def test_cli_subprocess_usage_and_version():

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from ordfield import dyadic
 from ordfield.dyadic import (
     GREATER,
     LESS,
@@ -223,3 +224,30 @@ def test_radii_match_oracle_just_off_sqrt2_sandwiches():
                     for t in (end - pow2(-k), end + pow2(-k)):
                         _radii_agree_with_oracle(t)
                         _radii_agree_with_oracle(-t * pow2(-7))
+
+
+def _sqrt2_convergents(count):
+    """The first continued-fraction convergents p/q of sqrt(2), each within
+    1/q**2 of it: a ball search near them needs a deep sandwich."""
+    p, q = 1, 1
+    for _ in range(count):
+        yield F(p, q)
+        p, q = p + 2 * q, p + q
+
+
+def test_ball_search_on_ints_matches_its_fraction_loop(monkeypatch):
+    # each radius from the int ball search must equal the one from the
+    # Fraction loop it replaced, through all three callers; the convergents
+    # sit near the cuts at 1/2, 3/4 and 1 times sqrt(2), on either side
+    rng = random.Random(20260810 + 31)
+    ts = [rand_nonzero_rat(rng, bits) for bits in (4, 12, 32, 64) for _ in range(2400)]
+    for c in _sqrt2_convergents(60):
+        for cut in (F(1), F(1, 2), F(3, 4)):
+            for k in (0, 9):
+                ts += [cut * c * pow2(-k), -cut * c * pow2(-k)]
+    assert len(ts) >= 10**4
+    radii = (sqrt2_gap_radius, constancy_radius_q, outer_constancy_radius_q)
+    got = [[r(t) for r in radii] for t in ts]
+    monkeypatch.setattr(dyadic, "_sqrt2_gap", oracle_dyadic.sqrt2_gap)
+    for t, row in zip(ts, got):
+        assert row == [r(t) for r in radii], t

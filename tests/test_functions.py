@@ -7,7 +7,13 @@ import pytest
 
 from ordfield import functions
 from ordfield.certs import ConstRule, LinearCapRule, QStepProbe, QXStepProbe, TwoSided
-from ordfield.claims import FalsifierCert, VerifierCert
+from ordfield.claims import (
+    FalsifierCert,
+    VerifierCert,
+    check_verifier,
+    default_eps_schedule,
+    derivative_claim,
+)
 from ordfield.dyadic import class_index, sqrt2_gap_radius
 from ordfield.errors import DomainError, ParseError, UnsupportedDerivativeError
 from ordfield.fields import Field
@@ -30,7 +36,7 @@ from ordfield.functions import (
     ratio_bounds_check,
     render_name,
 )
-from ordfield.laurent import RF_ONE, RF_X, RF_ZERO, rf_const, x_pow
+from ordfield.laurent import RF_ONE, RF_X, RF_ZERO, RatFunc, rf_const, x_pow
 from ordfield.literals import parse_elem
 from ordfield.rationals import pow2
 
@@ -339,3 +345,23 @@ def test_diff_quotient_evaluates_f_at_a_once(monkeypatch):
     for h in hs:
         with pytest.raises(DomainError, match="quotient denominator vanishes at 0"):
             off.eval_at(h)
+
+
+def test_diff_quotient_of_step_qx_off_zero_is_the_qx_zero_on_its_ball():
+    # on a's ball f(a+h) equals f(a) as a new x**v object: the quotient is
+    # the Q(x) zero, a RatFunc and never a Fraction; off the ball it is the
+    # plain quotient
+    a = qx("3*x")
+    dq = parse_name(Field.QX, "diffq(step_qx,3*x)", "function name")
+    assert dq == DiffQuotient(StepQX(), a)
+    for h in (qx("x^2"), qx("-x^2/5"), qx("x^9"), qx("4*x")):
+        got = dq.eval_at(h)
+        assert got == RF_ZERO and isinstance(got, RatFunc), h
+    for h in (qx("1"), qx("-3*x"), qx("1/x"), qx("x^2-3*x")):
+        want = (evaluate(StepQX(), a + h) - evaluate(StepQX(), a)) / h
+        assert dq.eval_at(h) == want and want != RF_ZERO, h
+    cert = derivative_certificate(StepQX(), a)
+    claim = derivative_claim(StepQX(), a, cert.value)
+    report = check_verifier(VerifierCert(claim, cert.rule), default_eps_schedule(Field.QX, 6))
+    assert report.passed
+    assert all(p.fw == RF_ZERO and isinstance(p.fw, RatFunc) for p in report.probes)
