@@ -23,7 +23,7 @@ from fractions import Fraction
 from .errors import DomainError
 from .fields import Field, Value, render_elem, sign_of
 from .laurent import RatFunc, valuation, x_pow
-from .rationals import pow2
+from .rationals import scaled
 
 
 class ConstRule(Value):
@@ -66,7 +66,8 @@ class QStepProbe(Value):
     """w(delta) = r * 2**-n with n minimal such that 2**-n < delta/2.
 
     r is a fixed rational with 1/2 < r**2 < 2, so the probe's band index is
-    known exactly (it is n) at every depth.
+    known exactly (it is n) at every depth.  The witness is built from r's
+    ints by rationals.scaled, one Fraction per delta.
     """
 
     FIELDS = ("r",)
@@ -79,7 +80,7 @@ class QStepProbe(Value):
             raise DomainError(f"step probe pattern {self.r} needs 1/2 < r^2 < 2")
 
     def witness_for(self, delta: Fraction) -> Fraction:
-        return self.r * pow2(-min_dyadic_depth(delta))
+        return scaled(self.r, -min_dyadic_depth(delta))
 
 
 class QXStepProbe(Value):

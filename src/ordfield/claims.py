@@ -26,9 +26,9 @@ from .certs import TwoSided, min_dyadic_depth
 from .errors import DomainError, ResourceError, digit_limit
 from .fields import Field, Value, check_elem, field_zero, from_rat, render_elem, sign_of
 from .functions import DiffQuotient, FieldFn, evaluate, parse_name, render_name
-from .laurent import _rf_cmp, rf_const, rf_sign, valuation
+from .laurent import _p_neg, _rf_cmp, rf_const, rf_sign, valuation
 from .literals import parse_elem
-from .rationals import pow2
+from .rationals import pow2, scaled
 
 DEFAULT_EPS_DEPTH = 128
 DEFAULT_DELTA_DEPTH = {Field.Q: 512, Field.QX: 64}
@@ -188,13 +188,14 @@ def level_probes(field: Field, level: int) -> list:
     """The signed offsets of one level's probes from the point, on both
     sides of it; they depend only on the field and the level.
 
-    Q: offsets +-r * 2**-level with r in {5/7, 3/4, 1, 7/5}; every offset
-    has exactly known band.  QX: offsets +-r * x**level with unit r in
-    {1/2, 1, 2}; higher valuation makes containment automatic.  No two
-    levels share an offset."""
+    Q: offsets +-r * 2**-level with r in {5/7, 3/4, 1, 7/5}, each built
+    from r's ints by rationals.scaled; every offset has exactly known band.
+    QX: offsets +-r * x**level with unit r in {1/2, 1, 2}; higher valuation
+    makes containment automatic.  Each positive offset comes just before
+    its negative twin, which _level reads.  No two levels share an
+    offset."""
     if field is Field.Q:
-        step = pow2(-level)
-        offsets = [r * step for r in _Q_PATTERNS]
+        offsets = [scaled(r, -level) for r in _Q_PATTERNS]
     else:
         offsets = [rf_const(r, level) for r in _QX_PATTERNS]
     return [s for o in offsets for s in (o, -o)]
@@ -343,7 +344,8 @@ def _below_elems(keys, bound) -> list[bool]:
 def _sep(key, offset) -> tuple:
     """sep = |offset| and the key the in-ball test reads of it: None when
     sep is 0, the centre of the punctured ball.  A nonnegative offset is
-    its own sep; only a negative one is negated."""
+    its own sep; only a negative one is negated.  _level calls it for
+    every offset but a twin (see there)."""
     s = sign_of(offset)
     sep = -offset if s < 0 else offset
     return sep, (key(sep) if s else None)
@@ -352,13 +354,36 @@ def _sep(key, offset) -> tuple:
 def _level(table: dict, key, field: Field, level: int) -> tuple:
     """The offsets of one level as (offset, sep, key of sep) triples, read
     from the run's table or built into it on first use.  level_probes is
-    looked up in this module each time a level is built."""
+    looked up in this module each time a level is built.  An offset that
+    is the negation of the nonnegative offset just before it, as
+    level_probes emits its +- twins, takes that offset as its sep together
+    with its key, so it is neither negated nor keyed again; every other
+    offset, whatever the list holds (a lone sign, a repeat, a twin out of
+    order), goes through _sep."""
     entry = table.get((field, level))
     if entry is None:
-        entry = table[field, level] = tuple(
-            (offset, *_sep(key, offset)) for offset in level_probes(field, level)
-        )
+        triples = []
+        twin = None  # the last offset, while it is its own sep and has no twin yet
+        for offset in level_probes(field, level):
+            if twin is not None and _negates(field, offset, twin):
+                triples.append((offset, twin, twin_key))
+                twin = None
+            else:
+                sep, sep_key = _sep(key, offset)
+                triples.append((offset, sep, sep_key))
+                twin = offset if sep is offset else None
+                twin_key = sep_key
+        entry = table[field, level] = tuple(triples)
     return entry
+
+
+def _negates(field: Field, a, b) -> bool:
+    """a == -b for two elements of field, read off their parts, so no
+    element -b is built: a rational's numerator and denominator, or a
+    RatFunc's valuation, denominator and numerator coefficients."""
+    if field is Field.Q:
+        return a.numerator == -b.numerator and a.denominator == b.denominator
+    return a.v == b.v and a.den == b.den and a.num == _p_neg(b.num)
 
 
 def _probe(ends: tuple, key, offset, sep, sep_key) -> tuple[Probe, object, object]:

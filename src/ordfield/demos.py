@@ -54,7 +54,7 @@ from .functions import (
     render_name,
 )
 from .laurent import RF_ONE, RF_X, rf_const, x_pow
-from .rationals import pow2
+from .rationals import scaled
 from .transcript import Transcript
 
 SAMPLE_EPS_DEPTH = 16
@@ -146,8 +146,8 @@ _ROW = {
             Fraction(-3, 4),
             Fraction(5, 14),
             Fraction(-5, 14),
-            Fraction(7, 5) * pow2(-8),
-            Fraction(5, 7) * pow2(-64),
+            scaled(Fraction(7, 5), -8),
+            scaled(Fraction(5, 7), -64),
         ),
         Fraction(1, 2),
         QStepProbe(Fraction(5, 7)),
@@ -428,10 +428,10 @@ def demo_taylor(
         Fraction(-13, 10),
         Fraction(1),
         Fraction(-1),
-        Fraction(13, 10) * pow2(-8),
-        Fraction(5, 7) * pow2(-3),
+        scaled(Fraction(13, 10), -8),
+        scaled(Fraction(5, 7), -3),
         Fraction(7, 5),
-        Fraction(-7, 5) * pow2(-20),
+        scaled(Fraction(-7, 5), -20),
     ]
     yield from _derivative_checks(F, samples, eps_short)
     # conclusion refuted: the Peano remainder F(t) is not o(t^n); against

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import DomainError, IrrationalityError
-from .rationals import pow2
+from .rationals import scaled
 
 # Results of the cut comparisons; "equal" never happens for rationals.
 LESS = -1
@@ -134,7 +134,7 @@ def constancy_radius_q(t: Fraction) -> Fraction:
     constancy_radius_q(t * 2**-k) = constancy_radius_q(t) * 2**-k exactly.
     """
     n = class_index(t)
-    return _sqrt2_gap(abs(t) * pow2(n), _HALF, 1) * pow2(-n)
+    return scaled(_sqrt2_gap(scaled(abs(t), n), _HALF, 1), -n)
 
 
 def is_outer(t: Fraction, n: int) -> bool:
@@ -153,10 +153,10 @@ def outer_constancy_radius_q(t: Fraction) -> Fraction:
     pieces cut at 3/2 * c_n.  Same scale-invariant construction as
     constancy_radius_q."""
     n = class_index(t)
-    u = abs(t) * pow2(n)
+    u = scaled(abs(t), n)
     cut = OUTER_SCALE * _HALF  # 3/2 * c_0 = 3/4 * sqrt(2)
     cuts = (cut, 1) if is_outer(u, 0) else (_HALF, cut)
-    return _sqrt2_gap(u, *cuts) * pow2(-n)
+    return scaled(_sqrt2_gap(u, *cuts), -n)
 
 
 def sqrt2_bounds(p: int) -> tuple[Fraction, Fraction]:

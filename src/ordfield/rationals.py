@@ -1,4 +1,5 @@
-"""The field Q: exact powers of two and the textual form of rationals.
+"""The field Q: exact powers of two, dyadic scaling and the textual form
+of rationals.
 
 Elements of Q are `fractions.Fraction` values, which already enforce the
 canonical form this library relies on everywhere (positive denominator,
@@ -18,6 +19,16 @@ def pow2(n: int) -> Fraction:
     if n >= 0:
         return Fraction(1 << n)
     return Fraction(1, 1 << (-n))
+
+
+def scaled(r: Fraction, n: int) -> Fraction:
+    """r * 2**n exactly, for any integer n, as one Fraction built from r's
+    ints: the numerator is shifted for n >= 0, the denominator for n < 0,
+    and the constructor reduces the result, so it is canonical.  No
+    power of two and no product of Fractions is built."""
+    if n >= 0:
+        return Fraction(r.numerator << n, r.denominator)
+    return Fraction(r.numerator, r.denominator << -n)
 
 
 def render_rat(a: Fraction) -> str:

@@ -145,9 +145,12 @@ class Transcript:
         )
 
     def render(self) -> str:
-        """The lines added since the last render, each ending in a newline."""
+        """The lines added since the last render, each ending in a newline.
+        An empty last line makes the join end in that newline, so the text
+        is built once, with no copy to append it."""
         lines, self._lines = self._lines, []
-        return "\n".join(lines) + "\n" if lines else ""
+        lines.append("")
+        return "\n".join(lines)
 
 
 _VERDICT = (" verdict=fail", " verdict=pass")

@@ -7,11 +7,17 @@ generated again, every probe is evaluated again and every verdict is
 decided in full, so a fault in the library's sharing of levels, rows,
 probes or verdicts shows as a record that differs from this one.  Both
 checks return the plain records, in schedule order.
+
+`q_level_probes` and `q_step_witness` keep the Fraction products that
+built the Q probe offsets and step-probe witnesses before
+`rationals.scaled` built them from ints.
 """
 
 from __future__ import annotations
 
-from ordfield.certs import TwoSided
+from fractions import Fraction
+
+from ordfield.certs import TwoSided, min_dyadic_depth
 from ordfield import claims
 from ordfield.claims import (
     DEFAULT_PROBE_BUDGET,
@@ -23,6 +29,7 @@ from ordfield.claims import (
 from ordfield.errors import DomainError
 from ordfield.fields import Field, field_zero
 from ordfield.functions import evaluate
+from ordfield.rationals import pow2
 
 
 def probe_gen(field: Field, point, delta, budget: int) -> list:
@@ -36,6 +43,20 @@ def probe_gen(field: Field, point, delta, budget: int) -> list:
         for level in claims.probe_levels(field, delta, budget)
         for offset in claims.level_probes(field, level)
     ]
+
+
+def q_level_probes(level: int) -> list:
+    """The Q offsets of one level: +-r * 2**-level for each pattern r,
+    as a product of Fractions, each positive offset before its negation."""
+    step = pow2(-level)
+    offsets = [r * step for r in (Fraction(5, 7), Fraction(3, 4), Fraction(1), Fraction(7, 5))]
+    return [s for o in offsets for s in (o, -o)]
+
+
+def q_step_witness(r: Fraction, delta: Fraction) -> Fraction:
+    """A Q step probe's witness r * 2**-n, n = min_dyadic_depth(delta), as
+    a product of Fractions."""
+    return r * pow2(-min_dyadic_depth(delta))
 
 
 def check_verifier(

@@ -219,6 +219,80 @@ def test_referee_shortcuts_give_the_values_they_replace(data):
         assert dyadic.is_outer(x, n) == dyadic.is_outer(-x, n) == want
 
 
+def test_q_offsets_and_witnesses_from_ints_equal_the_products_they_replace(rng):
+    # level_probes and QStepProbe build r * 2**-n from r's ints; each value
+    # is a canonical Fraction equal to the product of Fractions it replaces
+    def canonical(values):
+        for f in values:
+            assert type(f) is F and f == F(f.numerator, f.denominator)
+        return values
+
+    for level in range(-80, 641):
+        assert canonical(level_probes(Field.Q, level)) == oracle_referee.q_level_probes(level)
+    deltas = [abs(rand_nonzero_rat(rng, bits=rng.randint(1, 400))) for _ in range(500)]
+    deltas += [pow2(k) * r for k in range(-640, 81) for r in (F(1), F(3, 2))]
+    for r in (F(5, 7), F(-5, 7), F(13, 10), F(1)):
+        probe = QStepProbe(r)
+        for d in deltas:
+            assert canonical([probe.witness_for(d)]) == [oracle_referee.q_step_witness(r, d)], (r, d)
+
+
+def _assert_level_reads(key, offsets, triples):
+    """Each triple is (offset, |offset|, its key, None at 0), and an
+    offset shares the previous offset object as its sep exactly when that
+    offset is nonnegative, is no twin itself, and is its negation; any
+    other offset's sep is the offset itself or a new value."""
+    assert [t[0] for t in triples] == list(offsets)
+    offsets = [t[0] for t in triples]
+    after_free = False
+    for i, (offset, sep, sep_key) in enumerate(triples):
+        assert sep == abs(offset) and sep_key == (key(sep) if offset else None)
+        twin = after_free and offset == -offsets[i - 1]
+        if twin:
+            assert sep is offsets[i - 1] and sep_key is triples[i - 1][2], (i, offset)
+        else:
+            assert sep is offset or all(sep is not o for o in offsets), (i, offset)
+        after_free = not twin and offset >= 0
+
+
+def test_level_twins_share_one_separation():
+    # every level of level_probes is + then - of each pattern: each
+    # negative offset takes its positive twin as sep, with that twin's key
+    for field, zero in ((Field.Q, F(0)), (Field.QX, RF_ZERO)):
+        key, _ = claims._order(zero)
+        table = {}
+        for level in (-3, 0, 1, 9, 70, 640):
+            offsets = level_probes(field, level)
+            triples = claims._level(table, key, field, level)
+            _assert_level_reads(key, offsets, triples)
+            assert all(sep is pos for (pos, _, _), (_, sep, _) in zip(triples[::2], triples[1::2]))
+            assert claims._level(table, key, field, level) is triples
+
+
+def test_level_reads_any_offset_list(monkeypatch):
+    # zeros, a lone sign, a repeat, a twin out of order, a negative after
+    # a positive it does not negate, its twin after that, and a twin of a
+    # twin: each gets |offset| and its key, and only a true twin shares a
+    # sep
+    lists = {}
+
+    def patched(field, level):
+        return lists[field]
+
+    monkeypatch.setattr(claims, "level_probes", patched)
+    rats = [0, 0, 0, 1, -1, -1, 4, -8, -4, -5, 5, 2, 0, -2, 3, 3, -3, 7, -7, -7, 6]
+    # in Q(x) odd n take two terms, and the last pair differs only in its
+    # valuation
+    qx = [rf_const(F(n, 9), 2) + (rf_const(F(n, 9), 3) if n % 2 else RF_ZERO) for n in rats]
+    for field, zero, offsets in (
+        (Field.Q, F(0), [F(n, 9) for n in rats]),
+        (Field.QX, RF_ZERO, qx + [rf_const(F(1, 9), 4), rf_const(F(-1, 9), 5)]),
+    ):
+        key, _ = claims._order(zero)
+        lists[field] = offsets
+        _assert_level_reads(key, offsets, claims._level({}, key, field, 1))
+
+
 def test_qx_values_built_directly_equal_the_products_they_replace():
     # the Q(x) schedules and probe offsets are built as monomials; each is
     # canonical and equals the product through rf_mul it replaces

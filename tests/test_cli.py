@@ -1,5 +1,6 @@
 import argparse
 import io
+import os
 import shlex
 import subprocess
 import sys
@@ -371,6 +372,29 @@ def test_demo_mvt_streams_under_a_memory_cap(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     with open(out_path, "rb") as fh:
         assert sum(line.startswith(b"check ") for line in fh) == 416_000
+
+
+def test_a_deep_report_is_rendered_under_a_memory_cap():
+    # dlim over Q(x) at eps depth 6000 writes a 208 MB transcript, nearly
+    # all of it one report; its child peaks at about 355 MB of address
+    # space when render builds the report's text once, and needs about
+    # 486 MB when the join is copied to append the last newline
+    resource = pytest.importorskip("resource")
+    cap = 432 << 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    argv = ["demo", "dlim", "--field", "qx", "--eps-depth", "6000", "--delta-depth", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ordfield.cli", *argv, "--transcript", os.devnull],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=CHILD_ENV,
+        preexec_fn=limit,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == b"" and proc.stderr == b""
 
 
 def test_late_refusal_after_a_spill_leaves_no_transcript(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,8 @@ from hypothesis import strategies as st
 
 from ordfield.errors import ResourceError, digit_limit
 from ordfield.fields import sign_of
-from ordfield.rationals import pow2, render_rat
+from ordfield.claims import _Q_PATTERNS
+from ordfield.rationals import pow2, render_rat, scaled
 
 from field_axioms import check_ordered_field_triple
 
@@ -16,6 +18,17 @@ def test_pow2():
     assert pow2(-3) == F(1, 8)
     assert pow2(5) == F(32)
     assert pow2(-512) * pow2(512) == 1
+
+
+def test_scaled_is_the_canonical_product_it_replaces():
+    # the Q probe patterns, the witness patterns 5/7, -5/7, 13/10 and 1, an
+    # even numerator the constructor must reduce against 2**n, and zero
+    patterns = set(_Q_PATTERNS) | {F(-5, 7), F(13, 10), F(1), F(4, 3), F(-4, 3), F(0)}
+    for r in patterns:
+        for n in range(-80, 641):
+            s = scaled(r, n)
+            assert type(s) is F and s == r * pow2(n), (r, n)
+            assert s.denominator > 0 and gcd(s.numerator, s.denominator) == 1, (r, n)
 
 
 def test_render():

@@ -137,6 +137,19 @@ def test_render_hands_out_each_line_once():
     assert tr.render() == ""
 
 
+@pytest.mark.parametrize("count", [0, 1, 2, 100])
+def test_render_is_the_lines_joined_each_with_its_newline(count):
+    # render joins the lines with an empty last line; the text is the
+    # lines each ended by a newline, and nothing when there is no line
+    tr = Transcript()
+    lines = [kv_line("note", [("i", i), ("text", "a" * i)]) for i in range(count)]
+    for i in range(count):
+        tr.add("note", [("i", i), ("text", "a" * i)])
+    text = tr.render()
+    assert text == ("\n".join(lines) + "\n" if lines else "")
+    assert tr.render() == ""
+
+
 def test_transcript_report_lines_recompute():
     tr = Transcript()
     cert = VerifierCert(
