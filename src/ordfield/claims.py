@@ -20,13 +20,14 @@ its verdict.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 from .certs import TwoSided, min_dyadic_depth
 from .errors import DomainError, ResourceError, digit_limit
-from .fields import Field, Value, check_elem, field_zero, from_rat, render_elem, sign_of
+from .fields import Field, Value, check_elem, field_zero, render_elem, sign_of
 from .functions import DiffQuotient, FieldFn, evaluate, parse_name, render_name
-from .laurent import _p_neg, _rf_cmp, rf_const, rf_sign, valuation
+from .laurent import P_ONE, RatFunc, _p_neg, _rf_cmp, rf_const, rf_sign, valuation
 from .literals import parse_elem
 from .rationals import pow2, scaled
 
@@ -419,17 +420,25 @@ def _refuse_depth(depth: int, kind: str) -> None:
     if depth < 0:
         raise DomainError(f"{kind} schedule is empty")
     limit = digit_limit()
-    deepest = (10**limit).bit_length() - 1
-    if limit and depth > deepest:
+    if limit and depth > (deepest := _deepest_depth(limit)):
         raise ResourceError(
             f"schedule depth {depth} too deep: the {limit}-digit limit allows at most {deepest}"
         )
 
 
+@cache
+def _deepest_depth(limit: int) -> int:
+    """The deepest k whose 2**k prints within `limit` digits, computed once
+    per limit: the limit can change at run time (sys.set_int_max_str_digits)."""
+    return (10**limit).bit_length() - 1
+
+
 def default_eps_schedule(field: Field, depth: int = DEFAULT_EPS_DEPTH) -> list:
     """{2**-k : k = 0..depth} as elements of the field."""
     _refuse_depth(depth, "epsilon")
-    return [from_rat(field, pow2(-k)) for k in range(depth + 1)]
+    if field is Field.Q:
+        return [pow2(-k) for k in range(depth + 1)]
+    return [_qx_monomial(0, k) for k in range(depth + 1)]
 
 
 def default_delta_schedule(field: Field, depth: int) -> list:
@@ -438,5 +447,10 @@ def default_delta_schedule(field: Field, depth: int) -> list:
     _refuse_depth(depth, "delta")
     if field is Field.Q:
         return [pow2(-k) for k in range(depth + 1)]
-    units = (pow2(0), pow2(-64))
-    return [rf_const(u, m) for m in range(depth + 1) for u in units]
+    return [_qx_monomial(m, k) for m in range(depth + 1) for k in (0, 64)]
+
+
+def _qx_monomial(m: int, k: int) -> RatFunc:
+    """x**m / 2**k in canonical form, built from ints: valuation m,
+    numerator 1 and denominator 2**k, with no Fraction, pow2 or rf_const."""
+    return tuple.__new__(RatFunc, (m, P_ONE, (1 << k,)))

@@ -40,12 +40,7 @@ def _field_arg(s: str) -> Field:
         raise argparse.ArgumentTypeError(f"unknown field {s!r} (use q or qx)") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="ordfield", description=__doc__)
-    ap.add_argument("--version", action="version", version=f"ordfield {VERSION}")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    demo = sub.add_parser("demo", help="run a counterexample demonstration")
+def _demo_args(demo: argparse.ArgumentParser) -> None:
     demo.add_argument("name", choices=demos.DEMOS)
     # a demo takes the flags named in its signature; a flag left out takes
     # the demo's own default.  Each flag's help names the demos that take it.
@@ -64,13 +59,38 @@ def build_parser() -> argparse.ArgumentParser:
     flag("n", "Taylor order n >= 2", type=int)
     demo.add_argument("--transcript", default=None, help="write the transcript to PATH")
 
-    ev = sub.add_parser("eval", help="evaluate a field-element literal")
+
+def _eval_args(ev: argparse.ArgumentParser) -> None:
     ev.add_argument("--field", type=_field_arg, required=True)
     ev.add_argument("expr")
 
-    cl = sub.add_parser("claim", help="referee a serialized claim file")
+
+def _claim_args(cl: argparse.ArgumentParser) -> None:
     cl.add_argument("file")
     cl.add_argument("--transcript", default=None, help="write the transcript to PATH")
+
+
+# each command with its help and the function that adds its arguments
+_COMMANDS = {
+    "demo": ("run a counterexample demonstration", _demo_args),
+    "eval": ("evaluate a field-element literal", _eval_args),
+    "claim": ("referee a serialized claim file", _claim_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command's name and help, with the arguments of
+    `command` alone when it names one (main passes argv[0]), else of all
+    three.  argparse reads only the subparser it dispatches to, so usage,
+    help, errors and exit codes are the full parser's."""
+    ap = argparse.ArgumentParser(prog="ordfield", description=__doc__)
+    ap.add_argument("--version", action="version", version=f"ordfield {VERSION}")
+    sub = ap.add_subparsers(dest="command", required=True)
+    full = command not in _COMMANDS
+    for name, (text, add_args) in _COMMANDS.items():
+        parser = sub.add_parser(name, help=text)
+        if full or name == command:
+            add_args(parser)
     return ap
 
 
@@ -154,8 +174,10 @@ def _run_claim(args, out) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    code = 0  # eval's: it prints as it goes, so a closed pipe meets it before any code
     try:
         if args.command == "eval":
             return _run_eval(args)
@@ -175,10 +197,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ordfield: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except BrokenPipeError:
-        # downstream pipe closed early (e.g. | head); exit quietly
+        # downstream pipe closed early (e.g. | head); exit quietly with the
+        # run's code, computed before the spool wrote a byte
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
-        return 0
+        return code
     except OSError as exc:
         print(f"ordfield: {exc}", file=sys.stderr)
         return USAGE_ERROR

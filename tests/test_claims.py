@@ -16,6 +16,7 @@ from ordfield.certs import (
 from ordfield import claims, demos, dyadic
 from ordfield.claims import (
     DEFAULT_DELTA_DEPTH,
+    DEFAULT_EPS_DEPTH,
     Check,
     FalsifierCert,
     LimitClaim,
@@ -305,9 +306,12 @@ def test_qx_values_built_directly_equal_the_products_they_replace():
         assert canonical(default_delta_schedule(Field.QX, depth)) == [
             x_pow(m) * rf_const(pow2(-k)) for m in range(depth + 1) for k in (0, 64)
         ]
-    assert canonical(default_eps_schedule(Field.QX, 16)) == [
-        rf_normalize((pow2(-k),), (1,)) for k in range(17)
-    ]
+    # the eps schedule also at the default depth and at the deepest the
+    # default digit limit of 4,300 allows
+    for depth in (16, DEFAULT_EPS_DEPTH, 14_284):
+        schedule = canonical(default_eps_schedule(Field.QX, depth))
+        assert schedule == [rf_normalize((pow2(-k),), (1,)) for k in range(depth + 1)]
+        assert not any(f - rf_const(pow2(-k)) for k, f in enumerate(schedule))
     for level in (-3, 0, 1, 70):
         offsets = [rf_const(r) * x_pow(level) for r in (F(1, 2), F(1), F(2))]
         assert canonical(level_probes(Field.QX, level)) == [s for o in offsets for s in (o, -o)]

@@ -515,6 +515,28 @@ def test_cli_subprocess_closed_stdout_exits_0_quietly():
     assert err == b""
 
 
+def test_cli_subprocess_closed_stdout_keeps_a_verdict_violation(tmp_path):
+    # the 707 KB transcript of a failing verifier overruns the pipe; the
+    # run's exit code 1 is computed before the spool meets the closed end
+    path = tmp_path / "fail.claim"
+    path.write_text(
+        "claim id=1 field=q fn=step_q point=0 candidate=1\n"
+        "cert kind=verifier rule=linear_cap(1,1/2)\n",
+        encoding="utf-8",
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ordfield.cli", "claim", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=CHILD_ENV,
+    )
+    assert proc.stdout.read(100).startswith(b"header ")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
+
+
 @pytest.mark.parametrize("argv", [("eval", "--field", "z", "1"), ("demo", "dlim", "--field", "z")])
 def test_unknown_field_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -665,6 +687,20 @@ def test_schedule_depth_boundary_at_the_digit_limit():
         assert render_elem(deepest) == "1/18446744073709551616*x^14284"
         with pytest.raises(ResourceError, match="4300-digit limit"):
             default_delta_schedule(Field.QX, 14_285)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_the_depth_bound_follows_a_changed_digit_limit():
+    # 2^16609 has 5,000 digits and 2^16610 5,001; a bound kept for the
+    # first limit it met would refuse or allow the wrong depths after 4,300
+    old = sys.get_int_max_str_digits()
+    try:
+        for limit, deepest in ((4300, 14_284), (5000, 16_609), (4300, 14_284)):
+            sys.set_int_max_str_digits(limit)
+            assert len(render_elem(default_eps_schedule(Field.Q, deepest)[-1])) == len("1/") + limit
+            with pytest.raises(ResourceError, match=f"the {limit}-digit limit allows at most {deepest}$"):
+                default_eps_schedule(Field.Q, deepest + 1)
     finally:
         sys.set_int_max_str_digits(old)
 

@@ -1,6 +1,7 @@
 """Properties of the exit-code contract: a parser given any text returns
-or raises an OrdFieldError, and a claim file built from the name tables
-exits 0, 1 or 2 with the output that code promises.
+or raises an OrdFieldError, a claim file built from the name tables
+exits 0, 1 or 2 with the output that code promises, and the argument
+parser built for argv's command parses argv as the full parser does.
 
 The sizes drawn are bounded for run time only: 200 characters of text,
 names nested three deep, and schedule depths -1..8."""
@@ -11,7 +12,8 @@ import io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordfield.cli import main
+from ordfield import demos
+from ordfield.cli import build_parser, main
 from ordfield.errors import OrdFieldError
 from ordfield.fields import Field
 from ordfield.functions import FAMILIES
@@ -143,3 +145,60 @@ def test_claim_files_keep_the_exit_code_contract(tmp_path_factory, text):
     if code == 2:
         assert out == ""
         assert err.startswith("ordfield: ") and err.count("\n") == 1
+
+
+# argv words: the commands and demos, each demo flag, its 3-letter prefix
+# and a --flag=value form, the options every parser knows, and values
+_DEMO_FLAGS = ["field", "eps-depth", "delta-depth", "points", "seed", "candidate", "n", "transcript"]
+_ARGV_WORDS = [
+    "demo", "eval", "claim", *demos.DEMOS,
+    *(f"--{flag}" for flag in _DEMO_FLAGS),
+    *(f"--{flag[:3]}" for flag in _DEMO_FLAGS),
+    *(f"--{flag}={value}" for flag in _DEMO_FLAGS for value in ("3", "qx", "-1/2")),
+    "-h", "--help", "--version", "--",
+    *(str(i) for i in range(-2, 9)), "1/2", "x", "q", "qx",
+]  # fmt: skip
+
+
+def _parse(parser, argv: list[str]) -> tuple:
+    """The Namespace argv parses to, or the exit code, stdout and stderr
+    of the SystemExit that parsing raised."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return ("parsed", parser.parse_args(argv))
+        except SystemExit as exc:
+            return ("exit", exc.code, out.getvalue(), err.getvalue())
+
+
+_words = st.lists(st.sampled_from(_ARGV_WORDS), max_size=8)
+_pairs = st.lists(
+    st.tuples(
+        st.sampled_from([f"--{flag}" for flag in _DEMO_FLAGS] + [f"--{flag[:3]}" for flag in _DEMO_FLAGS]),
+        st.sampled_from(["3", "0", "qx", "q", "1/2"]),
+    ),
+    max_size=4,
+).map(lambda pairs: [word for pair in pairs for word in pair])
+# any words, or a command followed by any words, or a demo followed by
+# flags each with a value, which parse more often
+_argv = st.one_of(
+    _words,
+    st.tuples(st.sampled_from(["demo", "eval", "claim"]), _words).map(lambda t: [t[0], *t[1]]),
+    st.tuples(st.sampled_from(demos.DEMOS), _pairs).map(lambda t: ["demo", t[0], *t[1]]),
+)
+
+
+@settings(_SETTINGS, max_examples=300)
+@given(_argv)
+def test_the_parser_of_argvs_command_parses_as_the_full_parser(argv):
+    assert _parse(build_parser(argv[0] if argv else None), argv) == _parse(build_parser(), argv)
+
+
+def test_each_commands_help_is_the_full_parsers():
+    for command in ("demo", "eval", "claim"):
+        one = _parse(build_parser(command), [command, "-h"])
+        assert one == _parse(build_parser(), [command, "-h"])
+        assert one[:2] == ("exit", 0) and one[2].startswith(f"usage: ordfield {command} [-h]")
+    full = _parse(build_parser("-h"), ["-h"])
+    assert full == _parse(build_parser(), ["-h"])
+    assert "{demo,eval,claim}" in full[2]
