@@ -11,7 +11,8 @@ The epistemic asymmetry is deliberate and explicit in every report:
     `refutation-instances`.
 
 Each certificate class sets KIND, its report TAG and its SCHEDULE kind;
-`record_pairs` and `from_record` render and parse its `cert` record.
+`record_pairs` and `from_record` render and parse its `cert` record, whose
+own keys, beside `claim` and `kind`, are its RECORD_KEYS.
 
 All checks are exact; each record carries the values needed to recompute
 its verdict.
@@ -27,7 +28,7 @@ from .certs import TwoSided, min_dyadic_depth
 from .errors import DomainError, ResourceError, digit_limit
 from .fields import Field, Value, check_elem, field_zero, render_elem, sign_of
 from .functions import DiffQuotient, FieldFn, evaluate, parse_name, render_name
-from .laurent import P_ONE, RatFunc, _p_neg, _rf_cmp, rf_const, rf_sign, valuation
+from .laurent import P_ONE, RatFunc, _rf_cmp, rf_const, rf_sign, valuation
 from .literals import parse_elem
 from .rationals import pow2, scaled
 
@@ -61,6 +62,7 @@ class VerifierCert(Value):
     KIND = "verifier"
     TAG = "evidence"
     SCHEDULE = "eps"
+    RECORD_KEYS = ("rule", "note")
 
     def record_pairs(self) -> list:
         pairs = [("rule", render_name(self.rule))]
@@ -79,6 +81,7 @@ class FalsifierCert(Value):
     KIND = "falsifier"
     TAG = "refutation-instances"
     SCHEDULE = "delta"
+    RECORD_KEYS = ("eps", "witness")
 
     def record_pairs(self) -> list:
         return [("eps", self.epsilon), ("witness", render_name(self.witness))]
@@ -186,20 +189,17 @@ def probe_levels(field: Field, delta, budget: int) -> range:
 
 
 def level_probes(field: Field, level: int) -> list:
-    """The signed offsets of one level's probes from the point, on both
-    sides of it; they depend only on the field and the level.
+    """The positive offsets of one level's probes from the point; they
+    depend only on the field and the level, and _level mirrors each to
+    probe both sides of the point.
 
-    Q: offsets +-r * 2**-level with r in {5/7, 3/4, 1, 7/5}, each built
+    Q: offsets r * 2**-level with r in {5/7, 3/4, 1, 7/5}, each built
     from r's ints by rationals.scaled; every offset has exactly known band.
-    QX: offsets +-r * x**level with unit r in {1/2, 1, 2}; higher valuation
-    makes containment automatic.  Each positive offset comes just before
-    its negative twin, which _level reads.  No two levels share an
-    offset."""
+    QX: offsets r * x**level with unit r in {1/2, 1, 2}; higher valuation
+    makes containment automatic.  No two levels share an offset."""
     if field is Field.Q:
-        offsets = [scaled(r, -level) for r in _Q_PATTERNS]
-    else:
-        offsets = [rf_const(r, level) for r in _QX_PATTERNS]
-    return [s for o in offsets for s in (o, -o)]
+        return [scaled(r, -level) for r in _Q_PATTERNS]
+    return [rf_const(r, level) for r in _QX_PATTERNS]
 
 
 def check_verifier(
@@ -345,8 +345,7 @@ def _below_elems(keys, bound) -> list[bool]:
 def _sep(key, offset) -> tuple:
     """sep = |offset| and the key the in-ball test reads of it: None when
     sep is 0, the centre of the punctured ball.  A nonnegative offset is
-    its own sep; only a negative one is negated.  _level calls it for
-    every offset but a twin (see there)."""
+    its own sep; only a negative one is negated."""
     s = sign_of(offset)
     sep = -offset if s < 0 else offset
     return sep, (key(sep) if s else None)
@@ -354,37 +353,18 @@ def _sep(key, offset) -> tuple:
 
 def _level(table: dict, key, field: Field, level: int) -> tuple:
     """The offsets of one level as (offset, sep, key of sep) triples, read
-    from the run's table or built into it on first use.  level_probes is
-    looked up in this module each time a level is built.  An offset that
-    is the negation of the nonnegative offset just before it, as
-    level_probes emits its +- twins, takes that offset as its sep together
-    with its key, so it is neither negated nor keyed again; every other
-    offset, whatever the list holds (a lone sign, a repeat, a twin out of
-    order), goes through _sep."""
+    from the run's table or built into it on first use: each offset o of
+    level_probes, looked up in this module each time a level is built,
+    gives (o, o, k) and then (-o, o, k), its twins sharing o as their sep
+    and its key k, None for a zero o."""
     entry = table.get((field, level))
     if entry is None:
         triples = []
-        twin = None  # the last offset, while it is its own sep and has no twin yet
-        for offset in level_probes(field, level):
-            if twin is not None and _negates(field, offset, twin):
-                triples.append((offset, twin, twin_key))
-                twin = None
-            else:
-                sep, sep_key = _sep(key, offset)
-                triples.append((offset, sep, sep_key))
-                twin = offset if sep is offset else None
-                twin_key = sep_key
+        for o in level_probes(field, level):
+            k = key(o) if o else None
+            triples += (o, o, k), (-o, o, k)
         entry = table[field, level] = tuple(triples)
     return entry
-
-
-def _negates(field: Field, a, b) -> bool:
-    """a == -b for two elements of field, read off their parts, so no
-    element -b is built: a rational's numerator and denominator, or a
-    RatFunc's valuation, denominator and numerator coefficients."""
-    if field is Field.Q:
-        return a.numerator == -b.numerator and a.denominator == b.denominator
-    return a.v == b.v and a.den == b.den and a.num == _p_neg(b.num)
 
 
 def _probe(ends: tuple, key, offset, sep, sep_key) -> tuple[Probe, object, object]:

@@ -45,6 +45,10 @@ from .rationals import render_rat
 TOOL = "ordfield"
 VERSION = "0.1.0"
 _CERT_KINDS = {cert.KIND: cert for cert in (VerifierCert, FalsifierCert)}
+# the keys each claim-file record reads; a record with any other key is refused
+_CLAIM_KEYS = ("id", "field", "fn", "point", "candidate")
+_SCHEDULE_KEYS = ("kind", "depth", "values")
+_CERT_KEYS = {kind: ("claim", "kind", *cert.RECORD_KEYS) for kind, cert in _CERT_KINDS.items()}
 
 
 def _fmt(v) -> str:
@@ -75,6 +79,7 @@ def kv_line(kind: str, pairs: list[tuple[str, object]]) -> str:
 
 
 def parse_kv_line(line: str) -> tuple[str, dict[str, str]]:
+    """A record's kind and its key=value pairs; a key may appear once."""
     body = line.strip()
     kind, _, rest = body.partition(" ")
     out: dict[str, str] = {}
@@ -82,6 +87,8 @@ def parse_kv_line(line: str) -> tuple[str, dict[str, str]]:
         key, eq, tail = rest.partition("=")
         if not eq or " " in key:
             raise ParseError(f"malformed record field near {rest!r}")
+        if key in out:
+            raise ParseError(f"repeated key {key}= in record {body!r}")
         if key == "note":
             out[key] = tail
             break
@@ -222,11 +229,13 @@ def parse_claim_file(text: str) -> list[Check]:
     on the file's schedule of its SCHEDULE kind (eps for a verifier, delta
     for a falsifier) built in the field of its own claim.  A cert's
     `claim=` names the claim record above it with that `id=`; a cert with
-    no `claim=` takes the last claim record above it.  Schedule records
-    are file-global: `values=` beats `depth=` of the same kind wherever it
-    stands, of two records of one form the last wins, and a kind with
-    neither takes the default depth.  Each (kind, field) schedule is built
-    once, in the order of its first cert, and its certs share it."""
+    no `claim=` takes the last claim record above it.  A record that
+    repeats a key, or holds a key its kind does not read, is refused.
+    Schedule records are file-global: `values=` beats `depth=` of the same
+    kind wherever it stands, in the same record too, of two records of one
+    form the last wins, and a kind with neither takes the default depth.
+    Each (kind, field) schedule is built once, in the order of its first
+    cert, and its certs share it."""
     certs: list[VerifierCert | FalsifierCert] = []
     depths: dict[str, int] = {}
     values: dict[str, str] = {}  # kept as text, parsed in each claim's field
@@ -238,6 +247,7 @@ def parse_claim_file(text: str) -> list[Check]:
             continue
         kind, kv = parse_kv_line(line)
         if kind == "claim":
+            _known(kv, _CLAIM_KEYS, line)
             fld = _field_of(kv.get("field", ""))
             fn = parse_name(fld, _need(kv, "fn", line), "function name")
             current = LimitClaim(
@@ -262,18 +272,20 @@ def parse_claim_file(text: str) -> list[Check]:
             ckind = _need(kv, "kind", line)
             if ckind not in _CERT_KINDS:
                 raise ParseError(f"unknown cert kind {ckind!r}")
+            _known(kv, _CERT_KEYS[ckind], line)
             need = functools.partial(_need, kv, line=line)
             certs.append(_CERT_KINDS[ckind].from_record(claim, kv, need))
         elif kind == "schedule":
             if current is None:
                 raise ParseError("schedule record before any claim record")
+            _known(kv, _SCHEDULE_KEYS, line)
             skind = _need(kv, "kind", line)
             if skind not in ("eps", "delta"):
                 raise ParseError(f"unknown schedule kind {skind!r}")
-            if "depth" in kv:
-                depths[skind] = parse_int(kv["depth"])
-            elif "values" in kv:
+            if "values" in kv:
                 values[skind] = kv["values"]
+            elif "depth" in kv:
+                depths[skind] = parse_int(kv["depth"])
             else:
                 raise ParseError("schedule record needs depth= or values=")
         else:
@@ -306,6 +318,12 @@ def _claim_id(text: str) -> int:
     if cid < 1:
         raise ParseError(f"claim id {cid} is not a positive integer")
     return cid
+
+
+def _known(kv: dict[str, str], keys: tuple[str, ...], line: str) -> None:
+    for key in kv:
+        if key not in keys:
+            raise ParseError(f"unknown key {key}= in record {line!r}")
 
 
 def _need(kv: dict[str, str], key: str, line: str) -> str:

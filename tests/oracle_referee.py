@@ -6,10 +6,12 @@ record is computed from scratch: the probes of every epsilon are
 generated again, every probe is evaluated again and every verdict is
 decided in full, so a fault in the library's sharing of levels, rows,
 probes or verdicts shows as a record that differs from this one.  Both
-checks return the plain records, in schedule order.
+checks return the plain records, in schedule order.  `probe_gen` probes
+each positive offset of `claims.level_probes` on both sides of the point,
+adding the offset and then its negation, where `claims._level` mirrors it.
 
 `q_level_probes` and `q_step_witness` keep the Fraction products that
-built the Q probe offsets and step-probe witnesses before
+built the positive Q probe offsets and step-probe witnesses before
 `rationals.scaled` built them from ints.
 """
 
@@ -34,23 +36,23 @@ from ordfield.rationals import pow2
 
 def probe_gen(field: Field, point, delta, budget: int) -> list:
     """Deterministic probes inside the punctured delta-ball around point:
-    point plus each offset of every level of delta, in level order, each
-    probe added up here from scratch.  The levels are looked up in
-    `claims` when called, so a test that patches `claims.level_probes`
+    point plus and minus each offset of every level of delta, in level
+    order, each probe added up here from scratch.  The levels are looked up
+    in `claims` when called, so a test that patches `claims.level_probes`
     patches these probes too."""
     return [
-        point + offset
+        point + signed
         for level in claims.probe_levels(field, delta, budget)
         for offset in claims.level_probes(field, level)
+        for signed in (offset, -offset)
     ]
 
 
 def q_level_probes(level: int) -> list:
-    """The Q offsets of one level: +-r * 2**-level for each pattern r,
-    as a product of Fractions, each positive offset before its negation."""
+    """The Q offsets of one level: r * 2**-level for each pattern r, as a
+    product of Fractions."""
     step = pow2(-level)
-    offsets = [r * step for r in (Fraction(5, 7), Fraction(3, 4), Fraction(1), Fraction(7, 5))]
-    return [s for o in offsets for s in (o, -o)]
+    return [r * step for r in (Fraction(5, 7), Fraction(3, 4), Fraction(1), Fraction(7, 5))]
 
 
 def q_step_witness(r: Fraction, delta: Fraction) -> Fraction:

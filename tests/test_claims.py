@@ -238,60 +238,21 @@ def test_q_offsets_and_witnesses_from_ints_equal_the_products_they_replace(rng):
             assert canonical([probe.witness_for(d)]) == [oracle_referee.q_step_witness(r, d)], (r, d)
 
 
-def _assert_level_reads(key, offsets, triples):
-    """Each triple is (offset, |offset|, its key, None at 0), and an
-    offset shares the previous offset object as its sep exactly when that
-    offset is nonnegative, is no twin itself, and is its negation; any
-    other offset's sep is the offset itself or a new value."""
-    assert [t[0] for t in triples] == list(offsets)
-    offsets = [t[0] for t in triples]
-    after_free = False
-    for i, (offset, sep, sep_key) in enumerate(triples):
-        assert sep == abs(offset) and sep_key == (key(sep) if offset else None)
-        twin = after_free and offset == -offsets[i - 1]
-        if twin:
-            assert sep is offsets[i - 1] and sep_key is triples[i - 1][2], (i, offset)
-        else:
-            assert sep is offset or all(sep is not o for o in offsets), (i, offset)
-        after_free = not twin and offset >= 0
-
-
 def test_level_twins_share_one_separation():
-    # every level of level_probes is + then - of each pattern: each
-    # negative offset takes its positive twin as sep, with that twin's key
+    # each positive offset o of level_probes gives (o, o, k) and then
+    # (-o, o, k): both twins share o as their sep and its key k
     for field, zero in ((Field.Q, F(0)), (Field.QX, RF_ZERO)):
         key, _ = claims._order(zero)
         table = {}
         for level in (-3, 0, 1, 9, 70, 640):
             offsets = level_probes(field, level)
             triples = claims._level(table, key, field, level)
-            _assert_level_reads(key, offsets, triples)
-            assert all(sep is pos for (pos, _, _), (_, sep, _) in zip(triples[::2], triples[1::2]))
+            assert len(triples) == 2 * len(offsets)
+            for o, plus, minus in zip(offsets, triples[::2], triples[1::2]):
+                assert o > 0 and plus[0] == o and minus[0] == -o
+                assert plus[1] is minus[1] and plus[1] == o
+                assert plus[2] is minus[2] and plus[2] == key(o)
             assert claims._level(table, key, field, level) is triples
-
-
-def test_level_reads_any_offset_list(monkeypatch):
-    # zeros, a lone sign, a repeat, a twin out of order, a negative after
-    # a positive it does not negate, its twin after that, and a twin of a
-    # twin: each gets |offset| and its key, and only a true twin shares a
-    # sep
-    lists = {}
-
-    def patched(field, level):
-        return lists[field]
-
-    monkeypatch.setattr(claims, "level_probes", patched)
-    rats = [0, 0, 0, 1, -1, -1, 4, -8, -4, -5, 5, 2, 0, -2, 3, 3, -3, 7, -7, -7, 6]
-    # in Q(x) odd n take two terms, and the last pair differs only in its
-    # valuation
-    qx = [rf_const(F(n, 9), 2) + (rf_const(F(n, 9), 3) if n % 2 else RF_ZERO) for n in rats]
-    for field, zero, offsets in (
-        (Field.Q, F(0), [F(n, 9) for n in rats]),
-        (Field.QX, RF_ZERO, qx + [rf_const(F(1, 9), 4), rf_const(F(-1, 9), 5)]),
-    ):
-        key, _ = claims._order(zero)
-        lists[field] = offsets
-        _assert_level_reads(key, offsets, claims._level({}, key, field, 1))
 
 
 def test_qx_values_built_directly_equal_the_products_they_replace():
@@ -314,7 +275,7 @@ def test_qx_values_built_directly_equal_the_products_they_replace():
         assert not any(f - rf_const(pow2(-k)) for k, f in enumerate(schedule))
     for level in (-3, 0, 1, 70):
         offsets = [rf_const(r) * x_pow(level) for r in (F(1, 2), F(1), F(2))]
-        assert canonical(level_probes(Field.QX, level)) == [s for o in offsets for s in (o, -o)]
+        assert canonical(level_probes(Field.QX, level)) == offsets
 
 
 
@@ -649,7 +610,7 @@ def test_probe_gen_is_its_levels_in_order():
     ):
         levels = probe_levels(field, delta, budget)
         assert len(levels) == (budget + 1 if field is Field.Q else max(1, budget))
-        by_level = [[point + o for o in level_probes(field, n)] for n in levels]
+        by_level = [[point + s for o in level_probes(field, n) for s in (o, -o)] for n in levels]
         assert probe_gen(field, point, delta, budget) == [w for ws in by_level for w in ws]
         seen = [w for ws in by_level for w in ws]
         assert len(set(seen)) == len(seen)
@@ -707,10 +668,11 @@ def test_records_are_spelled_out_from_uses_rows_and_probes():
 
 def test_probes_outside_the_punctured_ball_fail(monkeypatch):
     # probe_gen keeps every probe inside its ball, so move some out: the
-    # point itself (sep = 0), the far edge (sep = delta) and beyond it
+    # point itself (sep = 0), the far edge (sep = delta) and beyond it,
+    # each on both sides of the point
     def with_outside(field, level):
         inside = level_probes(field, level)
-        return inside[:2] + [F(0), 4 * pow2(-level), -8 * pow2(-level)] + inside[2:]
+        return inside[:1] + [F(0), 4 * pow2(-level), 8 * pow2(-level)] + inside[1:]
 
     monkeypatch.setattr(claims, "level_probes", with_outside)
     claim = LimitClaim(Constant(Field.Q, F(0)), F(0), F(0))

@@ -717,11 +717,16 @@ def _check_lines(out: str) -> list[str]:
 
 def test_claim_file_schedule_precedence(tmp_path, capsys):
     # schedules are file-global: a values= record beats a depth= record of
-    # the same kind wherever it stands (2 epsilons x 24 probes = 48 checks;
-    # depth=3 would give 4 epsilons and 96)
+    # the same kind wherever it stands, in the same record too (2 epsilons
+    # x 24 probes = 48 checks; depth=3 would give 4 epsilons and 96)
     values, depth = "schedule kind=eps values=1/2,1/4\n", "schedule kind=eps depth=3\n"
     path = tmp_path / "precedence.claim"
-    for records in (values + depth, depth + values):
+    for records in (
+        values + depth,
+        depth + values,
+        "schedule kind=eps depth=3 values=1/2,1/4\n",
+        "schedule kind=eps values=1/2,1/4 depth=3\n",
+    ):
         path.write_text(_PRECEDENCE_CLAIM + records, encoding="utf-8")
         assert main(["claim", str(path)]) == 0
         checks = _check_lines(capsys.readouterr().out)
@@ -736,6 +741,35 @@ def test_claim_file_schedule_precedence(tmp_path, capsys):
     checks = _check_lines(capsys.readouterr().out)
     assert len(checks) == 48
     assert {ln.split()[3] for ln in checks} == {"eps=1", "eps=1/2"}
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ("claim field=q fn=step_q point=0 candidate=0 candidate=1", "repeated key candidate="),
+        ("cert kind=verifier rule=const(1) rule=const(2)", "repeated key rule="),
+        ("cert clam=1 kind=falsifier eps=1/2 witness=qstep(5/7)", "unknown key clam="),
+        ("cert kind=verifier rule=const(1) bogus=1", "unknown key bogus="),
+        ("cert kind=verifier rule=const(1) eps=1/2", "unknown key eps="),
+        ("cert kind=falsifier eps=1/2 witness=qstep(5/7) note=n", "unknown key note="),
+        ("claim field=q fn=step_q point=0 candidate=0 bogus=1", "unknown key bogus="),
+        ("schedule kind=eps depth=2 bogus=1", "unknown key bogus="),
+    ],
+    ids=["repeated-claim-key", "repeated-cert-key", "cert-typo", "cert-bogus",
+         "verifier-reads-no-eps", "falsifier-reads-no-note", "claim-bogus", "schedule-bogus"],
+)  # fmt: skip
+def test_claim_file_record_keys_exit_2(record, message, tmp_path, capsys):
+    # a record that repeats a key or holds one its kind does not read is
+    # refused, not read as its last or its known keys
+    path = tmp_path / "keys.claim"
+    path.write_text(
+        "claim id=1 field=q fn=step_q point=0 candidate=0\n"
+        "cert claim=1 kind=verifier rule=const(1)\n" + record + "\n",
+        encoding="utf-8",
+    )
+    assert main(["claim", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"ordfield: {message} in record {record!r}\n"
 
 
 def test_claim_file_default_schedules(tmp_path, capsys):
