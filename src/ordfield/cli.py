@@ -14,9 +14,9 @@ in a temporary file.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import demos
 from .errors import DomainError, OrdFieldError, ParseError
@@ -37,61 +37,113 @@ def _field_arg(s: str) -> Field:
     try:
         return Field(s)
     except ValueError:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"unknown field {s!r} (use q or qx)") from None
 
 
-def _demo_args(demo: argparse.ArgumentParser) -> None:
-    demo.add_argument("name", choices=demos.DEMOS)
-    # a demo takes the flags named in its signature; a flag left out takes
-    # the demo's own default.  Each flag's help names the demos that take it.
-    takes = {name: _lookup_demo(name)[1] for name in demos.DEMOS}
-
-    def flag(dest: str, text: str, **kwargs) -> None:
-        names = ", ".join(name for name in demos.DEMOS if dest in takes[name])
-        demo.add_argument("--" + dest.replace("_", "-"), help=f"{text} ({names})", **kwargs)
-
-    flag("field", "q or qx", type=_field_arg)
-    flag("eps_depth", "verifier schedule depth", type=int)
-    flag("delta_depth", "falsifier schedule depth", type=int)
-    flag("points", "interior sample count", type=int)
-    flag("seed", "seed for randomized interior sampling", type=int)
-    flag("candidate", "claimed limit value to refute; a negative one as --candidate=-3/2")
-    flag("n", "Taylor order n >= 2", type=int)
-    demo.add_argument("--transcript", default=None, help="write the transcript to PATH")
-
-
-def _eval_args(ev: argparse.ArgumentParser) -> None:
-    ev.add_argument("--field", type=_field_arg, required=True)
-    ev.add_argument("expr")
-
-
-def _claim_args(cl: argparse.ArgumentParser) -> None:
-    cl.add_argument("file")
-    cl.add_argument("--transcript", default=None, help="write the transcript to PATH")
-
-
-# each command with its help and the function that adds its arguments
+# Each command with its help and its arguments in the order the parser adds
+# them: a positional by its dest, a flag by its option string, each with the
+# callable that converts its text and the rest of its add_argument keywords.
+# The plain reader and build_parser both read this table.
+_TRANSCRIPT = ("--transcript", str, {"help": "write the transcript to PATH"})
 _COMMANDS = {
-    "demo": ("run a counterexample demonstration", _demo_args),
-    "eval": ("evaluate a field-element literal", _eval_args),
-    "claim": ("referee a serialized claim file", _claim_args),
-}
+    "demo": ("run a counterexample demonstration", (
+        ("name", str, {"choices": demos.DEMOS}),
+        ("--field", _field_arg, {"help": "q or qx"}),
+        ("--eps-depth", int, {"help": "verifier schedule depth"}),
+        ("--delta-depth", int, {"help": "falsifier schedule depth"}),
+        ("--points", int, {"help": "interior sample count"}),
+        ("--seed", int, {"help": "seed for randomized interior sampling"}),
+        ("--candidate", str, {"help": "claimed limit value to refute; a negative one as --candidate=-3/2"}),
+        ("--n", int, {"help": "Taylor order n >= 2"}),
+        _TRANSCRIPT,
+    )),
+    "eval": ("evaluate a field-element literal", (
+        ("--field", _field_arg, {"required": True}),
+        ("expr", str, {}),
+    )),
+    "claim": ("referee a serialized claim file", (
+        ("file", str, {}),
+        _TRANSCRIPT,
+    )),
+}  # fmt: skip
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command's name and help, with the arguments of
-    `command` alone when it names one (main passes argv[0]), else of all
-    three.  argparse reads only the subparser it dispatches to, so usage,
-    help, errors and exit codes are the full parser's."""
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
+
+
+def build_parser():
+    """The argparse parser of every command, which owns every usage, help
+    and error byte and exit code 2 for a bad argv.  main builds it only
+    when _read_plain declines argv."""
+    import argparse
+
     ap = argparse.ArgumentParser(prog="ordfield", description=__doc__)
     ap.add_argument("--version", action="version", version=f"ordfield {VERSION}")
     sub = ap.add_subparsers(dest="command", required=True)
-    full = command not in _COMMANDS
-    for name, (text, add_args) in _COMMANDS.items():
-        parser = sub.add_parser(name, help=text)
-        if full or name == command:
-            add_args(parser)
+    # a demo takes the flags named in its signature; a flag left out takes
+    # the demo's own default.  Each flag's help names the demos that take it.
+    takes = {name: _lookup_demo(name)[1] for name in demos.DEMOS}
+    for command, (text, args) in _COMMANDS.items():
+        parser = sub.add_parser(command, help=text)
+        for name, convert, kwargs in args:
+            dest = _dest(name)
+            if command == "demo" and dest not in _NOT_DEMO_FLAGS:
+                names = ", ".join(demo for demo in demos.DEMOS if dest in takes[demo])
+                kwargs = {**kwargs, "help": f"{kwargs['help']} ({names})"}
+            parser.add_argument(name, type=convert, **kwargs)
     return ap
+
+
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes build_parser().parse_args(argv) gives, read without
+    argparse when argv is plainly well-formed: a command, then each of its
+    positionals and at most once each of its flags, in full, as
+    `--flag VALUE` or `--flag=VALUE`.  None for anything else (help,
+    --version, --, an abbreviated, unknown or repeated flag, any other
+    token that starts with '-', a missing or extra positional, a missing
+    required flag, a value its converter or choices refuse), which
+    argparse then parses as it always did."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    args = _COMMANDS[argv[0]][1]
+    flags = {name for name, _, _ in args if name[0] == "-"}
+    given: dict[str, str] = {}
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        option, eq, text = token.partition("=")
+        if option not in flags or option in given:
+            return None
+        if not eq:
+            text = next(tokens, None)
+            if text is None or text.startswith("-"):
+                return None
+        given[option] = text
+    if len(positionals) != len(args) - len(flags):
+        return None
+    texts = iter(positionals)
+    attrs = {"command": argv[0]}
+    for name, convert, kwargs in args:
+        text = given.get(name) if name in flags else next(texts)
+        if text is None:
+            if kwargs.get("required"):
+                return None
+            value = None
+        else:
+            try:
+                value = convert(text)
+            except Exception:  # argparse reports it, or raises it, as before
+                return None
+            if "choices" in kwargs and value not in kwargs["choices"]:
+                return None
+        attrs[_dest(name)] = value
+    return SimpleNamespace(**attrs)
 
 
 def _lookup_demo(name: str):
@@ -176,7 +228,7 @@ def _run_claim(args, out) -> int:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _read_plain(argv) or build_parser().parse_args(argv)
     code = 0  # eval's: it prints as it goes, so a closed pipe meets it before any code
     try:
         if args.command == "eval":

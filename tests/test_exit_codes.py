@@ -1,19 +1,22 @@
 """Properties of the exit-code contract: a parser given any text returns
 or raises an OrdFieldError, a claim file built from the name tables
-exits 0, 1 or 2 with the output that code promises, and the argument
-parser built for argv's command parses argv as the full parser does.
+exits 0, 1 or 2 with the output that code promises, and the plain argv
+reader either declines an argv or reads it as the argparse parser does.
 
 The sizes drawn are bounded for run time only: 200 characters of text,
 names nested three deep, and schedule depths -1..8."""
 
 import contextlib
 import io
+import json
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordfield import demos
-from ordfield.cli import build_parser, main
+from ordfield import cli, demos
+from ordfield.cli import _read_plain, build_parser, main
 from ordfield.errors import OrdFieldError
 from ordfield.fields import Field
 from ordfield.functions import FAMILIES
@@ -148,25 +151,28 @@ def test_claim_files_keep_the_exit_code_contract(tmp_path_factory, text):
 
 
 # argv words: the commands and demos, each demo flag, its 3-letter prefix
-# and a --flag=value form, the options every parser knows, and values
+# and a --flag=value form with a value or empty, the options every parser
+# knows, and values: some that int reads though they are not plain digits,
+# and some that start with '-' or with a space before a '-'
 _DEMO_FLAGS = ["field", "eps-depth", "delta-depth", "points", "seed", "candidate", "n", "transcript"]
+_VALUES = ["3", "0", "qx", "q", "1/2", " 3", "3_0", "+3", "\u0663", "-3/2", " -1"]
 _ARGV_WORDS = [
     "demo", "eval", "claim", *demos.DEMOS,
     *(f"--{flag}" for flag in _DEMO_FLAGS),
     *(f"--{flag[:3]}" for flag in _DEMO_FLAGS),
-    *(f"--{flag}={value}" for flag in _DEMO_FLAGS for value in ("3", "qx", "-1/2")),
+    *(f"--{flag}={value}" for flag in _DEMO_FLAGS for value in ("3", "qx", "-1/2", "")),
     "-h", "--help", "--version", "--",
-    *(str(i) for i in range(-2, 9)), "1/2", "x", "q", "qx",
+    *(str(i) for i in range(-2, 9)), "x", *_VALUES,
 ]  # fmt: skip
 
 
-def _parse(parser, argv: list[str]) -> tuple:
-    """The Namespace argv parses to, or the exit code, stdout and stderr
-    of the SystemExit that parsing raised."""
+def _outcome(parse) -> tuple:
+    """What parse() returns, or the exit code, stdout and stderr of the
+    SystemExit it raised."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return ("parsed", parser.parse_args(argv))
+            return ("parsed", parse())
         except SystemExit as exc:
             return ("exit", exc.code, out.getvalue(), err.getvalue())
 
@@ -175,30 +181,73 @@ _words = st.lists(st.sampled_from(_ARGV_WORDS), max_size=8)
 _pairs = st.lists(
     st.tuples(
         st.sampled_from([f"--{flag}" for flag in _DEMO_FLAGS] + [f"--{flag[:3]}" for flag in _DEMO_FLAGS]),
-        st.sampled_from(["3", "0", "qx", "q", "1/2"]),
+        st.sampled_from(_VALUES),
     ),
     max_size=4,
 ).map(lambda pairs: [word for pair in pairs for word in pair])
 # any words, or a command followed by any words, or a demo followed by
-# flags each with a value, which parse more often
+# flags each with a value, which parse more often, or those flags before
+# the demo, or with their first flag repeated
 _argv = st.one_of(
     _words,
     st.tuples(st.sampled_from(["demo", "eval", "claim"]), _words).map(lambda t: [t[0], *t[1]]),
     st.tuples(st.sampled_from(demos.DEMOS), _pairs).map(lambda t: ["demo", t[0], *t[1]]),
+    st.tuples(st.sampled_from(demos.DEMOS), _pairs).map(lambda t: ["demo", *t[1], t[0]]),
+    st.tuples(st.sampled_from(demos.DEMOS), _pairs).map(lambda t: ["demo", t[0], *t[1], *t[1][:2]]),
 )
 
 
-@settings(_SETTINGS, max_examples=300)
+@settings(_SETTINGS, max_examples=500)
 @given(_argv)
-def test_the_parser_of_argvs_command_parses_as_the_full_parser(argv):
-    assert _parse(build_parser(argv[0] if argv else None), argv) == _parse(build_parser(), argv)
+def test_the_plain_reader_declines_or_parses_as_the_full_parser(argv):
+    plain = _read_plain(argv)
+    if plain is not None:
+        parsed = _outcome(lambda: build_parser().parse_args(argv))
+        assert parsed[0] == "parsed", (argv, parsed)
+        assert list(vars(plain).items()) == list(vars(parsed[1]).items())
+
+
+def test_the_plain_reader_leaves_all_but_a_plain_argv_to_argparse():
+    # each of these argparse reads, refuses or reads its own way; the
+    # reader owns none of them, so every help, usage and error byte stays
+    # argparse's
+    for argv in (
+        "", "-h", "demo -h", "demo dlim --help", "--version", "demo dlim --version",
+        "demo -- dlim", "demo dlim --", "demo dlim --fi q", "demo dlim --bogus 1",
+        "demo dlim --n 2 --n 3", "demo dlim --n=2 --n 3", "demo lhopital --candidate -3",
+        "demo lhopital --candidate -3/2", "demo dlim --transcript", "demo", "demo dlim mvt",
+        "demo foo", "eval 1", "eval --field q", "eval --field z 1", "demo dlim --eps-depth x",
+        "claim", "claim a b", "bogus",
+    ):  # fmt: skip
+        assert _read_plain(argv.split()) is None, argv
 
 
 def test_each_commands_help_is_the_full_parsers():
-    for command in ("demo", "eval", "claim"):
-        one = _parse(build_parser(command), [command, "-h"])
-        assert one == _parse(build_parser(), [command, "-h"])
-        assert one[:2] == ("exit", 0) and one[2].startswith(f"usage: ordfield {command} [-h]")
-    full = _parse(build_parser("-h"), ["-h"])
-    assert full == _parse(build_parser(), ["-h"])
-    assert "{demo,eval,claim}" in full[2]
+    # the reader declines help, so main prints the one parser's
+    for argv in (["demo", "-h"], ["eval", "-h"], ["claim", "-h"], ["-h"]):
+        assert _read_plain(argv) is None
+        printed = _outcome(lambda: main(argv))
+        assert printed == _outcome(lambda: build_parser().parse_args(argv))
+        assert printed[:2] == ("exit", 0)
+        if argv[0] != "-h":
+            assert printed[2].startswith(f"usage: ordfield {argv[0]} [-h]")
+    assert "{demo,eval,claim}" in printed[2]
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+_GOLDEN = json.loads((_ROOT / "bench" / "golden.json").read_text(encoding="utf-8"))
+_BENCH_ARGVS = [run["argv"].split() for run in _GOLDEN.values()]
+_BENCH_ARGVS += [["demo", "mvt", "--points", "50", "--seed", str(seed)] for seed in range(1, 11)]
+
+
+@pytest.mark.parametrize("argv", _BENCH_ARGVS, ids=" ".join)
+def test_the_benchmark_argvs_are_read_without_argparse(argv, monkeypatch):
+    # a table change that sent these back to argparse would cost each
+    # invocation the parser's construction again
+    def refuse():
+        raise AssertionError(f"argparse built for {argv}")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    monkeypatch.setattr(demos, "run", lambda name, header, steps, out: 0)
+    monkeypatch.chdir(_ROOT)
+    assert main(argv) == 0

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module,
-no module imports `dataclasses`, and importing the CLI leaves `inspect`,
-`tempfile` and `shutil` out.
+no module imports `dataclasses`, importing the CLI leaves `inspect`,
+`tempfile` and `shutil` out, and a plain argv leaves `argparse` and
+`gettext` out.
 
 A name imported and never read is dead weight that a deletion elsewhere
 tends to leave behind.  The package's `__init__.py` is left out of that
@@ -105,3 +106,19 @@ def test_cli_import_leaves_the_spill_modules_out():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=CHILD_ENV, check=True
     ).stdout
     assert out == "[]\n"
+
+
+def test_a_plain_argv_leaves_argparse_out():
+    # the plain reader serves a well-formed argv; argparse, with its
+    # gettext lookups, is imported only for help, --version and errors
+    code = (
+        "import sys, ordfield.cli; ordfield.cli.main(['eval', '--field', 'q', '1/2']); "
+        "print([m for m in ('argparse', 'gettext') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=CHILD_ENV, check=True
+    ).stdout
+    assert out == "value 1/2\nsign 1\n[]\n"
+    code = "import ordfield.cli; ordfield.cli.main(['demo', '-h'])"
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=CHILD_ENV)
+    assert run.returncode == 0 and run.stdout.startswith("usage: ordfield demo [-h]")
