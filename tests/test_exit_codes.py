@@ -225,13 +225,13 @@ def test_the_plain_reader_leaves_all_but_a_plain_argv_to_argparse():
 def test_each_commands_help_is_the_full_parsers():
     # the reader declines help, so main prints the one parser's
     for argv in (["demo", "-h"], ["eval", "-h"], ["claim", "-h"], ["-h"]):
-        assert _read_plain(argv) is None
         printed = _outcome(lambda: main(argv))
         assert printed == _outcome(lambda: build_parser().parse_args(argv))
         assert printed[:2] == ("exit", 0)
-        if argv[0] != "-h":
+        if argv[0] == "-h":
+            assert "{demo,eval,claim}" in printed[2]
+        else:
             assert printed[2].startswith(f"usage: ordfield {argv[0]} [-h]")
-    assert "{demo,eval,claim}" in printed[2]
 
 
 _ROOT = Path(__file__).resolve().parents[1]
