@@ -77,8 +77,15 @@ def _dest(name: str) -> str:
 def build_parser():
     """The argparse parser of every command, which owns every usage, help
     and error byte and exit code 2 for a bad argv.  main builds it only
-    when _read_plain declines argv."""
+    when _read_plain declines argv.  A flag given twice is refused, as a
+    claim-file record that repeats a key is, not read as its last value."""
     import argparse
+
+    class StoreOnce(argparse.Action):
+        def __call__(self, parser, namespace, values, option_string=None):
+            if getattr(namespace, self.dest, None) is not None:
+                raise argparse.ArgumentError(self, "given more than once")
+            setattr(namespace, self.dest, values)
 
     ap = argparse.ArgumentParser(prog="ordfield", description=__doc__)
     ap.add_argument("--version", action="version", version=f"ordfield {VERSION}")
@@ -93,6 +100,8 @@ def build_parser():
             if command == "demo" and dest not in _NOT_DEMO_FLAGS:
                 names = ", ".join(demo for demo in demos.DEMOS if dest in takes[demo])
                 kwargs = {**kwargs, "help": f"{kwargs['help']} ({names})"}
+            if name[0] == "-":
+                kwargs = {**kwargs, "action": StoreOnce}
             parser.add_argument(name, type=convert, **kwargs)
     return ap
 
@@ -201,7 +210,10 @@ def _run_demo(args, out) -> int:
         flags = ", ".join("--" + k.replace("_", "-") for k in refused)
         raise DomainError(f"demo {args.name} does not take {flags}")
     if "candidate" in given:
-        given["candidate"] = parse_elem(Field.Q, given["candidate"])
+        try:
+            given["candidate"] = parse_elem(Field.Q, given["candidate"])
+        except OrdFieldError as exc:
+            raise ParseError(f"--candidate: {exc}") from None
     return demo(**given, out=out)
 
 

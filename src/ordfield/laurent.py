@@ -38,14 +38,27 @@ Each path ends in one step that divides out the joint integer content
 and makes den[0] positive.  A constant side of a cross pair shares no
 factor, so rf_mul skips its test, two monomials multiply as two int
 products and one gcd, and a sum whose two denominators are constants
-takes a shorter integer path to the same form.  With exactly one constant
-denominator, n1/s + n2/d2, g is constant, so t = n1*d2 + s*n2 over s*d2
-is coprime to d2 and only x and the integer content cancel.  Division
-multiplies by the inverse, whose num and den are the operand's den and
-num.  A comparison takes no gcd: when a and b tie in valuation, the sign
-of a - b is that of the lowest nonzero coefficient of n1*d2 - n2*d1.  The
-operators test type(o) is RatFunc before they coerce an int or Fraction,
-on either side, and call rf_add, rf_sub, rf_mul and rf_div by name.
+takes a shorter integer path to the same form.  Some common short shapes
+go straight to the form the general path would reach:
+
+  * a unit +-x**k factor of a product moves the other factor's valuation
+    and perhaps its sign: its num and den stay coprime and primitive, and
+    den[0] stays positive;
+  * two monomials n1/d1 and n2/d2 of one valuation add as one integer
+    cross-add t = n1*d2 + n2*d1 over d1*d2, reduced by gcd(t, d1*d2);
+  * with exactly one constant denominator, n1/s + n2/d2, g is constant,
+    so t = n1*d2 + s*n2 over s*d2 is coprime to d2 and only x and the
+    integer content cancel;
+  * two equal denominators d are the case g = d of the sum rule: t is
+    n1 + n2 and only h = gcd(t, d) can cancel, so a + (-a) costs one
+    polynomial add.
+
+Division multiplies by the inverse, whose num and den are the operand's
+den and num.  A comparison takes no gcd: when a and b tie in valuation,
+the sign of a - b is that of the lowest nonzero coefficient of
+n1*d2 - n2*d1.  The operators test type(o) is RatFunc before they coerce
+an int or Fraction, on either side, and call rf_add, rf_sub, rf_mul and
+rf_div by name.
 
 Rational coefficients and dense x-powers appear only at the edges: poly
 and rf_normalize accept dense Fraction coefficients, rf_const a Fraction
@@ -66,6 +79,7 @@ Poly = tuple  # ascending degree, no trailing zeros; int coefficients in a RatFu
 
 P_ZERO: Poly = ()
 P_ONE: Poly = (1,)
+_P_MINUS_ONE: Poly = (-1,)
 
 
 def poly(coeffs) -> Poly:
@@ -107,21 +121,27 @@ def _p_scale(a: Poly, k) -> Poly:
 
 def _p_mul(a: Poly, b: Poly) -> Poly:
     """Product of two canonical polynomials; the product of their leading
-    coefficients is nonzero, so no high-order zero needs trimming."""
-    if not a or not b:
+    coefficients is nonzero, so no high-order zero needs trimming.  A
+    linear factor times one of length 2 or 3 is written out in closed
+    form."""
+    la, lb = len(a), len(b)
+    if not la or not lb:
         return P_ZERO
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) == 1:
+    if la > lb:
+        a, b, la, lb = b, a, lb, la
+    if la == 1:
         k = a[0]
         return b if k == 1 else tuple([c * k for c in b])
-    if len(a) == 2:
+    if la == 2:
         a0, a1 = a
-        if len(b) == 2:
+        if lb == 2:
             b0, b1 = b
             return (a0 * b0, a0 * b1 + a1 * b0, a1 * b1)
+        if lb == 3:
+            b0, b1, b2 = b
+            return (a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1, a1 * b2)
         return (a0 * b[0], *[a0 * c + a1 * p for p, c in zip(b, b[1:])], a1 * b[-1])
-    out = [0] * (len(a) + len(b) - 1)
+    out = [0] * (la + lb - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
@@ -132,6 +152,8 @@ def _p_mul(a: Poly, b: Poly) -> Poly:
 # Each cross pair (d1, d2), (t, g), (n1, d2) or (n2, d1) is tested for a
 # common factor in the cheapest way that decides it (_cross_gcd):
 #   * a constant side shares no factor, with no test;
+#   * two linear sides a0 + a1*x and b0 + b1*x share one exactly when
+#     they are proportional, a0*b1 == a1*b0, and it is then either side;
 #   * a linear side l shares one exactly when the other side vanishes at
 #     l's root, an integer evaluation that decides it either way; when
 #     l's coefficients reach P, a nonzero value mod P decides it first;
@@ -322,6 +344,12 @@ def _cross_gcd(a, b) -> list | None:
     if len(a) == 2:
         a, b = b, a
     if len(b) == 2:
+        if len(a) == 2:
+            b0, b1 = b
+            if a[0] * b1 != a[1] * b0:
+                return None
+            g = math.gcd(b0, b1)
+            return [b0 // g, b1 // g]
         return _linear_gcd(a, b)
     if len(a) == 3:
         a, b = b, a
@@ -491,9 +519,18 @@ def _rf_sum(a: RatFunc, b: RatFunc) -> RatFunc:
         a, b = b, a
     v, n1, d1 = a
     v2, n2, d2 = b
+    l1, l2 = len(d1), len(d2)
     if v2 > v:
         n2 = (0,) * (v2 - v) + n2
-    if len(d1) == 1 and len(d2) == 1:
+    elif l1 == l2 == len(n1) == len(n2) == 1:
+        # two monomials of one valuation: one cross-add and one gcd
+        t = n1[0] * d2[0] + n2[0] * d1[0]
+        if not t:
+            return RF_ZERO
+        s = d1[0] * d2[0]
+        c = math.gcd(t, s)
+        return _new(RatFunc, (v, (t // c,), (s // c,)))
+    if l1 == 1 and l2 == 1:
         # constant denominators: num and den stay coprime over Q[x], so
         # only the integer content can cancel
         s, t = d1[0], d2[0]
@@ -510,10 +547,10 @@ def _rf_sum(a: RatFunc, b: RatFunc) -> RatFunc:
         if c == 1:
             return _new(RatFunc, (v + k, num, (s,)))
         return _new(RatFunc, (v + k, tuple([x // c for x in num]), (s // c,)))
-    if len(d1) == 1 or len(d2) == 1:
+    if l1 == 1 or l2 == 1:
         # one constant denominator, d1 = (s,): t = n1*d2 + s*n2 is coprime
         # to d2, so only x and the content of t/(s*d2) cancel
-        if len(d1) > 1:
+        if l1 > 1:
             n1, d1, n2, d2 = n2, d2, n1, d1
         s = d1[0]
         t = _p_add(_p_mul(n1, d2), _p_scale(n2, s))
@@ -521,6 +558,17 @@ def _rf_sum(a: RatFunc, b: RatFunc) -> RatFunc:
             return RF_ZERO
         k, t = _x_split(t) if not t[0] else (0, t)
         return _rf_canon(v + k, t, _p_scale(d2, s))
+    if d1 == d2:
+        # one denominator d: Henrici's rule with g = d, so t = n1 + n2 and
+        # only gcd(t, d) can cancel
+        t = _p_add(n1, n2)
+        if not t:
+            return RF_ZERO
+        k, t = _x_split(t)
+        h = _cross_gcd(t, d1)
+        if h:
+            t, d1 = _iexact_div(t, h), _iexact_div(d1, h)
+        return _rf_canon(v + k, t, d1)
     g = _cross_gcd(d1, d2)
     if g:
         d1, d2 = _iexact_div(d1, g), _iexact_div(d2, g)
@@ -558,6 +606,11 @@ def rf_mul(a: RatFunc, b: RatFunc) -> RatFunc:
     v2, n2, d2 = b
     if not n1 or not n2:
         return RF_ZERO
+    # a unit +-x**k shifts the valuation and perhaps the sign, nothing more
+    if d2 == P_ONE and (n2 == P_ONE or n2 == _P_MINUS_ONE):
+        return _new(RatFunc, (v1 + v2, n1 if n2[0] == 1 else _p_neg(n1), d1))
+    if d1 == P_ONE and (n1 == P_ONE or n1 == _P_MINUS_ONE):
+        return _new(RatFunc, (v1 + v2, n2 if n1[0] == 1 else _p_neg(n2), d2))
     if len(n1) == len(d1) == len(n2) == len(d2) == 1:
         n, d = n1[0] * n2[0], d1[0] * d2[0]
         g = math.gcd(n, d)

@@ -56,6 +56,65 @@ def test_eval_errors_exit_2(capsys):
     assert main(["eval", "--field", "qx", "1/(x-x)"]) == 2
 
 
+def test_eval_qx_reaches_the_exact_gcd(capsys, monkeypatch):
+    # both sides are degree 6 with the cubic factor x^3 + x + 1 in common:
+    # the mod-P filter is inconclusive, so the primitive PRS finds it and
+    # exact division takes it out
+    from ordfield import laurent
+
+    called = set()
+
+    def recording(name, real):
+        def wrapper(*args):
+            called.add(name)
+            return real(*args)
+
+        return wrapper
+
+    for name in ("_iprim", "_ipseudo_rem", "_int_poly_gcd", "_iexact_div", "_isurely_coprime"):
+        monkeypatch.setattr(laurent, name, recording(name, getattr(laurent, name)))
+    assert main(["eval", "--field", "qx", "(x^3+x+1)*(x^3+2)/((x^3+x+1)*(x^3+5))"]) == 0
+    assert capsys.readouterr().out == "value (2/5 + 1/5*x^3)/(1 + 1/5*x^3)\nsign 1\nvaluation 0\n"
+    assert called == {"_iprim", "_ipseudo_rem", "_int_poly_gcd", "_iexact_div", "_isurely_coprime"}
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ("demo dlim --field q --field qx --eps-depth 2 --delta-depth 2", "--field"),
+        ("demo dlim --field=q --fie qx", "--field"),
+        ("demo taylor --n 2 --n=3", "--n"),
+        ("eval --field q --field qx 1", "--field"),
+        ("claim a.claim --transcript t1 --transcript t2", "--transcript"),
+    ],
+)
+def test_a_repeated_flag_exits_2(argv, flag, capsys):
+    # argparse would keep the last value; a flag given twice is refused,
+    # as a claim-file record that repeats a key is
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    command = argv.split()[0]
+    assert err.splitlines()[-1] == f"ordfield {command}: error: argument {flag}: given more than once"
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("", "expected digit, 'x', '-' or '(' (at position 0)"),
+        ("1/0", "division by zero"),
+        ("x", "variable 'x' is not allowed in field q (at position 0)"),
+    ],
+)
+def test_an_unreadable_candidate_names_its_flag(value, message, capsys):
+    assert main(["demo", "lhopital", f"--candidate={value}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"ordfield: --candidate: {message}\n"
+
+
 def test_claim_fixture_files(capsys):
     for name in ("dlim_q_falsifier.claim", "dlim_qx_falsifier.claim"):
         assert main(["claim", str(FIXTURES / name)]) == 0

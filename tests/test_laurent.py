@@ -652,9 +652,12 @@ def _dense_elem(draw, num, den):
 @st.composite
 def _shaped_pairs(draw):
     """(a, b) whose denominators take one path each of _rf_sum and rf_mul:
-    two monomials, exactly one constant denominator, two linear
-    denominators sharing their factor, a quadratic side that b's
-    denominator may share, or a zero operand."""
+    two monomials, two monomials of one valuation, a unit +-x**k operand,
+    exactly one constant denominator, two equal non-constant denominators
+    (a and -a among them), two linear denominators sharing their factor,
+    two linear denominators with a coefficient past the filter's modulus,
+    proportional or not, a quadratic side that b's denominator may share,
+    a and 1/a with sides of degree 3 or more, or a zero operand."""
     coeff = st.integers(-9, 9) | st.integers(-(2**70), 2**70)
     nonzero = coeff.filter(bool)
 
@@ -665,9 +668,40 @@ def _shaped_pairs(draw):
             return (draw(nonzero),)
         return (draw(nonzero), *[draw(coeff) for _ in range(deg - 1)], draw(nonzero))
 
-    shape = draw(st.sampled_from(("monomials", "one-constant", "linear-shared", "quadratic", "zero")))
+    shapes = (
+        "monomials",
+        "monomials-one-valuation",
+        "unit",
+        "one-constant",
+        "equal-den",
+        "linear-shared",
+        "linear-wide",
+        "quadratic",
+        "inverse",
+        "zero",
+    )
+    shape = draw(st.sampled_from(shapes))
     if shape == "monomials":
         a, b = (rf_const(F(draw(nonzero), draw(nonzero)), draw(st.integers(-3, 3))) for _ in "ab")
+    elif shape == "monomials-one-valuation":
+        v = draw(st.integers(-3, 3))
+        a, b = (rf_const(F(draw(nonzero), draw(nonzero)), v) for _ in "ab")
+    elif shape == "unit":
+        a = draw(st.sampled_from((1, -1))) * x_pow(draw(st.integers(-3, 3)))
+        b = _dense_elem(draw, p(0, 3), p(0, 3))
+    elif shape == "equal-den":
+        lin = p(1, 1)
+        den = _p_mul(lin, p(0, 2))
+        a = _dense_elem(draw, p(0, 3), den)
+        kind = draw(st.sampled_from(("other", "negative", "shared")))
+        if kind == "negative":
+            b = -a
+        elif kind == "shared":
+            # a + b has lin in its numerator, which cancels against den
+            b = _dense_elem(draw, _p_mul(lin, p(0, 2)), den) - a
+        else:
+            b = _dense_elem(draw, p(0, 3), den)
+        assume(len(a.den) > 1 and a.den == b.den)
     elif shape == "one-constant":
         a = _dense_elem(draw, p(0, 3), p(0, 0))
         b = _dense_elem(draw, p(0, 3), p(1, 3))
@@ -680,17 +714,28 @@ def _shaped_pairs(draw):
         a = _dense_elem(draw, p(0, 2), _p_mul(lin, p(0, 0)))
         b = _dense_elem(draw, p(0, 2), _p_mul(lin, p(0, 0)))
         assume(len(a.den) == len(b.den) == 2)
+    elif shape == "linear-wide":
+        wide = st.integers(laurent._FILTER_P, 2**70) | st.integers(-(2**70), -laurent._FILTER_P)
+        lin = (draw(wide), draw(nonzero)) if draw(st.booleans()) else (draw(nonzero), draw(wide))
+        den = _p_mul(lin, p(0, 0)) if draw(st.booleans()) else p(1, 1)
+        a = _dense_elem(draw, p(0, 2), lin)
+        b = _dense_elem(draw, p(0, 2), den)
+        assume(len(a.den) == len(b.den) == 2)
     elif shape == "quadratic":
         quad = p(2, 2)
         a = _dense_elem(draw, p(0, 3), quad) if draw(st.booleans()) else _dense_elem(draw, quad, p(0, 3))
         den = _p_mul(quad, p(0, 1)) if draw(st.booleans()) else p(1, 3)
         b = _dense_elem(draw, p(0, 2), den)
+    elif shape == "inverse":
+        a = _dense_elem(draw, p(3, 4), p(3, 4))
+        assume(len(a.num) > 3 and len(a.den) > 3)
+        b = rf_inv(a)
     else:
         a, b = RF_ZERO, _dense_elem(draw, p(0, 3), p(0, 3))
     return (b, a) if draw(st.booleans()) else (a, b)
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
 @given(_shaped_pairs())
 def test_each_operand_shape_matches_the_fraction_oracle(pair):
     # through the operators, in both orders: each result is canonical and
@@ -711,6 +756,29 @@ def test_each_operand_shape_matches_the_fraction_oracle(pair):
             got = op(x, y)
             assert_canonical(got)
             assert oracle_qx.canonical(*dense(got)) == oracle_qx.canonical(*ratio(x, y))
+
+
+def test_two_linear_sides_share_a_factor_exactly_when_proportional():
+    # the proportionality rule of _cross_gcd gives what the root test of
+    # the first side against the second gives, the primitive first side,
+    # on proportional pairs and others, with coefficients below and past
+    # the filter's modulus
+    rng = random.Random(36)
+    P = laurent._FILTER_P
+    shared = 0
+    for _ in range(2000):
+        size = rng.choice((9, 2**70))
+        b = [rng.randint(-size, size) or 1 for _ in "01"]
+        if rng.random() < 0.5:
+            k = rng.choice((1, -1)) * rng.randint(1, 2**40)
+            a = [c * k for c in b]
+        else:
+            a = [rng.randint(-size, size) or P for _ in "01"]
+        want = laurent._linear_gcd(b, a)
+        assert laurent._cross_gcd(a, b) == want
+        assert laurent._cross_gcd(b, a) == laurent._linear_gcd(a, b)
+        shared += want is not None
+    assert shared > 900
 
 
 def test_exact_division_by_a_linear_factor():
