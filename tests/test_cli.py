@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from ordfield.claims import default_delta_schedule, default_eps_schedule
-from ordfield import cli, demos
+from ordfield import cli, demos, laurent
 from ordfield.cli import build_parser, main
 from ordfield.demos import MAX_MVT_POINTS, demo_dlim, demo_lhopital, demo_mvt, demo_taylor
 from ordfield.errors import DomainError, OrdFieldError, ResourceError
@@ -60,8 +60,6 @@ def test_eval_qx_reaches_the_exact_gcd(capsys, monkeypatch):
     # both sides are degree 6 with the cubic factor x^3 + x + 1 in common:
     # the mod-P filter is inconclusive, so the primitive PRS finds it and
     # exact division takes it out
-    from ordfield import laurent
-
     called = set()
 
     def recording(name, real):
